@@ -6,7 +6,7 @@ expectations projected on per-step polynomial features:
 * the worst-case value y of the running squared error, whose driver picks up
   k|z| from maximizing theta*z over |theta| <= k. The backward recursion is
 
-      z_t ~ E[y_{t+dt} dW / dt | F_t],    z~_t ~ E[y_{t+dt} dB / dt | F_t],
+      z_t ~ E[y_{t+dt} dW / dt | F_t],
       y_t = E[y_{t+dt} | F_t] + (|f(X_t) - u_t|^2 + k |z_t|) dt,   y_T = 0,
 
   so y_0 estimates the supremum of the cost over the ambiguity class. (The
@@ -20,7 +20,8 @@ expectations projected on per-step polynomial features:
   simulated cost adjudicates between them (see gateaux_fd / gateaux_adjoint).
 
 Explicit scheme throughout: martingale coefficients are regressed first, the
-drivers are then evaluated at the regressed values.
+drivers are then evaluated at the regressed values. Each step factors its
+design once and projects every right-hand side on it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ class BsdeSolution:
     y0: float
     y_tables: tuple[FrozenRegression, ...]   # per step; terminal entry is zero
     z_tables: tuple[FrozenRegression, ...]
-    zt_tables: tuple[FrozenRegression, ...]
     grid: TimeGrid
     basis: RegressionBasis
     y_mean_path: np.ndarray                  # E[y_t] per grid time, diagnostics
@@ -56,7 +56,6 @@ class BsdeSolution:
 
 @dataclass(frozen=True)
 class AdjointSolution:
-    p_tables: tuple[FrozenRegression, ...]
     q_tables: tuple[FrozenRegression, ...]
     P_tables: tuple[FrozenRegression, ...]
     Q_tables: tuple[FrozenRegression, ...]
@@ -118,32 +117,31 @@ def solve_worst_value(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
     check_basis_size(basis, n)
     lam = basis.effective_lambda(n)
     dt = grid.dt
-    dW, dB = paths.noise.dW, paths.noise.dB
+    dW = paths.noise.dW
     k = model.k
 
     y = np.zeros(n)
     y_tabs = [_ZERO_REG] * (steps + 1)
     z_tabs = [_ZERO_REG] * (steps + 1)
-    zt_tabs = [_ZERO_REG] * (steps + 1)
     y_mean = np.zeros(steps + 1)
     for j in range(steps - 1, -1, -1):
         F = basis.design({"x": paths.X[:, j], "u": u_vals[:, j],
                           "m": paths.M[:, j]})
-        y_reg = fit_ridge(F, y, lam)
+        proj = fit_ridge(F, lam)
+        y_reg = proj.fit(y)
         cont = y_reg.predict(F)
-        # center y before the increment regressions: same conditional
+        # center y before the increment regression: same conditional
         # expectation, but the removed level variance would otherwise feed a
         # Jensen bias into y through k|z|
-        z_reg = fit_ridge(F, (y - cont) * dW[:, j] / dt, lam)
-        zt_reg = fit_ridge(F, (y - cont) * dB[:, j] / dt, lam)
+        z_reg = proj.fit((y - cont) * dW[:, j] / dt)
         z = z_reg.predict(F)
         err = model.f.value(paths.X[:, j]) - u_vals[:, j]
         y = cont + (err * err + k * np.abs(z)) * dt
-        y_tabs[j], z_tabs[j], zt_tabs[j] = y_reg, z_reg, zt_reg
+        y_tabs[j], z_tabs[j] = y_reg, z_reg
         y_mean[j] = y.mean()
     return BsdeSolution(y0=float(y.mean()), y_tables=tuple(y_tabs),
-                        z_tables=tuple(z_tabs), zt_tables=tuple(zt_tabs),
-                        grid=grid, basis=basis, y_mean_path=y_mean)
+                        z_tables=tuple(z_tabs), grid=grid, basis=basis,
+                        y_mean_path=y_mean)
 
 
 def _adjoint_driver(variant: str, bprime, sprime, hprime, fprime, hval, fval,
@@ -195,7 +193,6 @@ def solve_adjoint(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
     p = np.zeros(n)
     P = np.zeros(n)
     zero = _ZERO_REG
-    p_tabs = [zero] * (steps + 1)
     q_tabs = [zero] * (steps + 1)
     P_tabs = [zero] * (steps + 1)
     Q_tabs = [zero] * (steps + 1)
@@ -209,34 +206,31 @@ def solve_adjoint(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
         F = basis.design({"x": X, "m": M, "u": u})
         theta = policy.evaluate(grid.times[j], {"x": X, "m": M})
 
-        p_reg = fit_ridge(F, p, lam)
-        p_cont = p_reg.predict(F)
-        q_reg = fit_ridge(F, (p - p_cont) * dY[:, j] / dt, lam)
+        proj = fit_ridge(F, lam)
+        p_cont = proj.fit(p).predict(F)
+        q_reg = proj.fit((p - p_cont) * dY[:, j] / dt)
         q = q_reg.predict(F)
         hval = model.h.value(X)
         fval = model.f.value(X)
         p = p_cont + (hval * q + 0.5 * (fval - u) ** 2) * dt
 
-        Pc_reg = fit_ridge(F, P, lam)
-        P_cont = Pc_reg.predict(F)
-        Q_reg = fit_ridge(F, (P - P_cont) * dW[:, j] / dt, lam)
+        P_cont = proj.fit(P).predict(F)
+        Q_reg = proj.fit((P - P_cont) * dW[:, j] / dt)
         Q = Q_reg.predict(F)
         drv = _adjoint_driver(variant, model.b.deriv(X), model.sigma.deriv(X),
                               model.h.deriv(X), model.f.deriv(X), hval, fval,
                               u, M, theta, P_cont, Q, p, q)
         P = P_cont + drv * dt
 
-        # refit the time-t values so the stored surfaces include the driver
-        p_tabs[j] = fit_ridge(F, p, lam)
-        q_tabs[j] = q_reg
-        P_tabs[j] = fit_ridge(F, P, lam)
-        Q_tabs[j] = Q_reg
+        q_tabs[j], Q_tabs[j] = q_reg, Q_reg
+        # refit the time-t values so the stored surface includes the driver
+        P_tabs[j] = proj.fit(P)
         p_vals[:, j], q_vals[:, j] = p, q
         P_vals[:, j], Q_vals[:, j] = P, Q
 
-    return AdjointSolution(p_tables=tuple(p_tabs), q_tables=tuple(q_tabs),
-                           P_tables=tuple(P_tabs), Q_tables=tuple(Q_tabs),
-                           grid=grid, basis=basis, variant=variant,
+    return AdjointSolution(q_tables=tuple(q_tabs), P_tables=tuple(P_tabs),
+                           Q_tables=tuple(Q_tabs), grid=grid, basis=basis,
+                           variant=variant,
                            p_vals=p_vals, q_vals=q_vals, P_vals=P_vals,
                            Q_vals=Q_vals)
 

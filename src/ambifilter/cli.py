@@ -28,8 +28,9 @@ import numpy as np
 
 from . import __version__
 from .bsde import solve_worst_value
-from .errors import (AmbiFilterError, ConfigError, InvalidArgumentError,
-                     MissingFeatureError, NumericalError, ShapeError)
+from .errors import (AmbiFilterError, ConfigError, DataError,
+                     InvalidArgumentError, MissingFeatureError, NumericalError,
+                     ShapeError)
 from .features import RegressionBasis
 from .filtering import innovation_path, run_filter
 from .minimax import (FilterRule, PicardConfig, minimax_gap, picard_solve,
@@ -512,6 +513,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except DataError as exc:
+        print(f"bad data: {exc}", file=sys.stderr)
         return 2
 
     if args.subcommand == "picard" and not manifest.extras.get("converged", True):

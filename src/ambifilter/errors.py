@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
-Split into "usage" errors (bad arguments or configuration, CLI exit code 1)
-and "numerical" errors (the computation itself degenerated, CLI exit code 2).
+Split into "usage" errors (bad arguments or configuration, CLI exit code 1),
+"numerical" errors (the computation itself degenerated, CLI exit code 2) and
+data errors (non-finite inputs, also CLI exit code 2).
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Polynomial feature maps and ridge regression for the backward solvers.
+"""Polynomial feature maps and per-step ridge projections for the backward
+solvers.
 
 Conditional expectations E[. | F_t] are approximated by projecting on
 monomials of the per-path state available at t. Feature maps are named so
@@ -13,6 +14,14 @@ The design always contains the constant monomial. Columns are standardized
 before the ridge solve; zero-variance columns are dropped (at t=0 every path
 is identical, so the design collapses to the intercept and the projection is
 the plain mean, as it should be).
+
+One regression step is factored once: `fit_ridge` standardizes the design,
+runs a pivoted QR and builds the ridge Gram matrix, and every right-hand side
+of the step is then fitted with a k x k solve. The condition number is read
+from R, which has the singular values of the kept design, so the tall matrix
+sees one LAPACK only: numpy and scipy each load their own OpenBLAS, and a
+scipy QR followed by a numpy SVD of one tall matrix made each fit about ten
+times slower under the default BLAS threads.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from itertools import product
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import qr
+from scipy.linalg import qr, svdvals
 
 from .errors import IllConditionedBasisError, InvalidArgumentError
 
@@ -111,14 +120,35 @@ class FrozenRegression:
         return out
 
 
-def fit_ridge(F: np.ndarray, y: np.ndarray, lam: float) -> FrozenRegression:
-    """Ridge fit on a standardized design.
+@dataclass(frozen=True)
+class RidgeProjection:
+    """The factored design of one regression step; `fit` projects a
+    right-hand side on it."""
+
+    mask: np.ndarray      # as in FrozenRegression
+    mu: np.ndarray
+    sd: np.ndarray
+    keep: np.ndarray      # columns of [intercept, standardized] left by the rank cut
+    D: np.ndarray         # the kept columns, one row per path
+    gram: np.ndarray      # D.T @ D + ridge penalty (intercept unpenalized)
+
+    def fit(self, y: np.ndarray) -> FrozenRegression:
+        coef = np.zeros(self.mu.size + 1)
+        coef[self.keep] = np.linalg.solve(self.gram, self.D.T @ y)
+        return FrozenRegression(mask=self.mask, mu=self.mu, sd=self.sd, coef=coef)
+
+
+def fit_ridge(F: np.ndarray, lam: float) -> RidgeProjection:
+    """Factor a standardized design for ridge fits of any number of
+    right-hand sides.
 
     Structural rank deficiency is expected (every path starts at the same
     point, so early-step monomials coincide exactly); linearly dependent
     columns are dropped by a rank-revealing QR before the solve. The
     ill-conditioned error is reserved for designs whose independent part is
-    still numerically singular beyond the ridge guard.
+    still numerically singular beyond the ridge guard. Since
+    D[:, piv[:rank]] = Q[:, :rank] R[:rank, :rank], that part has the
+    condition number of R[:rank, :rank].
     """
     n = F.shape[0]
     mu_all = F.mean(axis=0)
@@ -133,14 +163,15 @@ def fit_ridge(F: np.ndarray, y: np.ndarray, lam: float) -> FrozenRegression:
         D = np.ones((n, 1))
     k = D.shape[1]
     keep = np.arange(k)
+    cond = 1.0
     if k > 1:
-        _, R, piv = qr(D, mode="economic", pivoting=True)
+        _, R, piv = qr(D, mode="raw", pivoting=True)  # R and pivots; Q is never formed
         diag = np.abs(np.diag(R))
         rank = int((diag > diag[0] * 1e-10).sum()) if diag[0] > 0 else 1
         keep = np.sort(piv[:rank])
         D = D[:, keep]
-    sv = np.linalg.svd(D, compute_uv=False)
-    cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
+        sv = svdvals(R[:rank, :rank])
+        cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
     if cond > COND_LIMIT:
         raise IllConditionedBasisError(
             f"design condition number {cond:.3e} exceeds {COND_LIMIT:.0e}"
@@ -149,10 +180,7 @@ def fit_ridge(F: np.ndarray, y: np.ndarray, lam: float) -> FrozenRegression:
     if keep[0] == 0:
         penalty[0, 0] = 0.0  # never shrink the intercept
     gram = D.T @ D + penalty
-    coef_kept = np.linalg.solve(gram, D.T @ y)
-    coef = np.zeros(k)
-    coef[keep] = coef_kept
-    return FrozenRegression(mask=mask, mu=mu, sd=sd, coef=coef)
+    return RidgeProjection(mask=mask, mu=mu, sd=sd, keep=keep, D=D, gram=gram)
 
 
 def check_basis_size(basis: RegressionBasis, n_paths: int) -> None:

@@ -6,7 +6,8 @@ from ambifilter.bsde import (gateaux_adjoint, gateaux_fd, solve_adjoint,
                              solve_variational, solve_worst_value,
                              weighted_cost_qtilde)
 from ambifilter.errors import (IllConditionedBasisError, InvalidArgumentError)
-from ambifilter.features import RegressionBasis, monomial_exponents
+from ambifilter import features
+from ambifilter.features import RegressionBasis, fit_ridge, monomial_exponents
 from ambifilter.model import ModelSpec, simulate_bundle
 from ambifilter.policies import constant_policy, time_table_policy, zero_policy
 from ambifilter.presets import make_coef
@@ -34,6 +35,47 @@ class TestFeatures:
         with pytest.raises(IllConditionedBasisError):
             solve_worst_value(bundle, u, tanh_model,
                               RegressionBasis("poly_xu", 3))  # 10 feats > 60/10
+
+    def test_shared_projection_matches_fresh_fits(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=400)
+        basis = RegressionBasis("poly_xu", 2)
+        for u in (rng.normal(size=400), x):  # full rank; u = x drops columns
+            F = basis.design({"x": x, "u": u})
+            ys = (2.0 + 3.0 * x - x * x, np.sin(x) * u, rng.normal(size=400))
+            proj = fit_ridge(F, 1e-10)
+            shared = [proj.fit(y) for y in ys]
+            for y, reg in zip(ys, shared):
+                fresh = fit_ridge(F, 1e-10).fit(y)
+                assert np.array_equal(reg.coef, fresh.coef)
+            # a target in the span of the kept columns is reproduced
+            np.testing.assert_allclose(shared[0].predict(F), ys[0], atol=1e-6)
+
+    def test_collapsed_design_projects_to_mean(self):
+        n = 200
+        F = RegressionBasis("poly_xu", 3).design({"x": np.full(n, 0.8),
+                                                   "u": np.zeros(n)})
+        y = np.random.default_rng(4).normal(size=n)
+        reg = fit_ridge(F, 1e-6).fit(y)
+        assert not reg.mask.any()
+        np.testing.assert_allclose(reg.predict(F), y.mean(), rtol=1e-12)
+
+    def test_condition_limit_read_from_r(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=500)
+        basis = RegressionBasis("poly_xu", 1)
+        correlated = basis.design({"x": x, "u": x + 1e-4 * rng.normal(size=500)})
+        S = correlated[:, 1:]
+        cond = np.linalg.cond(np.column_stack([np.ones(500),
+                                               (S - S.mean(0)) / S.std(0)]))
+        assert cond > 1e3
+        well = basis.design({"x": x, "u": rng.normal(size=500)})
+        monkeypatch.setattr(features, "COND_LIMIT", 0.99 * cond)
+        with pytest.raises(IllConditionedBasisError):
+            fit_ridge(correlated, 1e-6)
+        fit_ridge(well, 1e-6)
+        monkeypatch.setattr(features, "COND_LIMIT", 1.01 * cond)
+        fit_ridge(correlated, 1e-6)
 
 
 class TestWorstValue:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -110,9 +111,9 @@ class TestLoadConfig:
         assert cfg2.out_dir == "elsewhere"
 
 
-def run_cli(*args) -> subprocess.CompletedProcess:
+def run_cli(*args, env=None) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "ambifilter", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 class TestSubcommands:
@@ -209,6 +210,18 @@ class TestExitCodes:
                     str(tmp_path / "o3"))
         assert r.returncode == 3
 
+    def test_bad_data_is_2(self, tanh_conf, tmp_path):
+        p = tanh_conf.parent / "nan.conf"
+        p.write_text(tanh_conf.read_text().replace("model.x0 = 0.8",
+                                                   "model.x0 = nan"))
+        for cmd in ("filter", "worst-case"):
+            out = tmp_path / cmd
+            r = run_cli(cmd, "--config", str(p), "--out-dir", str(out))
+            assert r.returncode == 2
+            assert "Traceback" not in r.stderr
+            manifest = json.loads(next(out.glob("*/manifest.json")).read_text())
+            assert manifest["status"] == "error"
+
     def test_success_is_0(self, tanh_conf, tmp_path):
         r = run_cli("filter", "--config", str(tanh_conf), "--out-dir",
                     str(tmp_path / "o0"))
@@ -224,3 +237,26 @@ class TestDeterminism:
             run_subcommand(cmd, cfg, run_dir=d2)
             for f1 in sorted(d1.glob("*.csv")):
                 assert f1.read_bytes() == (d2 / f1.name).read_bytes()
+
+    def test_worst_case_identical_across_blas_threads(self, tanh_conf, tmp_path):
+        # 1000 paths x 10 poly_xu features puts every regression past
+        # OpenBLAS's threading threshold (rows x columns >= ~10^4), so the
+        # two runs take different BLAS code paths
+        conf = tanh_conf.read_text()
+        for a, b in (("grid.n_steps = 20", "grid.n_steps = 8"),
+                     ("mc.n_paths = 120", "mc.n_paths = 1000"),
+                     ("worst_case.k_grid = 0.0,0.25", "worst_case.k_grid = 0.25"),
+                     ("worst_case.rule_particles = 48",
+                      "worst_case.rule_particles = 8")):
+            conf = conf.replace(a, b)
+        p = tmp_path / "threads.conf"
+        p.write_text(conf)
+        bodies = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            r = run_cli("worst-case", "--config", str(p), "--out-dir", str(out),
+                        env=env)
+            assert r.returncode == 0, r.stderr
+            bodies.append(next(out.glob("*/worst_case.csv")).read_bytes())
+        assert bodies[0] == bodies[1]

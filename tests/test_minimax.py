@@ -78,12 +78,11 @@ class TestSignPolicy:
         basis = RegressionBasis("poly_xm", 1)
         n = 50
         F = basis.design({"x": np.linspace(-1, 1, n), "m": np.ones(n)})
-        tab = fit_ridge(F, np.full(n, const), 1e-6)
+        tab = fit_ridge(F, 1e-6).fit(np.full(n, const))
         from ambifilter.bsde import AdjointSolution
         tabs = tuple([tab] * (grid.n_steps + 1))
-        return AdjointSolution(p_tables=tabs, q_tables=tabs, P_tables=tabs,
-                               Q_tables=tabs, grid=grid, basis=basis,
-                               variant="derived",
+        return AdjointSolution(q_tables=tabs, P_tables=tabs, Q_tables=tabs,
+                               grid=grid, basis=basis, variant="derived",
                                p_vals=np.zeros((1, grid.n_steps + 1)),
                                q_vals=np.zeros((1, grid.n_steps + 1)),
                                P_vals=np.zeros((1, grid.n_steps + 1)),

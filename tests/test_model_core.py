@@ -91,7 +91,7 @@ class TestEvolveSignal:
         from ambifilter.policies import sign_of_regression_policy
         basis = RegressionBasis("poly_xm", 1)
         F = basis.design({"x": np.arange(30.0), "m": np.ones(30)})
-        tab = fit_ridge(F, np.ones(30), 1e-6)
+        tab = fit_ridge(F, 1e-6).fit(np.ones(30))
         pol = sign_of_regression_policy([tab] * 11, basis, 0.25, 0.1)
         g = build_time_grid(1.0, 10)
         with pytest.raises(MissingFeatureError):
