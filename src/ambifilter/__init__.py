@@ -3,11 +3,15 @@ when the signal drift is only known up to a Girsanov perturbation class.
 
 Modules
 -------
-model       filtering model, drift policies, forward Monte Carlo
-filtering   weighted-particle unnormalized/normalized filter
+model       filtering model, noise and the forward simulator
+policies    drift policies theta(t, x, m)
+presets     named coefficient presets for b, sigma, h, f
+filtering   particle-filter banks and systematic resampling
+features    regression bases and per-step ridge projections
 bsde        least-squares Monte Carlo backward solvers and derivative checks
 minimax     cost evaluation, fixed-point driver, saddle diagnostics
 oracles     closed-form and brute-force references used by the test suite
+errors      exception hierarchy and its CLI exit codes
 cli         config-driven experiment runner
 """
 

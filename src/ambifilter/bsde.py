@@ -37,6 +37,11 @@ from .filtering import run_filter_bank
 from .model import ModelSpec, PathBundle, TimeGrid, build_time_grid, simulate_bundle
 from .policies import DriftPolicy, perturbed_policy
 
+# The duality test (gateaux_fd vs gateaux_adjoint) selects "derived", the
+# default and the driver the fixed point uses: the printed main variant is
+# dual to the printed variational system but does not reproduce the
+# finite-difference derivative of the simulated cost. See the acceptance
+# suite, which re-runs the adjudication and records the winner.
 ADJOINT_VARIANTS = ("eq_main", "eq_alt", "derived")
 
 # Salt for the nested filter clouds inside cost evaluations; anything fixed
@@ -56,22 +61,13 @@ class BsdeSolution:
 
 @dataclass(frozen=True)
 class AdjointSolution:
-    q_tables: tuple[FrozenRegression, ...]
-    P_tables: tuple[FrozenRegression, ...]
-    Q_tables: tuple[FrozenRegression, ...]
+    P_tables: tuple[FrozenRegression, ...]   # per step; read by sign_policy
     grid: TimeGrid
     basis: RegressionBasis
-    variant: str
     p_vals: np.ndarray                       # (n_paths, n_steps + 1) path values
     q_vals: np.ndarray
     P_vals: np.ndarray
     Q_vals: np.ndarray
-
-
-@dataclass(frozen=True)
-class VariationalPaths:
-    X1: np.ndarray
-    M1: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -164,7 +160,7 @@ def _adjoint_driver(variant: str, bprime, sprime, hprime, fprime, hval, fval,
 
 def solve_adjoint(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
                   policy: DriftPolicy, basis: Optional[RegressionBasis] = None,
-                  variant: str = "eq_main") -> AdjointSolution:
+                  variant: str = "derived") -> AdjointSolution:
     """Backward solve of the adjoint pair on reference-measure paths.
 
     `paths` must be simulated under Q_tilde (decoupled observation);
@@ -192,10 +188,7 @@ def solve_adjoint(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
 
     p = np.zeros(n)
     P = np.zeros(n)
-    zero = _ZERO_REG
-    q_tabs = [zero] * (steps + 1)
-    P_tabs = [zero] * (steps + 1)
-    Q_tabs = [zero] * (steps + 1)
+    P_tabs = [_ZERO_REG] * (steps + 1)
     p_vals = np.zeros((n, steps + 1))
     q_vals = np.zeros((n, steps + 1))
     P_vals = np.zeros((n, steps + 1))
@@ -208,58 +201,26 @@ def solve_adjoint(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
 
         proj = fit_ridge(F, lam)
         p_cont = proj.fit(p).predict(F)
-        q_reg = proj.fit((p - p_cont) * dY[:, j] / dt)
-        q = q_reg.predict(F)
+        q = proj.fit((p - p_cont) * dY[:, j] / dt).predict(F)
         hval = model.h.value(X)
         fval = model.f.value(X)
         p = p_cont + (hval * q + 0.5 * (fval - u) ** 2) * dt
 
         P_cont = proj.fit(P).predict(F)
-        Q_reg = proj.fit((P - P_cont) * dW[:, j] / dt)
-        Q = Q_reg.predict(F)
+        Q = proj.fit((P - P_cont) * dW[:, j] / dt).predict(F)
         drv = _adjoint_driver(variant, model.b.deriv(X), model.sigma.deriv(X),
                               model.h.deriv(X), model.f.deriv(X), hval, fval,
                               u, M, theta, P_cont, Q, p, q)
         P = P_cont + drv * dt
 
-        q_tabs[j], Q_tabs[j] = q_reg, Q_reg
         # refit the time-t values so the stored surface includes the driver
         P_tabs[j] = proj.fit(P)
         p_vals[:, j], q_vals[:, j] = p, q
         P_vals[:, j], Q_vals[:, j] = P, Q
 
-    return AdjointSolution(q_tables=tuple(q_tabs), P_tables=tuple(P_tabs),
-                           Q_tables=tuple(Q_tabs), grid=grid, basis=basis,
-                           variant=variant,
+    return AdjointSolution(P_tables=tuple(P_tabs), grid=grid, basis=basis,
                            p_vals=p_vals, q_vals=q_vals, P_vals=P_vals,
                            Q_vals=Q_vals)
-
-
-def solve_variational(model: ModelSpec, policy: DriftPolicy, v: DriftPolicy,
-                      paths: PathBundle) -> VariationalPaths:
-    """Forward Euler for the first-variation pair (X1, M1) of the state in
-    the direction v, driven by the same W~ and Y increments as `paths`."""
-    grid = paths.grid
-    n, steps = paths.X.shape[0], grid.n_steps
-    dW = paths.noise.dW
-    dY = np.diff(paths.Y, axis=1)
-    X1 = np.zeros((n, steps + 1))
-    M1 = np.zeros((n, steps + 1))
-    dt = grid.dt
-    for j in range(steps):
-        X, M = paths.X[:, j], paths.M[:, j]
-        theta = policy.evaluate(grid.times[j], {"x": X, "m": M})
-        vv = v.evaluate(grid.times[j], {"x": X, "m": M})
-        bp, sp = model.b.deriv(X), model.sigma.deriv(X)
-        sig = model.sigma.value(X)
-        hv, hp = model.h.value(X), model.h.deriv(X)
-        x1 = X1[:, j]
-        m1 = M1[:, j]
-        X1[:, j + 1] = x1 + ((bp + sp * theta) * x1 + sig * vv) * dt \
-            + sp * x1 * dW[:, j]
-        M1[:, j + 1] = m1 - hp * hv * M * x1 * dt \
-            + (hv * m1 - hp * M * x1) * dY[:, j]
-    return VariationalPaths(X1=X1, M1=M1)
 
 
 def weighted_cost_qtilde(model: ModelSpec, policy: DriftPolicy, n_paths: int,

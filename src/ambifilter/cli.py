@@ -17,6 +17,7 @@ import argparse
 import difflib
 import hashlib
 import json
+import math
 import re
 import sys
 import time
@@ -28,9 +29,8 @@ import numpy as np
 
 from . import __version__
 from .bsde import solve_worst_value
-from .errors import (AmbiFilterError, ConfigError, DataError,
-                     InvalidArgumentError, MissingFeatureError, NumericalError,
-                     ShapeError)
+from .errors import (ConfigError, DataError, InvalidArgumentError,
+                     MissingFeatureError, NumericalError, ShapeError)
 from .features import RegressionBasis
 from .filtering import innovation_path, run_filter
 from .minimax import (FilterRule, PicardConfig, minimax_gap, picard_solve,
@@ -120,6 +120,8 @@ def _parse_preset(raw: str) -> CoefPreset:
     params = []
     if args and args.strip():
         params = [float(tok) for tok in args.split(",")]
+    if not all(math.isfinite(v) for v in params):
+        raise InvalidArgumentError(f"preset parameters must be finite, got {raw!r}")
     return make_coef(name, *params)
 
 
@@ -129,6 +131,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     problems: list[str] = []
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
@@ -154,6 +157,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             problems.append(f"line {lineno}: duplicate key {key!r}")
             continue
         values[key] = val
+        lines[key] = lineno
 
     for key in _REQUIRED:
         if key not in values:
@@ -165,7 +169,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         try:
             return conv(values[key])
         except (ValueError, InvalidArgumentError) as exc:
-            problems.append(f"{key}: {exc}")
+            problems.append(f"line {lines[key]}: {key}: {exc}")
             return default
 
     def positive_int(name, lo=1):
@@ -179,21 +183,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
     def bounded_float(name, lo, hi):
         def conv(s):
             v = float(s)
-            if not (lo <= v <= hi):
-                raise ValueError(f"out of range: {name} must be in [{lo}, {hi}], got {v}")
+            if not (math.isfinite(v) and lo <= v <= hi):
+                raise ValueError(f"out of range: {name} must be finite and in "
+                                 f"[{lo}, {hi}], got {v}")
             return v
         return conv
 
-    def float_list(s):
-        return tuple(float(tok) for tok in s.split(","))
+    def radius_list(s):
+        ks = tuple(float(tok) for tok in s.split(","))
+        if not all(math.isfinite(v) and v >= 0 for v in ks):
+            raise ValueError("out of range: worst_case.k_grid entries must be "
+                             f"finite and >= 0, got {list(ks)}")
+        return ks
 
-    presets = {}
-    for key in _REQUIRED:
-        if key in values:
-            try:
-                presets[key] = _parse_preset(values[key])
-            except (ValueError, InvalidArgumentError) as exc:
-                problems.append(f"{key}: {exc}")
+    presets = {key: take(key, None, _parse_preset) for key in _REQUIRED}
 
     x0 = take("model.x0", 0.0, float)
     T = take("model.T", 1.0, bounded_float("model.T", 1e-9, np.inf))
@@ -205,24 +208,26 @@ def load_config(path: str | Path) -> ExperimentConfig:
     ess = take("mc.ess_threshold", 0.5, bounded_float("mc.ess_threshold", 0.0, 1.0))
     degree = take("bsde.degree", 3, positive_int("bsde.degree"))
     ridge = take("bsde.ridge_lambda", None,
-                 lambda s: None if s == "auto" else float(s))
+                 lambda s: None if s == "auto" else
+                 bounded_float("bsde.ridge_lambda", 0.0, math.inf)(s))
     max_iters = take("picard.max_iters", 20, positive_int("picard.max_iters"))
     damping = take("picard.damping", 0.5, bounded_float("picard.damping", 1e-9, 1.0))
     tol = take("picard.tol", 0.02, bounded_float("picard.tol", 0.0, 1.0))
-    k_grid = take("worst_case.k_grid", (0.0, 0.1, 0.25, 0.5), float_list)
+    k_grid = take("worst_case.k_grid", (0.0, 0.1, 0.25, 0.5), radius_list)
     rule_particles = take("worst_case.rule_particles", 250,
                           positive_int("worst_case.rule_particles", lo=2))
     out_dir = take("output.dir", "runs", str)
     label = take("output.label", "run", str)
 
     model = None
-    if len(presets) == len(_REQUIRED) and not problems:
+    if not problems:  # every required preset is present and parsed
         try:
             model = ModelSpec(b=presets["model.b"], sigma=presets["model.sigma"],
                               h=presets["model.h"], f=presets["model.f"],
                               x0=x0, T=T, k=k)
         except InvalidArgumentError as exc:
-            problems.append(f"model: {exc}")
+            # T and k are range-checked above, so only sigma can fail here
+            problems.append(f"line {lines['model.sigma']}: model.sigma: {exc}")
 
     if problems:
         raise ConfigError(problems)
@@ -246,8 +251,8 @@ def apply_overrides(config: ExperimentConfig, seed=None, k=None, n_paths=None,
     if seed is not None:
         updates["seed"] = int(seed)
     if k is not None:
-        if k < 0:
-            raise ConfigError([f"out of range: model.k must be >= 0, got {k}"])
+        if not (math.isfinite(k) and k >= 0):
+            raise ConfigError([f"out of range: model.k must be finite and >= 0, got {k}"])
         updates["model"] = replace(config.model, k=float(k))
     if n_paths is not None:
         if n_paths < 1:
@@ -302,7 +307,7 @@ def _cmd_filter(config: ExperimentConfig, run_dir: Path):
     fp = run_filter(config.model, zero_policy(), bundle.Y[0],
                     config.n_particles, config.seed,
                     ess_threshold=config.ess_threshold)
-    nu = innovation_path(bundle.Y[0], fp.pi_h, grid).nu
+    nu = innovation_path(bundle.Y[0], fp.pi_h, grid)
     rows = [(grid.times[j], bundle.X[0, j], bundle.Y[0, j], fp.u[j], fp.pi_h[j],
              nu[j], fp.ess[j]) for j in range(grid.n_steps + 1)]
     art = write_csv(run_dir / "filter_path.csv",
@@ -469,8 +474,10 @@ def run_subcommand(cmd: str, config: ExperimentConfig,
     extras: dict = {}
     status, error = "ok", None
     try:
+        if not math.isfinite(config.model.x0):
+            raise DataError(f"model.x0 must be finite, got {config.model.x0}")
         artifacts, extras = _DISPATCH[cmd](config, run_dir)
-    except AmbiFilterError as exc:
+    except Exception as exc:
         status, error = "error", f"{type(exc).__name__}: {exc}"
         raise
     finally:

@@ -145,14 +145,18 @@ def fit_ridge(F: np.ndarray, lam: float) -> RidgeProjection:
     Structural rank deficiency is expected (every path starts at the same
     point, so early-step monomials coincide exactly); linearly dependent
     columns are dropped by a rank-revealing QR before the solve. The
-    ill-conditioned error is reserved for designs whose independent part is
-    still numerically singular beyond the ridge guard. Since
+    ill-conditioned error is reserved for designs with non-finite column
+    statistics and for designs whose independent part is still numerically
+    singular beyond the ridge guard. Since
     D[:, piv[:rank]] = Q[:, :rank] R[:rank, :rank], that part has the
     condition number of R[:rank, :rank].
     """
     n = F.shape[0]
     mu_all = F.mean(axis=0)
     sd_all = F.std(axis=0)
+    if not (np.isfinite(mu_all).all() and np.isfinite(sd_all).all()):
+        raise IllConditionedBasisError(
+            "design has non-finite columns (features overflowed)")
     mask = sd_all > 1e-12
     mask[0] = False  # column 0 is the constant monomial, absorbed by the intercept
     mu, sd = mu_all[mask], sd_all[mask]

@@ -17,8 +17,7 @@ depends on observations after t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Union
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,25 +26,6 @@ from .errors import (DataError, DegenerateCloudError, InvalidArgumentError,
 from .model import (ModelSpec, TimeGrid, ROLE_CLOUD_NORMAL, ROLE_CLOUD_UNIFORM,
                     ROLE_MARKOV, substream)
 from .policies import DriftPolicy
-from .presets import CoefPreset
-
-Phi = Union[CoefPreset, Callable[[np.ndarray], np.ndarray]]
-
-
-@dataclass(frozen=True)
-class ParticleCloud:
-    positions: np.ndarray     # (n_particles,)
-    log_weights: np.ndarray   # (n_particles,)
-    log_total_mass: float     # log rho_t(1)
-    t: float
-    step_index: int
-    seed: int
-    salt: int                 # substream discriminator for this cloud
-    log_m: np.ndarray         # per-particle genealogical log M
-
-    @property
-    def n_particles(self) -> int:
-        return self.positions.size
 
 
 @dataclass(frozen=True)
@@ -70,27 +50,20 @@ class BankResult:
     log_mass: np.ndarray
 
 
-@dataclass(frozen=True)
-class InnovationPath:
-    nu: np.ndarray
-
-
-def init_cloud(model: ModelSpec, n_particles: int, seed: int,
-               salt: int = 0) -> ParticleCloud:
-    """All particles at x0 (the initial law is a point mass), equal weights,
-    unit total mass."""
+def _check_filter_args(n_particles: int, ess_threshold: float) -> None:
     if n_particles < 2:
         raise InvalidArgumentError("n_particles must be >= 2")
-    return ParticleCloud(
-        positions=np.full(n_particles, float(model.x0)),
-        log_weights=np.full(n_particles, -np.log(n_particles)),
-        log_total_mass=0.0,
-        t=0.0,
-        step_index=0,
-        seed=int(seed),
-        salt=int(salt),
-        log_m=np.zeros(n_particles),
-    )
+    if not 0.0 <= ess_threshold <= 1.0:
+        raise InvalidArgumentError("ess_threshold must be in [0, 1]")
+
+
+def systematic_indices(wn: np.ndarray, u0: float) -> np.ndarray:
+    """Ancestor indices of systematic resampling: normalized weights wn,
+    one uniform offset u0 in [0, 1) shared by all n strata."""
+    n = wn.size
+    idx = np.searchsorted(np.cumsum(wn), (np.arange(n) + u0) / n, side="right")
+    np.clip(idx, 0, n - 1, out=idx)
+    return idx
 
 
 def _reduce_and_resample(pos, logw, logm, w, hv, fv, mx, resample_u, ess_frac):
@@ -100,8 +73,8 @@ def _reduce_and_resample(pos, logw, logm, w, hv, fv, mx, resample_u, ess_frac):
     with their row maximum mx and shifted weights w = exp(logw - mx), sensor
     and target values at the positions. Estimates are taken before any
     resampling; rows whose mass underflowed report -inf mass and are left
-    alone. ess_frac <= 0 disables resampling. pos/logw/logm are mutated in
-    place; returns (u, pi_h, ess, logmass, flags).
+    alone. pos/logw/logm are mutated in place; returns
+    (u, pi_h, ess, logmass, flags).
     """
     m, n = pos.shape
     finite = np.isfinite(mx)
@@ -113,18 +86,13 @@ def _reduce_and_resample(pos, logw, logm, w, hv, fv, mx, resample_u, ess_frac):
         ess = np.where(finite, sw * sw / (w * w).sum(axis=1), 0.0)
 
     flags = np.zeros(m, dtype=np.uint8)
-    if ess_frac > 0.0:
-        rows = np.nonzero(finite & (ess < ess_frac * n))[0]
-        logn = np.log(n)
-        pts0 = np.arange(n)
-        for r in rows:
-            c = np.cumsum(w[r] / sw[r])
-            idx = np.searchsorted(c, (pts0 + resample_u[r]) / n, side="right")
-            np.clip(idx, 0, n - 1, out=idx)
-            pos[r] = pos[r, idx]
-            logm[r] = logm[r, idx]
-            logw[r] = logmass[r] - logn
-            flags[r] = 1
+    logn = np.log(n)
+    for r in np.nonzero(finite & (ess < ess_frac * n))[0]:
+        idx = systematic_indices(w[r] / sw[r], resample_u[r])
+        pos[r] = pos[r, idx]
+        logm[r] = logm[r, idx]
+        logw[r] = logmass[r] - logn
+        flags[r] = 1
     return u, pih, ess, logmass, flags
 
 
@@ -160,79 +128,6 @@ def _step_arrays(model: ModelSpec, policy: DriftPolicy, pos, logw, logm,
     return u, pih, ess, logmass, flags
 
 
-def step_cloud(cloud: ParticleCloud, model: ModelSpec, policy: DriftPolicy,
-               dY: float, dt: float) -> ParticleCloud:
-    """Mutate one Euler step under the theta-perturbed drift, then multiply
-    weights by exp(h(x) dY - h(x)^2 dt / 2). No resampling here; see
-    resample_if_needed."""
-    if not np.isfinite(dY):
-        raise DataError(f"observation increment must be finite, got {dY}")
-    n = cloud.n_particles
-    pos = cloud.positions.reshape(1, n).copy()
-    logw = cloud.log_weights.reshape(1, n).copy()
-    logm = cloud.log_m.reshape(1, n).copy()
-    normals = substream(cloud.seed, ROLE_CLOUD_NORMAL, cloud.salt,
-                        cloud.step_index).standard_normal((1, n))
-    unif = np.zeros(1)
-    _, _, _, logmass, _ = _step_arrays(
-        model, policy, pos, logw, logm, cloud.t, np.array([float(dY)]), dt,
-        normals, unif, ess_frac=-1.0)
-    return replace(cloud,
-                   positions=pos[0], log_weights=logw[0], log_m=logm[0],
-                   log_total_mass=float(logmass[0]),
-                   t=cloud.t + dt, step_index=cloud.step_index + 1)
-
-
-def _normalized_weights(cloud: ParticleCloud) -> np.ndarray:
-    mx = cloud.log_weights.max()
-    if not np.isfinite(mx):
-        raise DegenerateCloudError("cloud carries no mass")
-    w = np.exp(cloud.log_weights - mx)
-    return w / w.sum()
-
-
-def _phi_values(phi: Phi, x: np.ndarray) -> np.ndarray:
-    vals = phi.value(x) if isinstance(phi, CoefPreset) else phi(x)
-    return np.broadcast_to(np.asarray(vals, dtype=float), x.shape)
-
-
-def unnormalized_estimate(cloud: ParticleCloud, phi: Phi) -> float:
-    """rho_t(phi) = exp(log_total_mass) * sum w~_i phi(x_i)."""
-    wn = _normalized_weights(cloud)
-    return float(np.exp(cloud.log_total_mass) * (wn * _phi_values(phi, cloud.positions)).sum())
-
-
-def normalized_estimate(cloud: ParticleCloud, f: Phi) -> float:
-    """pi_t(f) = rho_t(f) / rho_t(1); independent of the total mass."""
-    wn = _normalized_weights(cloud)
-    return float((wn * _phi_values(f, cloud.positions)).sum())
-
-
-def effective_sample_size(cloud: ParticleCloud) -> float:
-    wn = _normalized_weights(cloud)
-    return float(1.0 / (wn * wn).sum())
-
-
-def resample_if_needed(cloud: ParticleCloud,
-                       ess_threshold_fraction: float) -> ParticleCloud:
-    """Systematic resampling to equal weights when ESS drops below the
-    threshold fraction of n; the total mass is carried over exactly."""
-    if not 0.0 <= ess_threshold_fraction <= 1.0:
-        raise InvalidArgumentError("ess_threshold_fraction must be in [0, 1]")
-    n = cloud.n_particles
-    wn = _normalized_weights(cloud)
-    if 1.0 / (wn * wn).sum() >= ess_threshold_fraction * n:
-        return cloud
-    u0 = float(substream(cloud.seed, ROLE_CLOUD_UNIFORM, cloud.salt,
-                         cloud.step_index).random(1)[0])
-    idx = np.searchsorted(np.cumsum(wn), (np.arange(n) + u0) / n, side="right")
-    np.clip(idx, 0, n - 1, out=idx)
-    return replace(cloud,
-                   positions=cloud.positions[idx],
-                   log_weights=np.full(n, cloud.log_total_mass - np.log(n)),
-                   log_m=cloud.log_m[idx])
-
-
 def run_filter_bank(model: ModelSpec, policy: DriftPolicy, dY: np.ndarray,
                     dt: float, n_particles: int, seed: int, salt: int = 0,
                     ess_threshold: float = 0.5) -> BankResult:
@@ -242,8 +137,7 @@ def run_filter_bank(model: ModelSpec, policy: DriftPolicy, dY: np.ndarray,
     are drawn per step from substreams keyed by (seed, role, salt, step), so
     the output at time t never depends on observations after t.
     """
-    if n_particles < 2:
-        raise InvalidArgumentError("n_particles must be >= 2")
+    _check_filter_args(n_particles, ess_threshold)
     dY = np.ascontiguousarray(dY, dtype=float)
     if dY.ndim != 2:
         raise ShapeError("dY must have shape (n_paths, n_steps)")
@@ -299,7 +193,7 @@ def run_filter(model: ModelSpec, policy: DriftPolicy, Y: np.ndarray,
                               log_mass=bank.log_mass[0])
 
 
-def innovation_path(Y: np.ndarray, pi_h: np.ndarray, grid: TimeGrid) -> InnovationPath:
+def innovation_path(Y: np.ndarray, pi_h: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """nu_t = Y_t - integral of pi_s(h) ds, left-endpoint rule."""
     Y = np.asarray(Y, dtype=float)
     pi_h = np.asarray(pi_h, dtype=float)
@@ -308,7 +202,7 @@ def innovation_path(Y: np.ndarray, pi_h: np.ndarray, grid: TimeGrid) -> Innovati
     nu = np.empty_like(Y)
     nu[0] = 0.0
     nu[1:] = Y[1:] - Y[0] - np.cumsum(pi_h[:-1]) * grid.dt
-    return InnovationPath(nu=nu)
+    return nu
 
 
 def run_filter_finite(states: np.ndarray, transition: np.ndarray,
@@ -321,8 +215,7 @@ def run_filter_finite(states: np.ndarray, transition: np.ndarray,
     the diffusion filter. This is the Monte Carlo counterpart of the exact
     matrix recursion in the oracles module.
     """
-    if n_particles < 2:
-        raise InvalidArgumentError("n_particles must be >= 2")
+    _check_filter_args(n_particles, ess_threshold)
     states = np.asarray(states, dtype=float)
     cum = np.cumsum(np.asarray(transition, dtype=float), axis=1)
     Y = np.asarray(Y, dtype=float)
@@ -358,10 +251,7 @@ def run_filter_finite(states: np.ndarray, transition: np.ndarray,
         e = 1.0 / (wn * wn).sum()
         ess[j + 1] = e
         if e < ess_threshold * n:
-            u0 = gen.random(1)[0]
-            sel = np.searchsorted(np.cumsum(wn), (np.arange(n) + u0) / n, side="right")
-            np.clip(sel, 0, n - 1, out=sel)
-            idx = idx[sel]
+            idx = idx[systematic_indices(wn, gen.random(1)[0])]
             logw = np.full(n, log_mass[j + 1] - np.log(n))
             flags[j + 1] = True
     return FilterEstimatePath(grid=grid, u=u, pi_h=pih, ess=ess,

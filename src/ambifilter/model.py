@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ShapeError
 from .policies import DriftPolicy
-from .presets import CoefPreset, TestFunction
+from .presets import CoefPreset
 
 ROLE_W = 0
 ROLE_B = 1
@@ -101,13 +101,8 @@ class ModelSpec:
 
     @property
     def h1_compliant(self) -> bool:
-        """Bounded f, h with uniformly bounded derivatives everywhere."""
-        return (self.f.bounded and self.h.bounded
-                and all(c.bounded_deriv for c in (self.b, self.sigma, self.f, self.h)))
-
-    @property
-    def oracle_only(self) -> bool:
-        return not self.h1_compliant
+        """Bounded f and h; every registered preset has a bounded derivative."""
+        return self.f.bounded and self.h.bounded
 
     @property
     def f_sup(self) -> float:
@@ -167,100 +162,6 @@ class PathBundle:
         return self.X.shape[0]
 
 
-def _policy_values(policy: DriftPolicy, t: float, x: np.ndarray,
-                   m: Optional[np.ndarray]) -> np.ndarray:
-    feats = {"x": x}
-    if m is not None:
-        feats["m"] = m
-    return policy.evaluate(t, feats)
-
-
-def _check_policy_radius(model: ModelSpec, policy: DriftPolicy) -> None:
-    if policy.radius > model.k + 1e-12:
-        raise InvalidArgumentError(
-            f"policy radius {policy.radius} exceeds model ambiguity radius {model.k}"
-        )
-
-
-def evolve_signal(model: ModelSpec, policy: DriftPolicy, noise: NoiseBundle,
-                  grid: TimeGrid, m_paths: Optional[np.ndarray] = None) -> np.ndarray:
-    """Euler paths of dX = (b + sigma*theta) dt + sigma dW~, coefficients and
-    theta at the left endpoint. Policies that need the weight feature must be
-    given m_paths (or use simulate_bundle, which co-evolves it)."""
-    _check_policy_radius(model, policy)
-    if noise.n_steps != grid.n_steps:
-        raise ShapeError("noise and grid disagree on n_steps")
-    n = noise.n_paths
-    X = np.empty((n, grid.n_steps + 1))
-    X[:, 0] = model.x0
-    for j in range(grid.n_steps):
-        xj = X[:, j]
-        mj = None if m_paths is None else m_paths[:, j]
-        theta = _policy_values(policy, grid.times[j], xj, mj)
-        sig = model.sigma.value(xj)
-        X[:, j + 1] = xj + (model.b.value(xj) + sig * theta) * grid.dt + sig * noise.dW[:, j]
-    return X
-
-
-def evolve_observation(model: ModelSpec, X: np.ndarray, noise: NoiseBundle,
-                       measure_tag: str = "P") -> np.ndarray:
-    """Observation paths. Under P or Q the sensor drift h(X) enters; under
-    Q_tilde the observation is the free Brownian motion itself."""
-    if measure_tag not in MEASURES:
-        raise InvalidArgumentError(f"measure_tag must be one of {MEASURES}")
-    if X.shape[0] != noise.n_paths:
-        raise ShapeError("X and noise disagree on n_paths")
-    if X.shape[1] != noise.n_steps + 1:
-        raise ShapeError("X and noise disagree on n_steps")
-    n, n_steps = noise.n_paths, noise.n_steps
-    Y = np.empty((n, n_steps + 1))
-    Y[:, 0] = 0.0
-    if measure_tag == "Q_tilde":
-        np.cumsum(noise.dB, axis=1, out=Y[:, 1:])
-        return Y
-    for j in range(n_steps):
-        Y[:, j + 1] = Y[:, j] + model.h.value(X[:, j]) * noise.dt + noise.dB[:, j]
-    return Y
-
-
-def evolve_weight(model: ModelSpec, X: np.ndarray, Y: np.ndarray,
-                  grid: TimeGrid) -> np.ndarray:
-    """Exponential weight M with the exact one-step solution
-    M_{t+dt} = M_t * exp(h(X_t) dY - h(X_t)^2 dt / 2)."""
-    if X.shape != Y.shape:
-        raise ShapeError("X and Y must have identical shapes")
-    logM = np.zeros_like(X)
-    for j in range(grid.n_steps):
-        hj = model.h.value(X[:, j])
-        dY = Y[:, j + 1] - Y[:, j]
-        logM[:, j + 1] = logM[:, j] + hj * dY - 0.5 * hj * hj * grid.dt
-    return np.exp(logM)
-
-
-def girsanov_log_density(policy: DriftPolicy, X: np.ndarray, dW: np.ndarray,
-                         grid: TimeGrid,
-                         m_paths: Optional[np.ndarray] = None) -> np.ndarray:
-    """log Lambda_t = sum theta dW - theta^2 dt / 2 along paths, with theta
-    evaluated at the left endpoint; dW are the base-measure increments."""
-    if X.shape[0] != dW.shape[0] or X.shape[1] != dW.shape[1] + 1:
-        raise ShapeError("X and dW are not aligned")
-    logL = np.zeros_like(X)
-    for j in range(grid.n_steps):
-        mj = None if m_paths is None else m_paths[:, j]
-        theta = _policy_values(policy, grid.times[j], X[:, j], mj)
-        logL[:, j + 1] = logL[:, j] + theta * dW[:, j] - 0.5 * theta * theta * grid.dt
-    return logL
-
-
-def apply_generator(model: ModelSpec, theta: float, test_fn: TestFunction,
-                    x: float) -> float:
-    """Generator of the perturbed signal:
-    L phi = phi' * (b + sigma*theta) + phi'' * sigma^2 / 2."""
-    sig = float(model.sigma.value(x))
-    drift = float(model.b.value(x)) + sig * theta
-    return test_fn.d1(x) * drift + 0.5 * test_fn.d2(x) * sig * sig
-
-
 def simulate_bundle(model: ModelSpec, policy: DriftPolicy, grid: TimeGrid,
                     n_paths: int, seed: int, measure: str = "Q_tilde",
                     noise: Optional[NoiseBundle] = None) -> PathBundle:
@@ -273,7 +174,10 @@ def simulate_bundle(model: ModelSpec, policy: DriftPolicy, grid: TimeGrid,
     """
     if measure not in MEASURES:
         raise InvalidArgumentError(f"measure must be one of {MEASURES}")
-    _check_policy_radius(model, policy)
+    if policy.radius > model.k + 1e-12:
+        raise InvalidArgumentError(
+            f"policy radius {policy.radius} exceeds model ambiguity radius {model.k}"
+        )
     if noise is None:
         noise = sample_noise(grid, n_paths, seed)
     elif noise.n_paths != n_paths or noise.n_steps != grid.n_steps:
@@ -289,8 +193,8 @@ def simulate_bundle(model: ModelSpec, policy: DriftPolicy, grid: TimeGrid,
     perturbed = measure in ("Q", "Q_tilde")
     for j in range(grid.n_steps):
         xj = X[:, j]
-        mj = np.exp(logM[:, j]) if "m" in policy.requires else None
-        theta = _policy_values(policy, grid.times[j], xj, mj)
+        feats = {"x": xj, "m": np.exp(logM[:, j])} if "m" in policy.requires else {"x": xj}
+        theta = policy.evaluate(grid.times[j], feats)
         sig = model.sigma.value(xj)
         hj = model.h.value(xj)
         drift = model.b.value(xj) + (sig * theta if perturbed else 0.0)

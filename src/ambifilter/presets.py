@@ -24,13 +24,10 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-# kernel codes, shared with _kernels implementations
 CODE_CONSTANT = 0
 CODE_LINEAR = 1
 CODE_TANH = 2
 CODE_SINE = 3
-
-_N_KERNEL_PARAMS = 4
 
 
 @dataclass(frozen=True)
@@ -73,10 +70,6 @@ class CoefPreset:
         return self.params[1] == 0.0  # linear with zero slope is a constant
 
     @property
-    def bounded_deriv(self) -> bool:
-        return True  # every registered form has a bounded derivative
-
-    @property
     def sup(self) -> float:
         """Upper bound for sup |f|; infinite for unbounded presets."""
         p = self.params
@@ -85,15 +78,6 @@ class CoefPreset:
         if self.code == CODE_LINEAR:
             return abs(p[0]) if p[1] == 0.0 else math.inf
         return abs(p[0]) + abs(p[3])
-
-    def kernel_pack(self) -> tuple[int, np.ndarray]:
-        pad = np.zeros(_N_KERNEL_PARAMS)
-        pad[: len(self.params)] = self.params
-        return self.code, pad
-
-    def spec_string(self) -> str:
-        inner = ", ".join(repr(float(v)) for v in self.params)
-        return f"{self.name}({inner})"
 
 
 _REGISTRY = {
@@ -125,30 +109,3 @@ def make_coef(name: str, *params: float) -> CoefPreset:
         defaults = [1.0, 1.0, 0.0, 0.0]
         full = full + defaults[len(full):]
     return CoefPreset(name=name, params=tuple(float(v) for v in full), code=code)
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """A twice-differentiable test function for the generator, given by
-    polynomial coefficients (ascending order)."""
-
-    coeffs: tuple[float, ...]
-
-    def value(self, x: float) -> float:
-        return float(np.polynomial.polynomial.polyval(x, self.coeffs))
-
-    def d1(self, x: float) -> float:
-        c = np.polynomial.polynomial.polyder(self.coeffs)
-        return float(np.polynomial.polynomial.polyval(x, c))
-
-    def d2(self, x: float) -> float:
-        c = np.polynomial.polynomial.polyder(self.coeffs, 2)
-        return float(np.polynomial.polynomial.polyval(x, c))
-
-
-def poly_fn(*coeffs: float) -> TestFunction:
-    """Polynomial test function with ascending coefficients, e.g.
-    poly_fn(0, 0, 1) is x**2."""
-    if not coeffs:
-        raise InvalidArgumentError("need at least one coefficient")
-    return TestFunction(coeffs=tuple(float(c) for c in coeffs))

@@ -3,8 +3,7 @@ import pytest
 from dataclasses import replace
 
 from ambifilter.bsde import (gateaux_adjoint, gateaux_fd, solve_adjoint,
-                             solve_variational, solve_worst_value,
-                             weighted_cost_qtilde)
+                             solve_worst_value, weighted_cost_qtilde)
 from ambifilter.errors import (IllConditionedBasisError, InvalidArgumentError)
 from ambifilter import features
 from ambifilter.features import RegressionBasis, fit_ridge, monomial_exponents
@@ -222,35 +221,6 @@ class TestAdjoint:
             v = time_table_policy(rng.uniform(-1, 1, size=4), 1.0, radius=np.inf)
             est = gateaux_adjoint(adj, bundle, m, v)
             assert abs(est.value) <= 3 * est.se
-
-
-class TestVariational:
-    def test_zero_direction(self, tanh_model, grid50):
-        bundle = simulate_bundle(tanh_model, constant_policy(0.1), grid50,
-                                 200, 15, measure="Q_tilde")
-        var = solve_variational(tanh_model, constant_policy(0.1),
-                                zero_policy(), bundle)
-        assert np.all(var.X1 == 0.0) and np.all(var.M1 == 0.0)
-
-    def test_zero_diffusion_cascade(self, grid50):
-        m = ModelSpec(b=make_coef("tanh", 0.2), sigma=make_coef("constant", 0.0),
-                      h=make_coef("tanh", 1.0), f=make_coef("tanh", 1.0),
-                      x0=0.5, T=1.0, k=0.25)
-        bundle = simulate_bundle(m, zero_policy(), grid50, 100, 16,
-                                 measure="Q_tilde")
-        var = solve_variational(m, zero_policy(),
-                                constant_policy(1.0, radius=np.inf), bundle)
-        assert np.all(var.X1 == 0.0) and np.all(var.M1 == 0.0)
-
-    def test_linearity(self, tanh_model, grid50):
-        bundle = simulate_bundle(tanh_model, constant_policy(0.05), grid50,
-                                 150, 17, measure="Q_tilde")
-        v1 = constant_policy(0.3, radius=np.inf)
-        v2 = constant_policy(0.6, radius=np.inf)
-        a = solve_variational(tanh_model, constant_policy(0.05), v1, bundle)
-        b = solve_variational(tanh_model, constant_policy(0.05), v2, bundle)
-        np.testing.assert_allclose(b.X1, 2.0 * a.X1, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(b.M1, 2.0 * a.M1, rtol=1e-12, atol=1e-15)
 
 
 class TestGateaux:

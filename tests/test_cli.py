@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from ambifilter.cli import apply_overrides, load_config, run_subcommand
+from ambifilter import cli
+from ambifilter.cli import apply_overrides, load_config, main, run_subcommand
 from ambifilter.errors import ConfigError
 from ambifilter.model import build_time_grid
 from ambifilter.oracles import LinearGaussianSpec, kalman_bucy
@@ -98,6 +99,24 @@ class TestLoadConfig:
             load_config(p)
         assert any("line 2" in m for m in err.value.problems)
 
+    @pytest.mark.parametrize("old,new", [
+        ("model.k = 0.25", "model.k = inf"),
+        ("model.k = 0.25", "model.k = nan"),
+        ("model.x0 = 0.8", "model.T = inf"),
+        ("worst_case.k_grid = 0.0,0.25", "worst_case.k_grid = -0.1"),
+        ("worst_case.k_grid = 0.0,0.25", "worst_case.k_grid = 0.1,inf"),
+        ("model.sigma = constant(0.5)", "model.sigma = constant(nan)"),
+    ])
+    def test_out_of_domain_value_names_line(self, tmp_path, old, new):
+        text = TANH_CONF.replace(old, new)
+        lineno = text.splitlines().index(new) + 1
+        p = tmp_path / "bad.conf"
+        p.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(p)
+        (problem,) = err.value.problems
+        assert problem.startswith(f"line {lineno}: {new.split(' = ')[0]}: ")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.conf")
@@ -188,6 +207,18 @@ class TestSubcommands:
         assert manifest["status"] == "error"
         assert "IllConditionedBasis" in manifest["error"]
 
+    def test_foreign_exception_recorded_in_manifest(self, tanh_conf, tmp_path,
+                                                    monkeypatch):
+        def crash(config, run_dir):
+            raise ValueError("boom")
+        monkeypatch.setitem(cli._DISPATCH, "simulate", crash)
+        with pytest.raises(ValueError):
+            run_subcommand("simulate", load_config(tanh_conf),
+                           run_dir=tmp_path / "crash")
+        manifest = json.loads((tmp_path / "crash" / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"] == "ValueError: boom"
+
 
 class TestExitCodes:
     def test_config_error_is_1(self, tmp_path):
@@ -211,16 +242,29 @@ class TestExitCodes:
         assert r.returncode == 3
 
     def test_bad_data_is_2(self, tanh_conf, tmp_path):
-        p = tanh_conf.parent / "nan.conf"
+        for x0 in ("nan", "inf"):
+            p = tanh_conf.parent / f"{x0}.conf"
+            p.write_text(tanh_conf.read_text().replace("model.x0 = 0.8",
+                                                       f"model.x0 = {x0}"))
+            for cmd in ("filter", "worst-case", "simulate", "oracle-check"):
+                out = tmp_path / f"{cmd}-{x0}"
+                r = run_cli(cmd, "--config", str(p), "--out-dir", str(out))
+                assert r.returncode == 2
+                assert "Traceback" not in r.stderr
+                manifest = json.loads(next(out.glob("*/manifest.json")).read_text())
+                assert manifest["status"] == "error"
+
+    def test_overflowing_features_is_2(self, tanh_conf, tmp_path):
+        # x0 = 1e308 is finite, but the cubic regression features overflow
+        p = tanh_conf.parent / "huge.conf"
         p.write_text(tanh_conf.read_text().replace("model.x0 = 0.8",
-                                                   "model.x0 = nan"))
-        for cmd in ("filter", "worst-case"):
-            out = tmp_path / cmd
-            r = run_cli(cmd, "--config", str(p), "--out-dir", str(out))
-            assert r.returncode == 2
-            assert "Traceback" not in r.stderr
-            manifest = json.loads(next(out.glob("*/manifest.json")).read_text())
-            assert manifest["status"] == "error"
+                                                   "model.x0 = 1e308"))
+        out = tmp_path / "huge"
+        r = run_cli("worst-case", "--config", str(p), "--out-dir", str(out))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr and "numerical failure" in r.stderr
+        manifest = json.loads(next(out.glob("*/manifest.json")).read_text())
+        assert manifest["status"] == "error"
 
     def test_success_is_0(self, tanh_conf, tmp_path):
         r = run_cli("filter", "--config", str(tanh_conf), "--out-dir",
@@ -260,3 +304,40 @@ class TestDeterminism:
             assert r.returncode == 0, r.stderr
             bodies.append(next(out.glob("*/worst_case.csv")).read_bytes())
         assert bodies[0] == bodies[1]
+
+
+EDGE_CONF = """
+model.b = tanh(0.2)
+model.sigma = constant(0.5)
+model.h = tanh(1.0)
+model.f = tanh(1.0)
+model.x0 = 0.8
+model.k = 0.25
+model.T = 1.0
+grid.n_steps = 4
+mc.n_paths = 40
+mc.n_particles = 8
+mc.seed = 5
+bsde.degree = 1
+worst_case.k_grid = 0.25
+worst_case.rule_particles = 4
+"""
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "filter", "worst-case"])
+@pytest.mark.parametrize("key", ["model.x0", "model.k", "model.T",
+                                 "worst_case.k_grid"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e308", "-0.1"])
+def test_edge_values_keep_exit_contract(tmp_path, capsys, cmd, key, value):
+    """Bad values end in a documented exit code, never an escaping
+    exception, and a manifest says ok exactly when the run succeeded."""
+    lines = [f"{key} = {value}" if ln.startswith(key + " =") else ln
+             for ln in EDGE_CONF.splitlines()]
+    p = tmp_path / "edge.conf"
+    p.write_text("\n".join(lines))
+    out = tmp_path / "out"
+    code = main([cmd, "--config", str(p), "--out-dir", str(out)])
+    assert code in (0, 1, 2)
+    for manifest in out.glob("*/manifest.json"):
+        status = json.loads(manifest.read_text())["status"]
+        assert (status == "ok") == (code == 0)

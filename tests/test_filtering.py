@@ -4,11 +4,9 @@ from hypothesis import given, strategies as st
 
 from ambifilter.errors import (DataError, DegenerateCloudError,
                                InvalidArgumentError, ShapeError)
-from ambifilter.filtering import (effective_sample_size, init_cloud,
-                                  innovation_path, normalized_estimate,
-                                  resample_if_needed, run_filter,
-                                  run_filter_bank, step_cloud,
-                                  unnormalized_estimate)
+from ambifilter.filtering import (_reduce_and_resample, innovation_path,
+                                  run_filter, run_filter_bank,
+                                  run_filter_finite, systematic_indices)
 from ambifilter.model import (ModelSpec, build_time_grid, simulate_bundle)
 from ambifilter.oracles import LinearGaussianSpec, kalman_bucy
 from ambifilter.policies import zero_policy
@@ -16,157 +14,153 @@ from ambifilter.presets import make_coef
 
 
 CONST0 = make_coef("constant", 0.0)
+DY3 = np.array([[0.1, -0.2, 0.05]])
 
 
 def model_of(b, sigma, h, f, x0=0.0, T=1.0, k=0.0):
     return ModelSpec(b=b, sigma=sigma, h=h, f=f, x0=x0, T=T, k=k)
 
 
+def reduce_cloud(pos, logw, ess_frac):
+    """One cloud through the bank's estimate/resample pass, with f(x) = x.
+    Returns (u, logmass, flag, positions, log-weights) after the pass."""
+    pos = np.array(pos, dtype=float).reshape(1, -1)
+    logw = np.array(logw, dtype=float).reshape(1, -1)
+    mx = logw.max(axis=1)
+    w = np.exp(logw - mx[:, None])
+    u, _, _, logmass, flags = _reduce_and_resample(
+        pos, logw, np.zeros_like(pos), w, np.zeros_like(pos), pos.copy(), mx,
+        np.array([0.5]), ess_frac)
+    return u[0], logmass[0], flags[0], pos[0], logw[0]
+
+
 class TestInitCloud:
     def test_point_mass(self, tanh_model):
-        c = init_cloud(tanh_model, 4, seed=1)
-        np.testing.assert_array_equal(c.positions, [0.8] * 4)
-        np.testing.assert_allclose(np.exp(c.log_weights), 0.25)
-        assert c.log_total_mass == 0.0
+        bank = run_filter_bank(tanh_model, zero_policy(), np.zeros((2, 1)),
+                               0.02, 4, seed=1)
+        np.testing.assert_array_equal(bank.u[:, 0], tanh_model.f.value(0.8))
+        np.testing.assert_array_equal(bank.pi_h[:, 0], tanh_model.h.value(0.8))
+        np.testing.assert_array_equal(bank.ess[:, 0], 4.0)
+        assert np.all(bank.log_mass[:, 0] == 0.0)
 
-    def test_initial_estimate_is_fx0(self, tanh_model):
-        c = init_cloud(tanh_model, 16, seed=1)
-        assert unnormalized_estimate(c, tanh_model.f) == pytest.approx(
-            float(tanh_model.f.value(0.8)), rel=1e-14)
+    def test_initial_estimate_is_fx0(self, tanh_model, grid50):
+        fp = run_filter(tanh_model, zero_policy(), np.zeros(grid50.n_steps + 1),
+                        16, seed=1)
+        assert fp.u[0] == pytest.approx(float(tanh_model.f.value(0.8)), rel=1e-14)
 
     def test_too_few_particles(self, tanh_model):
         with pytest.raises(InvalidArgumentError):
-            init_cloud(tanh_model, 1, seed=1)
+            run_filter_bank(tanh_model, zero_policy(), np.zeros((1, 1)), 0.02,
+                            1, seed=1)
 
 
 class TestStepCloud:
     def test_zero_sensor_keeps_weights(self, tanh_model):
         m = model_of(tanh_model.b, tanh_model.sigma, CONST0, tanh_model.f)
-        c0 = init_cloud(m, 64, seed=2)
-        c1 = step_cloud(c0, m, zero_policy(), dY=0.3, dt=0.02)
-        np.testing.assert_array_equal(c1.log_weights, c0.log_weights)
-        assert c1.log_total_mass == pytest.approx(0.0, abs=1e-14)
+        bank = run_filter_bank(m, zero_policy(), np.array([[0.3]]), 0.02, 64,
+                               seed=2)
+        assert bank.ess[0, 1] == 64.0 and bank.flags[0, 1] == 0
+        assert bank.log_mass[0, 1] == pytest.approx(0.0, abs=1e-14)
 
     def test_frozen_signal_moves_weights_only(self, tanh_model):
         m = model_of(CONST0, make_coef("constant", 0.0), tanh_model.h,
                      tanh_model.f, x0=0.5)
-        c0 = init_cloud(m, 32, seed=3)
-        c1 = step_cloud(c0, m, zero_policy(), dY=0.2, dt=0.02)
-        np.testing.assert_array_equal(c1.positions, c0.positions)
-        assert not np.array_equal(c1.log_weights, c0.log_weights)
+        bank = run_filter_bank(m, zero_policy(), np.array([[0.2]]), 0.02, 32,
+                               seed=3)
+        assert bank.u[0, 1] == pytest.approx(float(m.f.value(0.5)), rel=1e-14)
+        assert bank.log_mass[0, 1] != 0.0
 
     def test_nonfinite_observation(self, tanh_model):
-        c0 = init_cloud(tanh_model, 8, seed=4)
         with pytest.raises(DataError):
-            step_cloud(c0, tanh_model, zero_policy(), dY=np.nan, dt=0.02)
+            run_filter_bank(tanh_model, zero_policy(), np.array([[np.nan]]),
+                            0.02, 8, seed=4)
 
     def test_manual_loop_matches_kalman(self, linear_model):
         grid = build_time_grid(1.0, 100)
         bundle = simulate_bundle(linear_model, zero_policy(), grid, 1, 15,
                                  measure="P")
         Y = bundle.Y[0]
-        cloud = init_cloud(linear_model, 2000, seed=16)
-        means = [normalized_estimate(cloud, linear_model.f)]
-        for j in range(grid.n_steps):
-            cloud = step_cloud(cloud, linear_model, zero_policy(),
-                               Y[j + 1] - Y[j], grid.dt)
-            means.append(normalized_estimate(cloud, linear_model.f))
-            cloud = resample_if_needed(cloud, 0.5)
+        fp = run_filter(linear_model, zero_policy(), Y, 2000, seed=16)
         kb, _ = kalman_bucy(LinearGaussianSpec(0.0, 1.0, 1.0, 0.0, 1.0), Y, grid)
-        assert np.mean(np.abs(np.array(means) - kb)) <= 0.05
+        assert np.mean(np.abs(fp.u - kb)) <= 0.05
 
 
 class TestEstimates:
-    def _weighted_cloud(self, model, seed=5):
-        c = init_cloud(model, 256, seed=seed)
-        for j, dy in enumerate([0.1, -0.2, 0.05]):
-            c = step_cloud(c, model, zero_policy(), dy, 0.02)
-        return c
-
     def test_unnormalized_unit_function(self, tanh_model):
-        c = self._weighted_cloud(tanh_model)
-        assert unnormalized_estimate(c, lambda x: np.ones_like(x)) == \
-            pytest.approx(np.exp(c.log_total_mass), rel=1e-12)
-
-    def test_unnormalized_linearity_in_constant(self, tanh_model):
-        c = self._weighted_cloud(tanh_model)
-        rho1 = unnormalized_estimate(c, lambda x: np.ones_like(x))
-        rho_c = unnormalized_estimate(c, lambda x: np.full_like(x, 3.7))
-        assert rho_c == pytest.approx(3.7 * rho1, rel=1e-12)
+        # frozen particles at x0: every weight gains the same increments,
+        # so rho_t(1) = exp(sum of h dY - h^2 dt / 2)
+        m = model_of(CONST0, make_coef("constant", 0.0), tanh_model.h,
+                     tanh_model.f, x0=0.8)
+        bank = run_filter_bank(m, zero_policy(), DY3, 0.02, 256, seed=5)
+        h = float(m.h.value(0.8))
+        want = np.cumsum(h * DY3[0] - 0.5 * h * h * 0.02)
+        np.testing.assert_allclose(bank.log_mass[0, 1:], want, rtol=1e-12)
 
     def test_normalized_constant(self, tanh_model):
-        c = self._weighted_cloud(tanh_model)
-        assert normalized_estimate(c, lambda x: np.full_like(x, 2.2)) == \
-            pytest.approx(2.2, rel=1e-14)
+        m = model_of(tanh_model.b, tanh_model.sigma, tanh_model.h,
+                     make_coef("constant", 2.2), x0=0.8)
+        bank = run_filter_bank(m, zero_policy(), DY3, 0.02, 256, seed=5)
+        np.testing.assert_allclose(bank.u, 2.2, rtol=1e-14)
 
-    def test_normalized_arithmetic_mean(self, linear_model):
-        c = init_cloud(linear_model, 2, seed=1)
-        c = c.__class__(positions=np.array([0.0, 2.0]),
-                        log_weights=c.log_weights, log_total_mass=0.0,
-                        t=0.0, step_index=0, seed=1, salt=0,
-                        log_m=np.zeros(2))
-        assert normalized_estimate(c, linear_model.f) == pytest.approx(1.0)
+    def test_normalized_arithmetic_mean(self):
+        u, *_ = reduce_cloud([0.0, 2.0], [np.log(0.5)] * 2, ess_frac=0.5)
+        assert u == pytest.approx(1.0)
 
-    def test_kallianpur_striebel_consistency(self, tanh_model):
-        c = self._weighted_cloud(tanh_model)
-        lhs = normalized_estimate(c, tanh_model.f)
-        rhs = unnormalized_estimate(c, tanh_model.f) / \
-            unnormalized_estimate(c, lambda x: np.ones_like(x))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+    def test_kallianpur_striebel_consistency(self):
+        rng = np.random.default_rng(5)
+        pos, logw = rng.normal(size=256), rng.normal(size=256) - 3.0
+        u, logmass, *_ = reduce_cloud(pos, logw, ess_frac=0.0)
+        rho_f = (np.exp(logw) * pos).sum()
+        rho_1 = np.exp(logw).sum()
+        assert np.exp(logmass) == pytest.approx(rho_1, rel=1e-12)
+        assert u == pytest.approx(rho_f / rho_1, rel=1e-12)
 
     def test_degenerate_cloud_error(self, tanh_model):
-        c = init_cloud(tanh_model, 4, seed=1)
-        dead = c.__class__(positions=c.positions,
-                           log_weights=np.full(4, -np.inf),
-                           log_total_mass=-np.inf, t=0.0, step_index=0,
-                           seed=1, salt=0, log_m=np.zeros(4))
-        with pytest.raises(DegenerateCloudError):
-            normalized_estimate(dead, tanh_model.f)
+        # h^2 overflows, so every log-weight becomes -inf in one step
+        m = model_of(tanh_model.b, tanh_model.sigma,
+                     make_coef("constant", 1e200), tanh_model.f)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateCloudError):
+                run_filter_bank(m, zero_policy(), np.array([[0.1]]), 0.02, 4,
+                                seed=1)
 
 
 class TestResampling:
-    def test_equal_weights_identity(self, tanh_model):
-        c = init_cloud(tanh_model, 32, seed=6)
-        assert resample_if_needed(c, 0.5) is c
+    def test_equal_weights_identity(self):
+        np.testing.assert_array_equal(systematic_indices(np.full(32, 1 / 32), 0.37),
+                                      np.arange(32))
 
-    def test_one_hot_collapses(self, tanh_model):
+    def test_one_hot_collapses(self):
         n = 16
-        base = init_cloud(tanh_model, n, seed=7)
         logw = np.full(n, -1e9)
         logw[3] = 0.1
         pos = np.linspace(-1, 1, n)
-        c = base.__class__(positions=pos, log_weights=logw,
-                           log_total_mass=0.1, t=0.0, step_index=0, seed=7,
-                           salt=0, log_m=np.zeros(n))
-        r = resample_if_needed(c, 0.5)
-        np.testing.assert_array_equal(r.positions, np.full(n, pos[3]))
-        np.testing.assert_allclose(np.exp(r.log_weights),
-                                   np.exp(0.1) / n, rtol=1e-12)
-        assert r.log_total_mass == c.log_total_mass
+        _, logmass, flag, pos_r, logw_r = reduce_cloud(pos, logw, ess_frac=0.5)
+        assert flag == 1
+        np.testing.assert_array_equal(pos_r, np.full(n, pos[3]))
+        np.testing.assert_allclose(np.exp(logw_r), np.exp(0.1) / n, rtol=1e-12)
+        assert logmass == 0.1
 
     @given(st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=24))
     def test_mass_preserved(self, raw):
-        model = ModelSpec(b=make_coef("constant", 0.0),
-                          sigma=make_coef("constant", 1.0),
-                          h=make_coef("tanh", 1.0), f=make_coef("tanh", 1.0),
-                          x0=0.0, T=1.0, k=0.0)
         n = len(raw)
-        base = init_cloud(model, n, seed=8)
         logw = np.asarray(raw)
-        mass = float(np.log(np.exp(logw - logw.max()).sum()) + logw.max())
-        c = base.__class__(positions=np.linspace(0, 1, n), log_weights=logw,
-                           log_total_mass=mass, t=0.0, step_index=0, seed=8,
-                           salt=0, log_m=np.zeros(n))
-        r = resample_if_needed(c, 1.0)  # force resampling
-        before = unnormalized_estimate(c, lambda x: np.ones_like(x))
-        after = unnormalized_estimate(r, lambda x: np.ones_like(x))
+        before = np.exp(logw).sum()
+        _, _, _, _, logw_r = reduce_cloud(np.linspace(0, 1, n), logw,
+                                          ess_frac=1.0)  # force resampling
+        after = np.exp(logw_r).sum()
         assert after == pytest.approx(before, rel=1e-12)
-        assert effective_sample_size(r) == pytest.approx(n)
+        w = np.exp(logw_r - logw_r.max())
+        assert w.sum() ** 2 / (w * w).sum() == pytest.approx(n)
 
-    def test_threshold_validation(self, tanh_model):
-        c = init_cloud(tanh_model, 8, seed=9)
+    def test_threshold_validation(self, tanh_model, grid50):
         with pytest.raises(InvalidArgumentError):
-            resample_if_needed(c, 1.5)
+            run_filter_bank(tanh_model, zero_policy(), np.zeros((1, 1)), 0.02,
+                            8, seed=9, ess_threshold=1.5)
+        with pytest.raises(InvalidArgumentError):
+            run_filter_finite(np.array([0.0, 1.0]), np.eye(2), np.zeros(2),
+                              np.zeros(2), np.zeros(grid50.n_steps + 1), grid50,
+                              8, seed=9, x0=0.0, ess_threshold=-0.1)
 
 
 class TestRunFilter:
@@ -223,12 +217,12 @@ class TestRunFilter:
 class TestInnovation:
     def test_zero_sensor(self, grid50):
         Y = np.cumsum(np.r_[0.0, np.full(grid50.n_steps, 0.1)])
-        nu = innovation_path(Y, np.zeros(grid50.n_steps + 1), grid50).nu
+        nu = innovation_path(Y, np.zeros(grid50.n_steps + 1), grid50)
         np.testing.assert_allclose(nu, Y, rtol=1e-14)
 
     def test_constant_compensator(self, grid50):
         c = 0.6
         Y = np.linspace(0.0, 2.0, grid50.n_steps + 1)
-        nu = innovation_path(Y, np.full(grid50.n_steps + 1, c), grid50).nu
+        nu = innovation_path(Y, np.full(grid50.n_steps + 1, c), grid50)
         np.testing.assert_allclose(nu, Y - c * grid50.times, atol=1e-12)
         assert nu[0] == 0.0

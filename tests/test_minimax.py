@@ -81,8 +81,7 @@ class TestSignPolicy:
         tab = fit_ridge(F, 1e-6).fit(np.full(n, const))
         from ambifilter.bsde import AdjointSolution
         tabs = tuple([tab] * (grid.n_steps + 1))
-        return AdjointSolution(q_tables=tabs, P_tables=tabs, Q_tables=tabs,
-                               grid=grid, basis=basis, variant="derived",
+        return AdjointSolution(P_tables=tabs, grid=grid, basis=basis,
                                p_vals=np.zeros((1, grid.n_steps + 1)),
                                q_vals=np.zeros((1, grid.n_steps + 1)),
                                P_vals=np.zeros((1, grid.n_steps + 1)),

@@ -3,14 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ambifilter.errors import InvalidArgumentError, MissingFeatureError
-from ambifilter.model import (ModelSpec, NoiseBundle, apply_generator,
-                              build_time_grid, evolve_observation,
-                              evolve_signal, evolve_weight,
-                              girsanov_log_density, sample_noise,
-                              simulate_bundle)
+from ambifilter.model import (ModelSpec, NoiseBundle, build_time_grid,
+                              sample_noise, simulate_bundle)
 from ambifilter.policies import (constant_policy, mixture_policy,
                                  time_table_policy, zero_policy)
-from ambifilter.presets import make_coef, poly_fn
+from ambifilter.presets import make_coef
 
 from conftest import mc_se
 
@@ -20,6 +17,12 @@ def model_of(b, sigma, h, f, x0=0.0, T=1.0, k=0.0):
 
 
 CONST = make_coef("constant", 0.0)
+
+
+def paths_on(model, noise, grid, measure="P", policy=None):
+    """simulate_bundle driven by the given noise."""
+    return simulate_bundle(model, policy or zero_policy(), grid, noise.n_paths,
+                           noise.seed, measure=measure, noise=noise)
 
 
 class TestTimeGrid:
@@ -67,14 +70,14 @@ class TestEvolveSignal:
     def test_frozen_dynamics(self):
         m = model_of(CONST, make_coef("constant", 0.0), CONST, CONST, x0=1.3)
         g = build_time_grid(1.0, 8)
-        X = evolve_signal(m, zero_policy(), sample_noise(g, 5, 1), g)
+        X = paths_on(m, sample_noise(g, 5, 1), g).X
         assert np.all(X == 1.3)
 
     def test_deterministic_drift(self):
         m = model_of(make_coef("constant", 0.5), make_coef("constant", 0.0),
                      CONST, CONST, x0=2.0)
         g = build_time_grid(1.0, 10)
-        X = evolve_signal(m, zero_policy(), sample_noise(g, 3, 1), g)
+        X = paths_on(m, sample_noise(g, 3, 1), g).X
         np.testing.assert_allclose(X[:, -1], 2.5, rtol=1e-12)
 
     def test_ou_mean(self):
@@ -82,7 +85,7 @@ class TestEvolveSignal:
         m = model_of(make_coef("linear", 0.0, -1.0), make_coef("constant", 1.0),
                      CONST, CONST, x0=2.0)
         g = build_time_grid(1.0, 100)
-        X = evolve_signal(m, zero_policy(), sample_noise(g, 10_000, 5), g)
+        X = paths_on(m, sample_noise(g, 10_000, 5), g).X
         target = 2.0 * np.exp(-1.0)
         assert abs(X[:, -1].mean() - target) < 3 * mc_se(X[:, -1])
 
@@ -93,15 +96,14 @@ class TestEvolveSignal:
         F = basis.design({"x": np.arange(30.0), "m": np.ones(30)})
         tab = fit_ridge(F, 1e-6).fit(np.ones(30))
         pol = sign_of_regression_policy([tab] * 11, basis, 0.25, 0.1)
-        g = build_time_grid(1.0, 10)
         with pytest.raises(MissingFeatureError):
-            evolve_signal(tanh_model, pol, sample_noise(g, 3, 1), g)
+            pol.evaluate(0.0, {"x": np.full(3, tanh_model.x0)})
 
     def test_policy_radius_guard(self, tanh_model):
         g = build_time_grid(1.0, 10)
         with pytest.raises(InvalidArgumentError):
-            evolve_signal(tanh_model, constant_policy(0.5, radius=0.5),
-                          sample_noise(g, 2, 1), g)
+            paths_on(tanh_model, sample_noise(g, 2, 1), g,
+                     policy=constant_policy(0.5, radius=0.5))
 
 
 class TestEvolveObservation:
@@ -109,8 +111,7 @@ class TestEvolveObservation:
         g = build_time_grid(1.0, 20)
         nb = sample_noise(g, 4, 2)
         m = model_of(tanh_model.b, tanh_model.sigma, CONST, tanh_model.f)
-        X = evolve_signal(m, zero_policy(), nb, g)
-        Y = evolve_observation(m, X, nb)
+        Y = paths_on(m, nb, g).Y
         np.testing.assert_array_equal(Y[:, 1:], np.cumsum(nb.dB, axis=1))
 
     def test_constant_sensor(self):
@@ -118,16 +119,14 @@ class TestEvolveObservation:
         m = model_of(CONST, make_coef("constant", 1.0), make_coef("constant", c), CONST)
         g = build_time_grid(1.0, 25)
         nb = sample_noise(g, 4, 2)
-        X = evolve_signal(m, zero_policy(), nb, g)
-        Y = evolve_observation(m, X, nb, "P")
+        Y = paths_on(m, nb, g, "P").Y
         B_T = nb.dB.sum(axis=1)
         np.testing.assert_allclose(Y[:, -1] - B_T, c * 1.0, rtol=1e-10)
 
     def test_qtilde_quadratic_variation(self, tanh_model):
         g = build_time_grid(1.0, 50)   # dt = 0.02
         nb = sample_noise(g, 400, 9)
-        X = evolve_signal(tanh_model, zero_policy(), nb, g)
-        Y = evolve_observation(tanh_model, X, nb, "Q_tilde")
+        Y = paths_on(tanh_model, nb, g, "Q_tilde").Y
         qv = (np.diff(Y, axis=1) ** 2).sum(axis=1)
         assert abs(qv.mean() - 1.0) < 0.05
 
@@ -137,18 +136,16 @@ class TestEvolveWeight:
         m = model_of(tanh_model.b, tanh_model.sigma, CONST, tanh_model.f)
         g = build_time_grid(1.0, 20)
         nb = sample_noise(g, 4, 3)
-        X = evolve_signal(m, zero_policy(), nb, g)
-        Y = evolve_observation(m, X, nb, "Q_tilde")
-        assert np.all(evolve_weight(m, X, Y, g) == 1.0)
+        assert np.all(paths_on(m, nb, g, "Q_tilde").M == 1.0)
 
     def test_single_step_value(self):
         # h(X_0) = 1, dY = 0.1, dt = 0.04 -> M = exp(0.1 - 0.02)
         m = model_of(CONST, make_coef("constant", 0.0),
                      make_coef("constant", 1.0), CONST, x0=0.0, T=0.04)
         g = build_time_grid(0.04, 1)
-        X = np.zeros((1, 2))
-        Y = np.array([[0.0, 0.1]])
-        M = evolve_weight(m, X, Y, g)
+        nb = NoiseBundle(dW=np.zeros((1, 1)), dB=np.array([[0.1]]), seed=0,
+                         path_ids=np.zeros(1, dtype=np.int64), dt=g.dt)
+        M = paths_on(m, nb, g, "Q_tilde").M
         assert M[0, 1] == pytest.approx(np.exp(0.1 - 0.02), rel=1e-14)
 
     def test_martingale_under_qtilde(self, tanh_model, grid50):
@@ -162,15 +159,14 @@ class TestEvolveWeight:
 class TestGirsanovLogDensity:
     def test_zero_policy(self, tanh_model, grid50):
         nb = sample_noise(grid50, 6, 4)
-        X = evolve_signal(tanh_model, zero_policy(), nb, grid50)
-        logL = girsanov_log_density(zero_policy(), X, nb.dW, grid50)
+        logL = paths_on(tanh_model, nb, grid50).log_density
         assert np.all(logL == 0.0)
 
     def test_constant_policy_recomputation(self, tanh_model, grid50):
         k = 0.25
         nb = sample_noise(grid50, 6, 4)
-        X = evolve_signal(tanh_model, zero_policy(), nb, grid50)
-        logL = girsanov_log_density(constant_policy(k), X, nb.dW, grid50)
+        logL = paths_on(tanh_model, nb, grid50,
+                        policy=constant_policy(k)).log_density
         # independent recomputation from the stored increments
         W_T = nb.dW.sum(axis=1)
         np.testing.assert_allclose(logL[:, -1], k * W_T - 0.5 * k * k, rtol=1e-10)
@@ -181,23 +177,6 @@ class TestGirsanovLogDensity:
         lam = np.exp(bundle.log_density[:, -1])
         assert np.all(lam > 0)
         assert abs(lam.mean() - 1.0) < 3 * mc_se(lam)
-
-
-class TestApplyGenerator:
-    def test_linear_test_function(self, tanh_model):
-        x, theta = 0.4, 0.1
-        got = apply_generator(tanh_model, theta, poly_fn(0.0, 1.0), x)
-        want = float(tanh_model.b.value(x)) + float(tanh_model.sigma.value(x)) * theta
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_constant_test_function(self, tanh_model):
-        assert apply_generator(tanh_model, 0.3, poly_fn(5.0), 1.1) == 0.0
-
-    def test_quadratic(self):
-        m = model_of(make_coef("constant", 1.0), make_coef("constant", 2.0),
-                     CONST, CONST)
-        got = apply_generator(m, 0.5, poly_fn(0.0, 0.0, 1.0), 3.0)
-        assert got == pytest.approx(16.0, rel=1e-12)
 
 
 class TestMeasureConsistency:
@@ -235,8 +214,8 @@ class TestStrongConvergence:
         nb_c = NoiseBundle(dW=nb_f.dW.reshape(10_000, 50, 2).sum(axis=2),
                            dB=nb_f.dB.reshape(10_000, 50, 2).sum(axis=2),
                            seed=6, path_ids=nb_f.path_ids, dt=g_c.dt)
-        Xf = evolve_signal(m, zero_policy(), nb_f, g_f)
-        Xc = evolve_signal(m, zero_policy(), nb_c, g_c)
+        Xf = paths_on(m, nb_f, g_f).X
+        Xc = paths_on(m, nb_c, g_c).X
         assert abs(Xf[:, -1].mean() - Xc[:, -1].mean()) < mc_se(Xf[:, -1])
 
 
@@ -282,8 +261,8 @@ class TestModelSpecValidation:
             model_of(CONST, make_coef("linear", 0.0, 1.0), CONST, CONST)
 
     def test_h1_flags(self, tanh_model, linear_model):
-        assert tanh_model.h1_compliant and not tanh_model.oracle_only
-        assert linear_model.oracle_only and not linear_model.h1_compliant
+        assert tanh_model.h1_compliant
+        assert not linear_model.h1_compliant
 
     def test_f_sup(self, tanh_model, linear_model):
         assert tanh_model.f_sup == pytest.approx(1.0)
