@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ShapeError
+from .errors import InvalidArgumentError, NumericalError, ShapeError
 from .features import FrozenRegression, RegressionBasis, check_basis_size, fit_ridge
 from .filtering import run_filter_bank
 from .model import ModelSpec, PathBundle, TimeGrid, build_time_grid, simulate_bundle
@@ -53,7 +53,6 @@ NESTED_FILTER_SALT = 104729
 class BsdeSolution:
     y0: float
     y_tables: tuple[FrozenRegression, ...]   # per step; terminal entry is zero
-    z_tables: tuple[FrozenRegression, ...]
     grid: TimeGrid
     basis: RegressionBasis
     y_mean_path: np.ndarray                  # E[y_t] per grid time, diagnostics
@@ -80,10 +79,6 @@ class GateauxEstimate:
 
     def __float__(self) -> float:
         return self.value
-
-
-_ZERO_REG = FrozenRegression(mask=np.zeros(1, dtype=bool), mu=np.empty(0),
-                             sd=np.empty(0), coef=np.zeros(1))
 
 
 def _require_h1(model: ModelSpec, what: str) -> None:
@@ -117,8 +112,7 @@ def solve_worst_value(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
     k = model.k
 
     y = np.zeros(n)
-    y_tabs = [_ZERO_REG] * (steps + 1)
-    z_tabs = [_ZERO_REG] * (steps + 1)
+    y_tabs = [FrozenRegression(np.zeros(basis.n_features))] * (steps + 1)
     y_mean = np.zeros(steps + 1)
     for j in range(steps - 1, -1, -1):
         F = basis.design({"x": paths.X[:, j], "u": u_vals[:, j],
@@ -129,15 +123,15 @@ def solve_worst_value(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
         # center y before the increment regression: same conditional
         # expectation, but the removed level variance would otherwise feed a
         # Jensen bias into y through k|z|
-        z_reg = proj.fit((y - cont) * dW[:, j] / dt)
-        z = z_reg.predict(F)
+        z = proj.fit((y - cont) * dW[:, j] / dt).predict(F)
         err = model.f.value(paths.X[:, j]) - u_vals[:, j]
         y = cont + (err * err + k * np.abs(z)) * dt
-        y_tabs[j], z_tabs[j] = y_reg, z_reg
+        y_tabs[j] = y_reg
         y_mean[j] = y.mean()
-    return BsdeSolution(y0=float(y.mean()), y_tables=tuple(y_tabs),
-                        z_tables=tuple(z_tabs), grid=grid, basis=basis,
-                        y_mean_path=y_mean)
+    if not np.isfinite(y).all():
+        raise NumericalError("worst-case value is not finite (the k|z| driver overflowed)")
+    return BsdeSolution(y0=float(y.mean()), y_tables=tuple(y_tabs), grid=grid,
+                        basis=basis, y_mean_path=y_mean)
 
 
 def _adjoint_driver(variant: str, bprime, sprime, hprime, fprime, hval, fval,
@@ -188,7 +182,7 @@ def solve_adjoint(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
 
     p = np.zeros(n)
     P = np.zeros(n)
-    P_tabs = [_ZERO_REG] * (steps + 1)
+    P_tabs = [FrozenRegression(np.zeros(basis.n_features))] * (steps + 1)
     p_vals = np.zeros((n, steps + 1))
     q_vals = np.zeros((n, steps + 1))
     P_vals = np.zeros((n, steps + 1))

@@ -29,8 +29,7 @@ import numpy as np
 
 from . import __version__
 from .bsde import solve_worst_value
-from .errors import (ConfigError, DataError, InvalidArgumentError,
-                     MissingFeatureError, NumericalError, ShapeError)
+from .errors import AmbiFilterError, ConfigError, DataError, InvalidArgumentError
 from .features import RegressionBasis
 from .filtering import innovation_path, run_filter
 from .minimax import (FilterRule, PicardConfig, minimax_gap, picard_solve,
@@ -96,18 +95,16 @@ class RunManifest:
         return json.dumps(body, indent=2, sort_keys=True)
 
 
-_KNOWN_KEYS: dict[str, str] = {
-    "model.b": "preset", "model.sigma": "preset", "model.h": "preset",
-    "model.f": "preset", "model.x0": "float", "model.T": "float",
-    "model.k": "float",
-    "grid.n_steps": "int",
-    "mc.n_paths": "int", "mc.n_particles": "int", "mc.seed": "int",
-    "mc.ess_threshold": "float",
-    "bsde.degree": "int", "bsde.ridge_lambda": "float_or_auto",
-    "picard.max_iters": "int", "picard.damping": "float", "picard.tol": "float",
-    "worst_case.k_grid": "float_list", "worst_case.rule_particles": "int",
-    "output.dir": "str", "output.label": "str",
-}
+_KNOWN_KEYS = (
+    "model.b", "model.sigma", "model.h", "model.f", "model.x0", "model.T",
+    "model.k",
+    "grid.n_steps",
+    "mc.n_paths", "mc.n_particles", "mc.seed", "mc.ess_threshold",
+    "bsde.degree", "bsde.ridge_lambda",
+    "picard.max_iters", "picard.damping", "picard.tol",
+    "worst_case.k_grid", "worst_case.rule_particles",
+    "output.dir", "output.label",
+)
 
 _REQUIRED = ("model.b", "model.sigma", "model.h", "model.f")
 
@@ -511,19 +508,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                  n_particles=args.n_particles,
                                  out_dir=args.out_dir)
         manifest = run_subcommand(args.subcommand, config)
-    except ConfigError as exc:
-        for p in exc.problems:
-            print(f"config error: {p}", file=sys.stderr)
-        return 1
-    except (InvalidArgumentError, MissingFeatureError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"bad data: {exc}", file=sys.stderr)
-        return 2
+    except AmbiFilterError as exc:
+        for line in exc.report_lines():
+            print(line, file=sys.stderr)
+        return exc.exit_code
 
     if args.subcommand == "picard" and not manifest.extras.get("converged", True):
         print("picard iteration did not converge within max_iters", file=sys.stderr)

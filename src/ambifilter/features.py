@@ -17,11 +17,15 @@ the plain mean, as it should be).
 
 One regression step is factored once: `fit_ridge` standardizes the design,
 runs a pivoted QR and builds the ridge Gram matrix, and every right-hand side
-of the step is then fitted with a k x k solve. The condition number is read
-from R, which has the singular values of the kept design, so the tall matrix
-sees one LAPACK only: numpy and scipy each load their own OpenBLAS, and a
-scipy QR followed by a numpy SVD of one tall matrix made each fit about ten
-times slower under the default BLAS threads.
+of the step is then fitted with a k x k solve. A fitted regression is a weight
+vector on the raw monomial design: `fit_ridge` maps the standardized
+coefficients back (scale 1/sd, intercept shift -mu/sd, zero weight for
+dropped columns), so `predict` is one `F @ w` and no consumer sees the
+standardization. The condition number is read from R, which has the singular
+values of the kept design, so the tall matrix sees one LAPACK only: numpy and
+scipy each load their own OpenBLAS, and a scipy QR followed by a numpy SVD of
+one tall matrix made each fit about ten times slower under the default BLAS
+threads.
 """
 
 from __future__ import annotations
@@ -105,19 +109,12 @@ class RegressionBasis:
 
 @dataclass(frozen=True)
 class FrozenRegression:
-    """A fitted per-step regression, evaluable on new designs."""
+    """A fitted per-step regression: weights on the raw monomial design."""
 
-    mask: np.ndarray      # bool, columns kept beyond the intercept
-    mu: np.ndarray        # means of kept columns
-    sd: np.ndarray        # stds of kept columns
-    coef: np.ndarray      # [intercept, standardized-column coefficients]
+    w: np.ndarray         # one weight per design column (basis.n_features)
 
     def predict(self, F: np.ndarray) -> np.ndarray:
-        out = np.full(F.shape[0], self.coef[0])
-        if self.mask.any():
-            S = (F[:, self.mask] - self.mu) / self.sd
-            out = out + S @ self.coef[1:]
-        return out
+        return F @ self.w
 
 
 @dataclass(frozen=True)
@@ -125,17 +122,12 @@ class RidgeProjection:
     """The factored design of one regression step; `fit` projects a
     right-hand side on it."""
 
-    mask: np.ndarray      # as in FrozenRegression
-    mu: np.ndarray
-    sd: np.ndarray
-    keep: np.ndarray      # columns of [intercept, standardized] left by the rank cut
-    D: np.ndarray         # the kept columns, one row per path
+    D: np.ndarray         # kept [intercept, standardized] columns, one row per path
     gram: np.ndarray      # D.T @ D + ridge penalty (intercept unpenalized)
+    to_raw: np.ndarray    # coefficients on the columns of D -> raw design weights
 
     def fit(self, y: np.ndarray) -> FrozenRegression:
-        coef = np.zeros(self.mu.size + 1)
-        coef[self.keep] = np.linalg.solve(self.gram, self.D.T @ y)
-        return FrozenRegression(mask=self.mask, mu=self.mu, sd=self.sd, coef=coef)
+        return FrozenRegression(self.to_raw @ np.linalg.solve(self.gram, self.D.T @ y))
 
 
 def fit_ridge(F: np.ndarray, lam: float) -> RidgeProjection:
@@ -159,13 +151,15 @@ def fit_ridge(F: np.ndarray, lam: float) -> RidgeProjection:
             "design has non-finite columns (features overflowed)")
     mask = sd_all > 1e-12
     mask[0] = False  # column 0 is the constant monomial, absorbed by the intercept
-    mu, sd = mu_all[mask], sd_all[mask]
-    if mask.any():
-        S = (F[:, mask] - mu) / sd
-        D = np.column_stack([np.ones(n), S])
-    else:
-        D = np.ones((n, 1))
+    cols = np.flatnonzero(mask)
+    mu, sd = mu_all[cols], sd_all[cols]
+    D = np.column_stack([np.ones(n), (F[:, cols] - mu) / sd])
     k = D.shape[1]
+    # c0 + sum_i c_i (F_i - mu_i) / sd_i as weights on the raw columns of F
+    to_raw = np.zeros((F.shape[1], k))
+    to_raw[0, 0] = 1.0
+    to_raw[0, 1:] = -mu / sd
+    to_raw[cols, np.arange(1, k)] = 1.0 / sd
     keep = np.arange(k)
     cond = 1.0
     if k > 1:
@@ -184,7 +178,7 @@ def fit_ridge(F: np.ndarray, lam: float) -> RidgeProjection:
     if keep[0] == 0:
         penalty[0, 0] = 0.0  # never shrink the intercept
     gram = D.T @ D + penalty
-    return RidgeProjection(mask=mask, mu=mu, sd=sd, keep=keep, D=D, gram=gram)
+    return RidgeProjection(D=D, gram=gram, to_raw=to_raw[:, keep])
 
 
 def check_basis_size(basis: RegressionBasis, n_paths: int) -> None:

@@ -9,7 +9,6 @@ different adversary policy is exactly the robustness experiment.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -99,8 +98,6 @@ class CostReport:
     J: float
     se: float
     n_paths: int
-    measure_tag: str
-    policy_digest: str
     per_path: np.ndarray = field(repr=False)
 
 
@@ -120,8 +117,7 @@ def evaluate_cost(model: ModelSpec, u_rule: ControlRule, theta: DriftPolicy,
     per_path = (err * err).sum(axis=1) * grid.dt
     J = float(per_path.mean())
     se = float(per_path.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("nan")
-    return CostReport(J=J, se=se, n_paths=n_paths, measure_tag="Q",
-                      policy_digest=theta.digest(), per_path=per_path)
+    return CostReport(J=J, se=se, n_paths=n_paths, per_path=per_path)
 
 
 def sign_policy(adjoint: AdjointSolution, k: float) -> DriftPolicy:
@@ -288,11 +284,6 @@ def minimax_gap(model: ModelSpec, control_grid: Sequence[ControlRule],
     return MinimaxReport(J=J, se=se, min_sup=min_sup, sup_min=sup_min,
                          gap=min_sup - sup_min, argmin_control=i_star,
                          argmax_policy=j_star)
-
-
-def probe_digest(rule: ControlRule, policy: DriftPolicy) -> str:
-    raw = f"{rule.digest()}|{policy.digest()}".encode()
-    return hashlib.sha256(raw).hexdigest()[:12]
 
 
 @dataclass(frozen=True)

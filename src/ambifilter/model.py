@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ShapeError
+from .errors import InvalidArgumentError, NumericalError, ShapeError
 from .policies import DriftPolicy
 from .presets import CoefPreset
 
@@ -91,12 +91,13 @@ class ModelSpec:
     k: float
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise InvalidArgumentError("horizon T must be > 0")
-        if self.k < 0:
-            raise InvalidArgumentError("ambiguity radius k must be >= 0")
-        sig = self.sigma.value(_SIGMA_CHECK_GRID)
-        if np.any(np.asarray(sig) < 0):
+        if not (np.isfinite(self.T) and self.T > 0):
+            raise InvalidArgumentError(f"horizon T must be finite and > 0, got {self.T}")
+        if not (np.isfinite(self.k) and self.k >= 0):
+            raise InvalidArgumentError(
+                f"ambiguity radius k must be finite and >= 0, got {self.k}")
+        # NaN fails the comparison, so it is rejected with the negative values
+        if not np.all(np.asarray(self.sigma.value(_SIGMA_CHECK_GRID)) >= 0):
             raise InvalidArgumentError("sigma(x) must be >= 0 at all sampled points")
 
     @property
@@ -210,5 +211,9 @@ def simulate_bundle(model: ModelSpec, policy: DriftPolicy, grid: TimeGrid,
             logL[:, j + 1] = logL[:, j] + theta * noise.dW[:, j] + 0.5 * theta * theta * dt
         else:
             logL[:, j + 1] = logL[:, j] + theta * noise.dW[:, j] - 0.5 * theta * theta * dt
-    return PathBundle(grid=grid, X=X, Y=Y, M=np.exp(logM), log_density=logL,
+    M = np.exp(logM)
+    if not (np.isfinite(X).all() and np.isfinite(Y).all() and np.isfinite(M).all()):
+        raise NumericalError("simulated paths are not finite (signal, observation "
+                             "or weight overflowed)")
+    return PathBundle(grid=grid, X=X, Y=Y, M=M, log_density=logL,
                       measure_tag=measure, noise=noise)

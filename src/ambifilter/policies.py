@@ -3,7 +3,7 @@
 Kinds:
     zero                 theta = 0
     constant             theta = c
-    piecewise_table      theta from a (time-bucket x state-bucket) table
+    piecewise_table      theta from a table over equal time buckets
     sign_of_regression   theta = k * sgn(P_hat(t, X, M)) from per-step
                          regression tables of the adjoint surface
     mixture              convex/affine combination of other policies
@@ -76,15 +76,9 @@ class DriftPolicy:
         if self.kind == "constant":
             return np.full_like(x, self.payload["value"])
         if self.kind == "piecewise_table":
-            p = self.payload
-            tb = min(int(t / p["horizon"] * p["n_time_buckets"]), p["n_time_buckets"] - 1)
-            tb = max(tb, 0)
-            xe = p["x_edges"]
-            vals = p["values"]
-            if xe.size:
-                xb = np.searchsorted(xe, x)
-                return vals[tb][xb]
-            return np.full_like(x, vals[tb][0])
+            vals = self.payload["values"]
+            tb = min(max(int(t / self.payload["horizon"] * vals.size), 0), vals.size - 1)
+            return np.full_like(x, vals[tb])
         if self.kind == "sign_of_regression":
             p = self.payload
             j = int(np.clip(round(t / p["dt"]), 0, len(p["tables"]) - 1))
@@ -115,8 +109,7 @@ class DriftPolicy:
             if isinstance(obj, np.ndarray):
                 return [repr(float(v)) for v in obj.ravel()]
             if isinstance(obj, FrozenRegression):
-                return {"mask": obj.mask.tolist(), "mu": enc(obj.mu),
-                        "sd": enc(obj.sd), "coef": enc(obj.coef)}
+                return enc(obj.w)
             if isinstance(obj, RegressionBasis):
                 return [obj.feature_map_id, obj.degree, repr(obj.ridge_lambda)]
             if isinstance(obj, float):
@@ -138,34 +131,10 @@ def constant_policy(value: float, radius: Optional[float] = None) -> DriftPolicy
 def time_table_policy(values: Sequence[float], horizon: float,
                       radius: float) -> DriftPolicy:
     """Piecewise-constant-in-time policy over equal buckets of [0, horizon]."""
-    vals = np.asarray(values, dtype=float).reshape(len(values), 1)
     return DriftPolicy(
         kind="piecewise_table",
-        payload={
-            "n_time_buckets": len(values),
-            "horizon": float(horizon),
-            "x_edges": np.empty(0),
-            "values": vals,
-        },
-        radius=radius,
-    )
-
-
-def table_policy(values: np.ndarray, horizon: float, x_edges: Sequence[float],
-                 radius: float) -> DriftPolicy:
-    """Time x state bucket table; values has shape (n_time, len(x_edges) + 1)."""
-    vals = np.asarray(values, dtype=float)
-    xe = np.asarray(x_edges, dtype=float)
-    if vals.ndim != 2 or vals.shape[1] != xe.size + 1:
-        raise InvalidArgumentError("table shape must be (n_time, n_state_buckets)")
-    return DriftPolicy(
-        kind="piecewise_table",
-        payload={
-            "n_time_buckets": vals.shape[0],
-            "horizon": float(horizon),
-            "x_edges": xe,
-            "values": vals,
-        },
+        payload={"horizon": float(horizon),
+                 "values": np.asarray(values, dtype=float).ravel()},
         radius=radius,
     )
 

@@ -46,7 +46,7 @@ class TestFeatures:
             shared = [proj.fit(y) for y in ys]
             for y, reg in zip(ys, shared):
                 fresh = fit_ridge(F, 1e-10).fit(y)
-                assert np.array_equal(reg.coef, fresh.coef)
+                assert np.array_equal(reg.w, fresh.w)
             # a target in the span of the kept columns is reproduced
             np.testing.assert_allclose(shared[0].predict(F), ys[0], atol=1e-6)
 
@@ -56,8 +56,30 @@ class TestFeatures:
                                                    "u": np.zeros(n)})
         y = np.random.default_rng(4).normal(size=n)
         reg = fit_ridge(F, 1e-6).fit(y)
-        assert not reg.mask.any()
+        assert not reg.w[1:].any()
         np.testing.assert_allclose(reg.predict(F), y.mean(), rtol=1e-12)
+
+    def test_raw_weights_match_standardized_solve(self):
+        # column means far from 0: x ~ N(5, 1), so x^3 has mean ~ 140
+        rng = np.random.default_rng(6)
+        n, lam = 2000, 1e-5
+        x, u = rng.normal(5.0, 1.0, size=n), rng.normal(size=n)
+        F = RegressionBasis("poly_xu", 3).design({"x": x, "u": u})
+        y = np.sin(x) + u * x
+        S = (F[:, 1:] - F[:, 1:].mean(0)) / F[:, 1:].std(0)
+        D = np.column_stack([np.ones(n), S])
+        penalty = lam * np.eye(D.shape[1])
+        penalty[0, 0] = 0.0
+        coef = np.linalg.solve(D.T @ D + penalty, D.T @ y)
+        np.testing.assert_allclose(fit_ridge(F, lam).fit(y).predict(F), D @ coef,
+                                   rtol=1e-9)
+
+    def test_zero_terminal_table_predicts_zero(self, tanh_model, grid50):
+        bundle = p_paths(tanh_model, grid50, 400, 2)
+        u = np.zeros_like(bundle.X)
+        sol = solve_worst_value(bundle, u, tanh_model, RegressionBasis("poly_xu", 2))
+        F = sol.basis.design({"x": bundle.X[:, -1], "u": u[:, -1]})
+        assert np.array_equal(sol.y_tables[-1].predict(F), np.zeros(400))
 
     def test_condition_limit_read_from_r(self, monkeypatch):
         rng = np.random.default_rng(5)

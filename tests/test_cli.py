@@ -341,3 +341,7 @@ def test_edge_values_keep_exit_contract(tmp_path, capsys, cmd, key, value):
     for manifest in out.glob("*/manifest.json"):
         status = json.loads(manifest.read_text())["status"]
         assert (status == "ok") == (code == 0)
+    if code == 0:  # a successful run writes finite numbers only
+        for csv in out.glob("*/*.csv"):
+            body = np.genfromtxt(csv, delimiter=",", skip_header=1)
+            assert np.isfinite(body).all(), csv.name

@@ -260,6 +260,17 @@ class TestModelSpecValidation:
         with pytest.raises(InvalidArgumentError):
             model_of(CONST, make_coef("linear", 0.0, 1.0), CONST, CONST)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"k": np.nan}, {"k": np.inf}, {"T": np.nan}, {"T": np.inf},
+        {"sigma": make_coef("constant", np.nan)},
+    ])
+    def test_non_finite_values_rejected(self, kwargs):
+        args = {"b": CONST, "sigma": make_coef("constant", 0.5), "h": CONST,
+                "f": CONST}
+        args.update(kwargs)
+        with pytest.raises(InvalidArgumentError):
+            model_of(**args)
+
     def test_h1_flags(self, tanh_model, linear_model):
         assert tanh_model.h1_compliant
         assert not linear_model.h1_compliant
