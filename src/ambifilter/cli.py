@@ -21,6 +21,7 @@ import math
 import re
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -79,6 +80,7 @@ class RunManifest:
     status: str
     error: Optional[str] = None
     extras: dict = field(default_factory=dict)
+    fp_warnings: tuple[dict, ...] = ()
 
     def to_json(self) -> str:
         body = {
@@ -91,6 +93,7 @@ class RunManifest:
             "status": self.status,
             "error": self.error,
             "extras": self.extras,
+            "fp_warnings": list(self.fp_warnings),
         }
         return json.dumps(body, indent=2, sort_keys=True)
 
@@ -457,10 +460,25 @@ _DISPATCH = {
 }
 
 
+def _fp_warnings(caught: Sequence[warnings.WarningMessage]) -> tuple[dict, ...]:
+    """The RuntimeWarnings among `caught`, one entry per (message, file:line)
+    with its count; every other warning is issued again unchanged."""
+    counts: dict[tuple[str, str], int] = {}
+    for w in caught:
+        if issubclass(w.category, RuntimeWarning):
+            key = (str(w.message), f"{w.filename}:{w.lineno}")
+            counts[key] = counts.get(key, 0) + 1
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return tuple({"message": msg, "location": loc, "count": n}
+                 for (msg, loc), n in counts.items())
+
+
 def run_subcommand(cmd: str, config: ExperimentConfig,
                    run_dir: Optional[Path] = None) -> RunManifest:
     """Execute one subcommand; always leaves a manifest in the run directory,
-    recording the failure if the computation raised."""
+    recording the failure if the computation raised. Floating-point
+    RuntimeWarnings go into the manifest's `fp_warnings`, not to stderr."""
     if cmd not in _DISPATCH:
         raise ConfigError([f"unknown subcommand {cmd!r}; choose from {SUBCOMMANDS}"])
     if run_dir is None:
@@ -470,10 +488,13 @@ def run_subcommand(cmd: str, config: ExperimentConfig,
     artifacts: list[dict] = []
     extras: dict = {}
     status, error = "ok", None
+    caught: list[warnings.WarningMessage] = []
     try:
-        if not math.isfinite(config.model.x0):
-            raise DataError(f"model.x0 must be finite, got {config.model.x0}")
-        artifacts, extras = _DISPATCH[cmd](config, run_dir)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if not math.isfinite(config.model.x0):
+                raise DataError(f"model.x0 must be finite, got {config.model.x0}")
+            artifacts, extras = _DISPATCH[cmd](config, run_dir)
     except Exception as exc:
         status, error = "error", f"{type(exc).__name__}: {exc}"
         raise
@@ -482,7 +503,8 @@ def run_subcommand(cmd: str, config: ExperimentConfig,
                                seed=config.seed, version=__version__,
                                wall_clock_s=time.monotonic() - t0,
                                artifacts=tuple(artifacts), status=status,
-                               error=error, extras=extras)
+                               error=error, extras=extras,
+                               fp_warnings=_fp_warnings(caught))
         (run_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
     return manifest
 

@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ambifilter import cli
 from ambifilter.cli import apply_overrides, load_config, main, run_subcommand
@@ -274,13 +276,25 @@ class TestExitCodes:
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tanh_conf, tmp_path):
+        # worst-case and picard reuse one noise draw across calls; a fresh
+        # interpreter (nothing drawn yet) must write what the in-process
+        # reruns write
         cfg = load_config(tanh_conf)
-        for cmd in ("simulate", "filter"):
+        for cmd in ("simulate", "filter", "worst-case", "picard"):
             d1, d2 = tmp_path / f"{cmd}-a", tmp_path / f"{cmd}-b"
             run_subcommand(cmd, cfg, run_dir=d1)
             run_subcommand(cmd, cfg, run_dir=d2)
-            for f1 in sorted(d1.glob("*.csv")):
+            csvs = sorted(d1.glob("*.csv"))
+            assert csvs
+            for f1 in csvs:
                 assert f1.read_bytes() == (d2 / f1.name).read_bytes()
+            if cmd in ("worst-case", "picard"):
+                cold = tmp_path / f"{cmd}-cold"
+                r = run_cli(cmd, "--config", str(tanh_conf), "--out-dir", str(cold))
+                assert r.returncode in (0, 3), r.stderr
+                for f1 in csvs:
+                    f3 = next(cold.glob(f"*/{f1.name}"))
+                    assert f1.read_bytes() == f3.read_bytes()
 
     def test_worst_case_identical_across_blas_threads(self, tanh_conf, tmp_path):
         # 1000 paths x 10 poly_xu features puts every regression past
@@ -331,17 +345,78 @@ worst_case.rule_particles = 4
 def test_edge_values_keep_exit_contract(tmp_path, capsys, cmd, key, value):
     """Bad values end in a documented exit code, never an escaping
     exception, and a manifest says ok exactly when the run succeeded."""
-    lines = [f"{key} = {value}" if ln.startswith(key + " =") else ln
-             for ln in EDGE_CONF.splitlines()]
-    p = tmp_path / "edge.conf"
+    check_edge_run(tmp_path / "out", cmd, {key: value})
+
+
+def run_edge(out, cmd, values):
+    """Run `cmd` in-process on EDGE_CONF with the `key = value` lines of
+    `values` replaced; returns the exit code."""
+    lines = EDGE_CONF.splitlines()
+    for key, value in values.items():
+        lines = [f"{key} = {value}" if ln.startswith(key + " =") else ln
+                 for ln in lines]
+    out.mkdir(parents=True, exist_ok=True)
+    p = out / "edge.conf"
     p.write_text("\n".join(lines))
-    out = tmp_path / "out"
-    code = main([cmd, "--config", str(p), "--out-dir", str(out)])
+    return main([cmd, "--config", str(p), "--out-dir", str(out)])
+
+
+def check_edge_run(out, cmd, values):
+    """The exit contract: a documented code, a manifest that says ok exactly
+    when the run succeeded, and finite numbers only in a successful run."""
+    code = run_edge(out, cmd, values)
     assert code in (0, 1, 2)
     for manifest in out.glob("*/manifest.json"):
         status = json.loads(manifest.read_text())["status"]
         assert (status == "ok") == (code == 0)
-    if code == 0:  # a successful run writes finite numbers only
+    if code == 0:
         for csv in out.glob("*/*.csv"):
             body = np.genfromtxt(csv, delimiter=",", skip_header=1)
             assert np.isfinite(body).all(), csv.name
+
+
+def test_fp_warnings_go_to_manifest(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as leaked:
+        warnings.simplefilter("always")
+        code = run_edge(tmp_path, "worst-case", {"worst_case.k_grid": "1e308"})
+    assert code == 2
+    assert not [w for w in leaked if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+    assert "RuntimeWarning" not in err
+    manifest = json.loads(next(tmp_path.glob("*/manifest.json")).read_text())
+    messages = [w["message"] for w in manifest["fp_warnings"]]
+    assert any("overflow" in m for m in messages)
+    assert any("invalid value" in m for m in messages)
+    for w in manifest["fp_warnings"]:
+        assert w["count"] >= 1 and ".py:" in w["location"]
+
+
+def test_fp_warnings_counted_and_others_reissued(tanh_conf, tmp_path, monkeypatch):
+    def noisy(config, run_dir):
+        for _ in range(3):
+            warnings.warn("overflow encountered in exp", RuntimeWarning)
+        warnings.warn("old option", DeprecationWarning)
+        return [], {}
+    monkeypatch.setitem(cli._DISPATCH, "simulate", noisy)
+    with pytest.warns(DeprecationWarning, match="old option") as seen:
+        m = run_subcommand("simulate", load_config(tanh_conf), run_dir=tmp_path)
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+    (entry,) = m.fp_warnings
+    assert entry["message"] == "overflow encountered in exp"
+    assert entry["count"] == 3 and entry["location"].startswith(__file__ + ":")
+
+
+# the in-range branch lets runs get past config validation to the solvers
+EDGE_FLOATS = st.one_of(st.floats(0.0, 2.0),
+                        st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+
+
+@given(x0=EDGE_FLOATS, k=EDGE_FLOATS, T=EDGE_FLOATS, k_entry=EDGE_FLOATS)
+def test_random_edge_values_keep_exit_contract(tmp_path_factory, x0, k, T, k_entry):
+    """Any float in the model and radius keys keeps the exit contract."""
+    values = {"model.x0": repr(x0), "model.k": repr(k), "model.T": repr(T),
+              "worst_case.k_grid": repr(k_entry)}
+    for cmd in ("simulate", "filter", "worst-case"):
+        check_edge_run(tmp_path_factory.mktemp("edge"), cmd, values)

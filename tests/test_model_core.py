@@ -65,6 +65,48 @@ class TestSampleNoise:
         corr = np.corrcoef(nb.dW.ravel(), nb.dB.ravel())[0, 1]
         assert abs(corr) < 4 / np.sqrt(nb.dW.size)
 
+    def test_fresh_arrays_are_writable(self):
+        nb = sample_noise(build_time_grid(1.0, 5), 3, seed=1)
+        assert nb.dW.flags.writeable and nb.dB.flags.writeable
+        nb.dW[0, 0] = 0.0
+
+
+class TestSharedNoise:
+    """simulate_bundle reuses the last draw for an identical key."""
+
+    def test_each_key_gets_its_own_draw(self, tanh_model):
+        g, g2 = build_time_grid(1.0, 10), build_time_grid(2.0, 10)
+        runs = [(g, 6, 3, "P", zero_policy()),
+                (g, 6, 4, "Q", constant_policy(0.25)),
+                (g2, 6, 3, "Q_tilde", zero_policy()),
+                (g, 6, 3, "Q", constant_policy(-0.25))]
+        for grid, n, seed, measure, policy in runs:
+            bundle = simulate_bundle(tanh_model, policy, grid, n, seed,
+                                     measure=measure)
+            fresh = sample_noise(grid, n, seed)
+            np.testing.assert_array_equal(bundle.noise.dW, fresh.dW)
+            np.testing.assert_array_equal(bundle.noise.dB, fresh.dB)
+
+    def test_shared_arrays_are_read_only(self, tanh_model):
+        g = build_time_grid(1.0, 10)
+        bundle = simulate_bundle(tanh_model, zero_policy(), g, 4, 7)
+        for arr in (bundle.noise.dW, bundle.noise.dB, bundle.noise.path_ids):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        again = simulate_bundle(tanh_model, zero_policy(), g, 4, 7)
+        assert again.noise is bundle.noise
+
+    def test_supplied_noise_used_as_given(self, tanh_model):
+        g = build_time_grid(1.0, 10)
+        shared = simulate_bundle(tanh_model, zero_policy(), g, 4, 7).noise
+        zeros = NoiseBundle(dW=np.zeros((4, 10)), dB=np.zeros((4, 10)), seed=7,
+                            path_ids=np.arange(4), dt=g.dt)
+        bundle = paths_on(tanh_model, zeros, g, "Q_tilde")
+        assert bundle.noise is zeros
+        np.testing.assert_array_equal(bundle.Y, 0.0)
+        after = simulate_bundle(tanh_model, zero_policy(), g, 4, 7)
+        assert after.noise is shared
+
 
 class TestEvolveSignal:
     def test_frozen_dynamics(self):
