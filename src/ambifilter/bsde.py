@@ -191,7 +191,7 @@ def solve_adjoint(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
     for j in range(steps - 1, -1, -1):
         X, M, u = paths.X[:, j], paths.M[:, j], u_vals[:, j]
         F = basis.design({"x": X, "m": M, "u": u})
-        theta = policy.evaluate(grid.times[j], {"x": X, "m": M})
+        theta = policy.evaluate(grid.times[j], X, M)
 
         proj = fit_ridge(F, lam)
         p_cont = proj.fit(p).predict(F)
@@ -284,7 +284,7 @@ def gateaux_adjoint(adjoint: AdjointSolution, paths: PathBundle,
     acc = np.zeros(n)
     for j in range(steps):
         X, M = paths.X[:, j], paths.M[:, j]
-        vv = v.evaluate(grid.times[j], {"x": X, "m": M})
+        vv = v.evaluate(grid.times[j], X, M)
         acc -= model.sigma.value(X) * adjoint.P_vals[:, j] * vv * grid.dt
     value = float(acc.mean())
     se = float(acc.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")

@@ -318,15 +318,16 @@ def _cmd_filter(config: ExperimentConfig, run_dir: Path):
 def _cmd_worst_case(config: ExperimentConfig, run_dir: Path):
     grid = build_time_grid(config.model.T, config.n_steps)
     basis = RegressionBasis("poly_xu", config.bsde_degree, config.ridge_lambda)
+    rule = FilterRule(zero_policy(), n_particles=config.rule_particles,
+                      ess_threshold=config.ess_threshold, seed=config.seed)
+    # neither the P paths nor the zero-policy filter read the ambiguity radius
+    bundle = simulate_bundle(config.model, zero_policy(), grid, config.n_paths,
+                             config.seed, measure="P")
+    u = rule.evaluate(config.model, grid, bundle.Y, seed=config.seed)
     rows = []
     extras = {}
     for kv in config.k_grid:
         model_k = replace(config.model, k=float(kv))
-        rule = FilterRule(zero_policy(), n_particles=config.rule_particles,
-                          ess_threshold=config.ess_threshold, seed=config.seed)
-        bundle = simulate_bundle(model_k, zero_policy(), grid, config.n_paths,
-                                 config.seed, measure="P")
-        u = rule.evaluate(model_k, grid, bundle.Y, seed=config.seed)
         sol = solve_worst_value(bundle, u, model_k, basis)
         family = sign_pattern_family(float(kv), 3, model_k.T)
         sup = grid_sup_cost(model_k, rule, family, config.n_paths, config.seed,

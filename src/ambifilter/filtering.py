@@ -104,10 +104,7 @@ def _step_arrays(model: ModelSpec, policy: DriftPolicy, pos, logw, logm,
     update with h at the post-mutation position, then the fused
     estimate/resample pass. Returns (u, pi_h, ess, logmass, flags).
     """
-    if "m" in policy.requires:
-        theta = policy.evaluate(t, {"x": pos, "m": np.exp(logm)})
-    else:
-        theta = policy.evaluate(t, {"x": pos})
+    theta = policy.evaluate(t, pos, np.exp(logm) if policy.needs_m else None)
     sig = model.sigma.params[0] if model.sigma.name == "constant" else model.sigma.value(pos)
     bv = model.b.params[0] if model.b.name == "constant" else model.b.value(pos)
     pos += (bv + sig * theta) * dt + (sig * np.sqrt(dt)) * normals

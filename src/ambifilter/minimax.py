@@ -17,8 +17,10 @@ import numpy as np
 from .bsde import AdjointSolution, solve_adjoint, weighted_cost_qtilde
 from .errors import InvalidArgumentError, ShapeError
 from .filtering import run_filter_bank
-from .model import ModelSpec, TimeGrid, build_time_grid, simulate_bundle
-from .policies import DriftPolicy, mixture_policy, sign_of_regression_policy, zero_policy
+from .model import (ModelSpec, PathBundle, TimeGrid, build_time_grid, simulate_bundle,
+                    substream)
+from .policies import (DriftPolicy, mixture_policy, sign_of_regression_policy,
+                       time_table_policy, zero_policy)
 
 
 def clamp_control(u_values: np.ndarray, f_sup: float) -> np.ndarray:
@@ -77,22 +79,6 @@ class FilterRule(ControlRule):
         return f"filter({self.policy.digest()},n={self.n_particles},salt={self.salt})"
 
 
-class ShiftedRule(ControlRule):
-    """A base rule shifted by a constant and clamped to the target bound."""
-
-    def __init__(self, base: ControlRule, delta: float, f_sup: float):
-        self.base = base
-        self.delta = float(delta)
-        self.f_sup = float(f_sup)
-
-    def evaluate(self, model, grid, Y, n_particles=None, seed=0):
-        u = self.base.evaluate(model, grid, Y, n_particles=n_particles, seed=seed)
-        return clamp_control(u + self.delta, self.f_sup)
-
-    def digest(self) -> str:
-        return f"shift({self.base.digest()},{self.delta!r})"
-
-
 @dataclass(frozen=True)
 class CostReport:
     J: float
@@ -113,8 +99,14 @@ def evaluate_cost(model: ModelSpec, u_rule: ControlRule, theta: DriftPolicy,
     u = u_rule.evaluate(model, grid, bundle.Y, n_particles=n_particles, seed=seed)
     if u.shape != bundle.X.shape:
         raise ShapeError("control rule returned misaligned paths")
+    return _cost_report(model, bundle, u)
+
+
+def _cost_report(model: ModelSpec, bundle: PathBundle, u: np.ndarray) -> CostReport:
+    """Integrated squared error of the control u along each path of the bundle."""
     err = model.f.value(bundle.X[:, :-1]) - u[:, :-1]
-    per_path = (err * err).sum(axis=1) * grid.dt
+    per_path = (err * err).sum(axis=1) * bundle.grid.dt
+    n_paths = bundle.n_paths
     J = float(per_path.mean())
     se = float(per_path.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("nan")
     return CostReport(J=J, se=se, n_paths=n_paths, per_path=per_path)
@@ -172,8 +164,7 @@ class PicardReport:
 def _sign_field(policy: DriftPolicy, bundle, times: np.ndarray) -> np.ndarray:
     out = np.empty_like(bundle.X)
     for j, t in enumerate(times):
-        vals = policy.evaluate(t, {"x": bundle.X[:, j], "m": bundle.M[:, j]})
-        out[:, j] = np.sign(vals)
+        out[:, j] = np.sign(policy.evaluate(t, bundle.X[:, j], bundle.M[:, j]))
     return out
 
 
@@ -296,9 +287,6 @@ class SaddleProbe:
 def random_probe_policies(k: float, horizon: float, n_probes: int,
                           seed: int, n_buckets: int = 4) -> list[DriftPolicy]:
     """Random admissible piecewise-constant-in-time policies in [-k, k]."""
-    from .model import substream  # local import to avoid a cycle at module load
-    from .policies import time_table_policy
-
     gen = substream(seed, role=9, index=0)
     return [time_table_policy(gen.uniform(-k, k, size=n_buckets), horizon, radius=k)
             for _ in range(n_probes)]
@@ -310,19 +298,22 @@ def saddle_probes(model: ModelSpec, report: PicardReport, n_policy_probes: int,
     """Cost probes around the computed pair (u*, theta*): random admissible
     adversaries against u*, and clamped constant shifts of u* against
     theta*. Common random numbers throughout, so paired differences against
-    the saddle cost are meaningful."""
+    the saddle cost are meaningful. The paths under theta* and the control
+    u* on them are computed once and shared by the saddle row and every
+    control shift."""
     grid = build_time_grid(model.T, n_steps)
-    out = [SaddleProbe("saddle", "ustar_thetastar",
-                       evaluate_cost(model, report.final_rule, report.final_policy,
-                                     n_paths, n_particles, seed, grid=grid))]
+    bundle = simulate_bundle(model, report.final_policy, grid, n_paths, seed,
+                             measure="Q")
+    u_star = report.final_rule.evaluate(model, grid, bundle.Y,
+                                        n_particles=n_particles, seed=seed)
+    out = [SaddleProbe("saddle", "ustar_thetastar", _cost_report(model, bundle, u_star))]
     for i, pol in enumerate(random_probe_policies(model.k, model.T,
                                                   n_policy_probes, seed)):
         out.append(SaddleProbe("policy_probe", f"theta_{i}",
                                evaluate_cost(model, report.final_rule, pol,
                                              n_paths, n_particles, seed, grid=grid)))
     for d in deltas:
-        shifted = ShiftedRule(report.final_rule, d, model.f_sup)
+        shifted = clamp_control(u_star + d, model.f_sup)
         out.append(SaddleProbe("control_shift", f"delta_{d:+g}",
-                               evaluate_cost(model, shifted, report.final_policy,
-                                             n_paths, n_particles, seed, grid=grid)))
+                               _cost_report(model, bundle, shifted)))
     return out

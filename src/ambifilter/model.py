@@ -216,10 +216,11 @@ def simulate_bundle(model: ModelSpec, policy: DriftPolicy, grid: TimeGrid,
     X[:, 0] = model.x0
     Y[:, 0] = 0.0
     perturbed = measure in ("Q", "Q_tilde")
+    needs_m = policy.needs_m
     for j in range(grid.n_steps):
         xj = X[:, j]
-        feats = {"x": xj, "m": np.exp(logM[:, j])} if "m" in policy.requires else {"x": xj}
-        theta = policy.evaluate(grid.times[j], feats)
+        theta = policy.evaluate(grid.times[j], xj,
+                                np.exp(logM[:, j]) if needs_m else None)
         sig = model.sigma.value(xj)
         hj = model.h.value(xj)
         drift = model.b.value(xj) + (sig * theta if perturbed else 0.0)

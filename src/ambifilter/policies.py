@@ -1,19 +1,22 @@
 """Drift perturbation policies: feedback rules (t, state) -> theta in [-k, k].
 
 Kinds:
-    zero                 theta = 0
-    constant             theta = c
-    piecewise_table      theta from a table over equal time buckets
+    piecewise_table      theta from a table over equal time buckets; the
+                         zero and constant policies are one-bucket tables
+                         over an infinite horizon
     sign_of_regression   theta = k * sgn(P_hat(t, X, M)) from per-step
                          regression tables of the adjoint surface
-    mixture              convex/affine combination of other policies
-                         (damped fixed-point iterates, perturbation
-                         directions theta + eps*v)
+    mixture              linear combination of the two leaf kinds (damped
+                         fixed-point iterates, perturbation directions
+                         theta + eps*v); nested mixtures are flattened
 
-Every evaluation clamps to [-radius, radius]; sgn(0) = 0 so the value set of
-a sign policy is exactly {-k, 0, +k}. Policies declare which state features
-they need ("x" always, "m" for regression-based rules) so simulators can fail
-loudly instead of silently feeding garbage.
+`evaluate(t, x, m)` clamps to [-radius, radius]; sgn(0) = 0 so the value set
+of a sign policy is exactly {-k, 0, +k}. A time table does not read the
+state, so a policy made only of tables returns one float that callers
+broadcast over the cloud. Sign members of one call share one design matrix
+per distinct basis; each is still predicted with its own weights and added
+in member order, so the sum is the same float as member-by-member
+evaluation. `needs_m` says whether the weight feature M must be supplied.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from .errors import InvalidArgumentError, MissingFeatureError
 from .features import RegressionBasis, FrozenRegression
 
-POLICY_KINDS = ("zero", "constant", "piecewise_table", "sign_of_regression", "mixture")
+POLICY_KINDS = ("piecewise_table", "sign_of_regression", "mixture")
 
 
 @dataclass(frozen=True)
@@ -41,58 +44,45 @@ class DriftPolicy:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise InvalidArgumentError(f"unknown policy kind {self.kind!r}")
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise InvalidArgumentError("policy radius must be >= 0")
 
     @property
-    def requires(self) -> frozenset[str]:
-        if self.kind == "sign_of_regression":
-            return frozenset(("x",) if self.payload["basis"].feature_map_id == "poly_x"
-                             else ("x", "m"))
-        if self.kind == "mixture":
-            out: frozenset[str] = frozenset()
-            for _, member in self.payload["members"]:
-                out = out | member.requires
-            return out
-        return frozenset({"x"})
+    def needs_m(self) -> bool:
+        members = self.payload["members"] if self.kind == "mixture" else [(1.0, self)]
+        return any(p.kind == "sign_of_regression" and "m" in p.payload["basis"].variables
+                   for _, p in members)
 
-    def evaluate(self, t: float, values: dict[str, np.ndarray]) -> np.ndarray:
-        """Clamped policy value at time t on arrays of state features."""
-        missing = self.requires - values.keys()
-        if missing:
+    def evaluate(self, t: float, x: np.ndarray, m: Optional[np.ndarray] = None):
+        """Clamped policy value at time t on arrays of X (and M when
+        `needs_m`); a float when the policy does not read the state."""
+        if m is None and self.needs_m:
             raise MissingFeatureError(
-                f"policy kind {self.kind!r} needs features {sorted(missing)}; "
-                "simulate the weight process alongside the signal to supply them"
+                f"policy kind {self.kind!r} needs the weight feature m; "
+                "simulate the weight process alongside the signal to supply it"
             )
-        raw = self._raw(t, values)
+        designs: dict[RegressionBasis, np.ndarray] = {}
+        if self.kind == "mixture":
+            raw = 0.0
+            for w, member in self.payload["members"]:
+                raw = raw + w * member._leaf(t, x, m, designs)
+        else:
+            raw = self._leaf(t, x, m, designs)
         if math.isinf(self.radius):
             return raw
         return np.clip(raw, -self.radius, self.radius)
 
-    def _raw(self, t: float, values: dict[str, np.ndarray]) -> np.ndarray:
-        x = np.asarray(values["x"], dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(x)
-        if self.kind == "constant":
-            return np.full_like(x, self.payload["value"])
+    def _leaf(self, t: float, x, m, designs: dict):
+        p = self.payload
         if self.kind == "piecewise_table":
-            vals = self.payload["values"]
-            tb = min(max(int(t / self.payload["horizon"] * vals.size), 0), vals.size - 1)
-            return np.full_like(x, vals[tb])
-        if self.kind == "sign_of_regression":
-            p = self.payload
-            j = int(np.clip(round(t / p["dt"]), 0, len(p["tables"]) - 1))
-            basis: RegressionBasis = p["basis"]
-            feats = {"x": x.ravel()}
-            if "m" in basis.variables:
-                feats["m"] = np.asarray(values["m"], dtype=float).ravel()
-            surface = p["tables"][j].predict(basis.design(feats)).reshape(x.shape)
-            return p["k"] * np.sign(surface)
-        # mixture
-        out = np.zeros_like(x)
-        for w, member in self.payload["members"]:
-            out = out + w * member._raw(t, values)
-        return out
+            vals = p["values"]
+            return vals[min(max(int(t / p["horizon"] * vals.size), 0), vals.size - 1)]
+        j = int(np.clip(round(t / p["dt"]), 0, len(p["tables"]) - 1))
+        basis: RegressionBasis = p["basis"]
+        if basis not in designs:
+            designs[basis] = basis.design({"x": x, "m": m})
+        surface = p["tables"][j].predict(designs[basis]).reshape(np.shape(x))
+        return p["k"] * np.sign(surface)
 
     def digest(self) -> str:
         return hashlib.sha256(self._canonical().encode()).hexdigest()[:16]
@@ -119,28 +109,35 @@ class DriftPolicy:
         return json.dumps(enc(self), sort_keys=True)
 
 
-def zero_policy() -> DriftPolicy:
-    return DriftPolicy(kind="zero", radius=0.0)
-
-
-def constant_policy(value: float, radius: Optional[float] = None) -> DriftPolicy:
-    r = abs(value) if radius is None else radius
-    return DriftPolicy(kind="constant", payload={"value": float(value)}, radius=r)
-
-
 def time_table_policy(values: Sequence[float], horizon: float,
                       radius: float) -> DriftPolicy:
     """Piecewise-constant-in-time policy over equal buckets of [0, horizon]."""
-    return DriftPolicy(
-        kind="piecewise_table",
-        payload={"horizon": float(horizon),
-                 "values": np.asarray(values, dtype=float).ravel()},
-        radius=radius,
-    )
+    vals = np.asarray(values, dtype=float).ravel()
+    if vals.size == 0:
+        raise InvalidArgumentError("time table needs at least one value")
+    if not np.isfinite(vals).all():
+        raise InvalidArgumentError("time table values must be finite")
+    if not horizon > 0:
+        raise InvalidArgumentError("time table horizon must be > 0")
+    return DriftPolicy(kind="piecewise_table",
+                       payload={"horizon": float(horizon), "values": vals},
+                       radius=radius)
+
+
+def zero_policy() -> DriftPolicy:
+    return time_table_policy([0.0], math.inf, 0.0)
+
+
+def constant_policy(value: float, radius: Optional[float] = None) -> DriftPolicy:
+    return time_table_policy([value], math.inf, abs(value) if radius is None else radius)
 
 
 def sign_of_regression_policy(tables: Sequence[FrozenRegression], basis: RegressionBasis,
                               k: float, dt: float) -> DriftPolicy:
+    if "u" in basis.variables:
+        raise InvalidArgumentError(
+            f"feature map {basis.feature_map_id!r} reads the control u; a drift "
+            "policy may only read X and M")
     return DriftPolicy(
         kind="sign_of_regression",
         payload={"tables": list(tables), "basis": basis, "k": float(k), "dt": float(dt)},
@@ -166,7 +163,7 @@ def mixture_policy(members: Sequence[tuple[float, DriftPolicy]], radius: float,
             scale = total / sum(w for w, _ in kept)
             flat = [(w * scale, p) for w, p in kept]
     if not flat:
-        return DriftPolicy(kind="zero", radius=radius)
+        return time_table_policy([0.0], math.inf, radius)
     return DriftPolicy(kind="mixture", payload={"members": flat}, radius=radius)
 
 

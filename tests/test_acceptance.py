@@ -136,16 +136,18 @@ def test_criterion_5_gateaux_duality():
     per_variant_pass = {v: 0 for v in ("eq_main", "eq_alt", "derived")}
     per_variant_gap = {v: [] for v in per_variant_pass}
     details = []
+    # the base paths and the three adjoints do not depend on the direction
+    _, bundle, u = weighted_cost_qtilde(TANH, theta0, n_paths, n_particles,
+                                        seed, n_steps)
+    adjoints = {variant: solve_adjoint(bundle, u, TANH, theta0,
+                                       RegressionBasis("poly_xm", 2), variant=variant)
+                for variant in per_variant_pass}
     for d in range(5):
         v = time_table_policy(rng.uniform(-0.6, 0.6, size=4), TANH.T,
                               radius=np.inf)
         fd = gateaux_fd(TANH, theta0, v, [0.2, 0.1, 0.05], n_paths,
                         n_particles, seed, n_steps)
-        _, bundle, u = weighted_cost_qtilde(TANH, theta0, n_paths, n_particles,
-                                            seed, n_steps)
-        for variant in per_variant_pass:
-            adj = solve_adjoint(bundle, u, TANH, theta0,
-                                RegressionBasis("poly_xm", 2), variant=variant)
+        for variant, adj in adjoints.items():
             ga = gateaux_adjoint(adj, bundle, TANH, v)
             diff = fd.per_path - ga.per_path
             se3 = 3 * diff.std(ddof=1) / np.sqrt(diff.size)

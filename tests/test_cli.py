@@ -297,27 +297,41 @@ class TestDeterminism:
                     assert f1.read_bytes() == f3.read_bytes()
 
     def test_worst_case_identical_across_blas_threads(self, tanh_conf, tmp_path):
-        # 1000 paths x 10 poly_xu features puts every regression past
-        # OpenBLAS's threading threshold (rows x columns >= ~10^4), so the
-        # two runs take different BLAS code paths
-        conf = tanh_conf.read_text()
-        for a, b in (("grid.n_steps = 20", "grid.n_steps = 8"),
-                     ("mc.n_paths = 120", "mc.n_paths = 1000"),
-                     ("worst_case.k_grid = 0.0,0.25", "worst_case.k_grid = 0.25"),
-                     ("worst_case.rule_particles = 48",
-                      "worst_case.rule_particles = 8")):
-            conf = conf.replace(a, b)
-        p = tmp_path / "threads.conf"
-        p.write_text(conf)
-        bodies = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads-{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            r = run_cli("worst-case", "--config", str(p), "--out-dir", str(out),
-                        env=env)
-            assert r.returncode == 0, r.stderr
-            bodies.append(next(out.glob("*/worst_case.csv")).read_bytes())
-        assert bodies[0] == bodies[1]
+        # Every regression is past OpenBLAS's threading threshold (rows x
+        # columns >= ~10^4), so the two runs take different BLAS code paths:
+        # 1000 paths x 10 poly_xu features in worst-case, 2000 paths x 6
+        # poly_xm features in the picard adjoint (few steps and iterations
+        # keep it short; three iterations end in the non-convergence exit)
+        runs = {
+            "worst-case": ((("grid.n_steps = 20", "grid.n_steps = 8"),
+                            ("mc.n_paths = 120", "mc.n_paths = 1000"),
+                            ("worst_case.k_grid = 0.0,0.25", "worst_case.k_grid = 0.25"),
+                            ("worst_case.rule_particles = 48",
+                             "worst_case.rule_particles = 8")),
+                           ("worst_case.csv",), 0),
+            "picard": ((("grid.n_steps = 20", "grid.n_steps = 6"),
+                        ("mc.n_paths = 120", "mc.n_paths = 2000"),
+                        ("mc.n_particles = 64", "mc.n_particles = 8"),
+                        ("worst_case.rule_particles = 48",
+                         "worst_case.rule_particles = 8"),
+                        ("picard.max_iters = 6", "picard.max_iters = 3")),
+                       ("picard.csv", "saddle.csv"), 3),
+        }
+        for cmd, (edits, names, code) in runs.items():
+            conf = tanh_conf.read_text()
+            for a, b in edits:
+                conf = conf.replace(a, b)
+            p = tmp_path / f"{cmd}.conf"
+            p.write_text(conf)
+            bodies = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{cmd}-threads-{threads}"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+                r = run_cli(cmd, "--config", str(p), "--out-dir", str(out), env=env)
+                assert r.returncode == code, r.stderr
+                bodies.append([next(out.glob(f"*/{name}")).read_bytes()
+                               for name in names])
+            assert bodies[0] == bodies[1], cmd
 
 
 EDGE_CONF = """

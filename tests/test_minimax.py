@@ -5,8 +5,9 @@ from dataclasses import replace
 from ambifilter.errors import InvalidArgumentError
 from ambifilter.features import RegressionBasis, fit_ridge
 from ambifilter.minimax import (ConstantRule, FilterRule, PicardConfig,
-                                ShiftedRule, clamp_control, evaluate_cost,
-                                minimax_gap, picard_solve, sign_policy)
+                                PicardReport, clamp_control, evaluate_cost,
+                                minimax_gap, picard_solve, saddle_probes,
+                                sign_policy)
 from ambifilter.model import ModelSpec, build_time_grid, simulate_bundle
 from ambifilter.filtering import run_filter
 from ambifilter.oracles import KalmanControlRule, LinearGaussianSpec
@@ -89,15 +90,16 @@ class TestSignPolicy:
 
     def test_positive_surface(self, grid50):
         pol = sign_policy(self._adjoint_like(2.5, grid50), 0.25)
-        vals = pol.evaluate(0.4, {"x": np.linspace(-1, 1, 7), "m": np.ones(7)})
+        vals = pol.evaluate(0.4, np.linspace(-1, 1, 7), np.ones(7))
         np.testing.assert_array_equal(vals, 0.25)
 
     def test_zero_radius(self, grid50):
-        assert sign_policy(self._adjoint_like(1.0, grid50), 0.0).kind == "zero"
+        pol = sign_policy(self._adjoint_like(1.0, grid50), 0.0)
+        assert pol.digest() == zero_policy().digest()
 
     def test_zero_surface_gives_zero(self, grid50):
         pol = sign_policy(self._adjoint_like(0.0, grid50), 0.25)
-        vals = pol.evaluate(0.4, {"x": np.linspace(-1, 1, 7), "m": np.ones(7)})
+        vals = pol.evaluate(0.4, np.linspace(-1, 1, 7), np.ones(7))
         np.testing.assert_array_equal(vals, 0.0)
 
 
@@ -214,10 +216,20 @@ class TestMinimaxGap:
             minimax_gap(tanh_model, [], [zero_policy()], 10, 8, 1)
 
 
-class TestShiftedRule:
-    def test_clamps_to_bound(self, tanh_model, grid50):
-        base = ConstantRule(0.9)
-        shifted = ShiftedRule(base, 0.5, f_sup=1.0)
-        Y = np.zeros((2, grid50.n_steps + 1))
-        u = shifted.evaluate(tanh_model, grid50, Y)
-        np.testing.assert_array_equal(u, 1.0)
+class TestSaddleProbes:
+    def test_control_shift_costs_clamped_control(self, tanh_model):
+        theta = constant_policy(0.2)
+        report = PicardReport(iterations=(), converged=True, final_policy=theta,
+                              final_rule=ConstantRule(0.9), final_u_digest="",
+                              final_cost=None)
+        probes = saddle_probes(tanh_model, report, n_policy_probes=0,
+                               deltas=(0.5, -0.3), n_paths=40, n_particles=8,
+                               seed=3, n_steps=10)
+        assert [p.kind for p in probes] == ["saddle", "control_shift", "control_shift"]
+        grid = build_time_grid(tanh_model.T, 10)
+        bundle = simulate_bundle(tanh_model, theta, grid, 40, 3, measure="Q")
+        fx = tanh_model.f.value(bundle.X[:, :-1])
+        # 0.9 + 0.5 is clamped to f_sup = 1; 0.9 - 0.3 is interior
+        for probe, u in zip(probes, (0.9, tanh_model.f_sup, 0.9 - 0.3)):
+            expected = ((fx - u) ** 2).sum(axis=1) * grid.dt
+            np.testing.assert_array_equal(probe.report.per_path, expected)

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ambifilter.errors import InvalidArgumentError, MissingFeatureError
+from ambifilter.features import FrozenRegression, RegressionBasis, fit_ridge
 from ambifilter.model import (ModelSpec, NoiseBundle, build_time_grid,
                               sample_noise, simulate_bundle)
 from ambifilter.policies import (constant_policy, mixture_policy,
-                                 time_table_policy, zero_policy)
+                                 sign_of_regression_policy, time_table_policy,
+                                 zero_policy)
 from ambifilter.presets import make_coef
 
 from conftest import mc_se
@@ -139,7 +141,7 @@ class TestEvolveSignal:
         tab = fit_ridge(F, 1e-6).fit(np.ones(30))
         pol = sign_of_regression_policy([tab] * 11, basis, 0.25, 0.1)
         with pytest.raises(MissingFeatureError):
-            pol.evaluate(0.0, {"x": np.full(3, tanh_model.x0)})
+            pol.evaluate(0.0, np.full(3, tanh_model.x0))
 
     def test_policy_radius_guard(self, tanh_model):
         g = build_time_grid(1.0, 10)
@@ -286,15 +288,74 @@ class TestDeterminismAndClamping:
            st.floats(-3.0, 3.0))
     def test_policy_always_clamped(self, k, table, x):
         pol = time_table_policy(table, 1.0, radius=k)
-        vals = pol.evaluate(0.3, {"x": np.array([x])})
+        vals = pol.evaluate(0.3, np.array([x]))
         assert np.all(np.abs(vals) <= k + 1e-15)
 
     @given(st.floats(0.01, 0.4), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
     def test_mixture_clamped(self, k, a, b):
         mix = mixture_policy([(0.7, constant_policy(a, radius=abs(a))),
                               (0.6, constant_policy(b, radius=abs(b)))], radius=k)
-        vals = mix.evaluate(0.1, {"x": np.linspace(-2, 2, 9)})
+        vals = mix.evaluate(0.1, np.linspace(-2, 2, 9))
         assert np.all(np.abs(vals) <= k + 1e-15)
+
+
+def _sign_member(const):
+    basis = RegressionBasis("poly_xm", 1)
+    F = basis.design({"x": np.linspace(-1, 1, 30), "m": np.linspace(0.5, 2, 30)})
+    tab = fit_ridge(F, 1e-6).fit(const + np.linspace(-1, 1, 30))
+    return sign_of_regression_policy([tab] * 11, basis, 0.25, 0.1)
+
+
+class TestPolicyEvaluation:
+    def test_time_only_policy_is_one_float(self):
+        mix = mixture_policy([(0.5, constant_policy(0.2)),
+                              (0.5, time_table_policy([0.1, -0.1], 1.0, 0.1))],
+                             radius=0.25)
+        val = mix.evaluate(0.7, np.linspace(-1, 1, 5))
+        assert np.ndim(val) == 0
+        assert val == 0.5 * 0.2 + 0.5 * -0.1
+        assert zero_policy().evaluate(0.3, np.ones(4)) == 0.0
+        assert not mix.needs_m
+
+    def test_sign_members_share_one_design(self, monkeypatch):
+        members = [(0.3, zero_policy()), (0.4, _sign_member(0.2)),
+                   (0.3, _sign_member(-0.1))]
+        mix = mixture_policy(members, radius=0.25)
+        x, m = np.linspace(-1, 1, 12).reshape(3, 4), np.full((3, 4), 1.3)
+        calls = []
+        design = RegressionBasis.design
+        monkeypatch.setattr(RegressionBasis, "design",
+                            lambda self, v: calls.append(1) or design(self, v))
+        val = mix.evaluate(0.35, x, m)
+        assert len(calls) == 1 and mix.needs_m
+        expected = 0.0
+        for w, pol in members:
+            expected = expected + w * pol.evaluate(0.35, x, m)
+        np.testing.assert_array_equal(val, np.clip(expected, -0.25, 0.25))
+        assert val.shape == x.shape
+
+
+class TestPolicyValidation:
+    @pytest.mark.parametrize("feature_map", ["poly_xu", "poly_xmu"])
+    def test_sign_policy_rejects_control_feature(self, feature_map):
+        basis = RegressionBasis(feature_map, 1)
+        tab = FrozenRegression(np.zeros(basis.n_features))
+        with pytest.raises(InvalidArgumentError):
+            sign_of_regression_policy([tab] * 3, basis, 0.25, 0.5)
+
+    @pytest.mark.parametrize("values, horizon", [
+        ([], 1.0), ([0.1, np.nan], 1.0), ([np.inf], 1.0), ([0.1], 0.0),
+        ([0.1], -1.0), ([0.1], np.nan),
+    ])
+    def test_time_table_rejects_bad_input(self, values, horizon):
+        with pytest.raises(InvalidArgumentError):
+            time_table_policy(values, horizon, 0.25)
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            time_table_policy([0.1], 1.0, np.nan)
+        with pytest.raises(InvalidArgumentError):
+            mixture_policy([(1.0, zero_policy())], radius=np.nan)
 
 
 class TestModelSpecValidation:
