@@ -75,10 +75,6 @@ class GateauxEstimate:
     se: float
     per_path: np.ndarray
     slopes: tuple[float, ...]        # central-difference slope per epsilon
-    richardson_error: float
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _require_h1(model: ModelSpec, what: str) -> None:
@@ -258,16 +254,14 @@ def gateaux_fd(model: ModelSpec, policy: DriftPolicy, v: DriftPolicy,
     slopes = [float(s.mean()) for s in slopes_pp]
     if len(eps) == 1:
         per_path = slopes_pp[0]
-        rich_err = float("nan")
     else:
         e0, e1 = eps[-2], eps[-1]
         w = e0 * e0 / (e0 * e0 - e1 * e1)
         per_path = w * slopes_pp[-1] + (1.0 - w) * slopes_pp[-2]
-        rich_err = abs(float(per_path.mean()) - slopes[-1])
     value = float(per_path.mean())
     se = float(per_path.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("nan")
     return GateauxEstimate(value=value, se=se, per_path=per_path,
-                           slopes=tuple(slopes), richardson_error=rich_err)
+                           slopes=tuple(slopes))
 
 
 def gateaux_adjoint(adjoint: AdjointSolution, paths: PathBundle,
@@ -288,5 +282,4 @@ def gateaux_adjoint(adjoint: AdjointSolution, paths: PathBundle,
         acc -= model.sigma.value(X) * adjoint.P_vals[:, j] * vv * grid.dt
     value = float(acc.mean())
     se = float(acc.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
-    return GateauxEstimate(value=value, se=se, per_path=acc,
-                           slopes=(value,), richardson_error=0.0)
+    return GateauxEstimate(value=value, se=se, per_path=acc, slopes=(value,))

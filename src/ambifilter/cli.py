@@ -318,20 +318,19 @@ def _cmd_filter(config: ExperimentConfig, run_dir: Path):
 def _cmd_worst_case(config: ExperimentConfig, run_dir: Path):
     grid = build_time_grid(config.model.T, config.n_steps)
     basis = RegressionBasis("poly_xu", config.bsde_degree, config.ridge_lambda)
-    rule = FilterRule(zero_policy(), n_particles=config.rule_particles,
-                      ess_threshold=config.ess_threshold, seed=config.seed)
+    rule = FilterRule(zero_policy(), config.rule_particles, config.seed,
+                      ess_threshold=config.ess_threshold)
     # neither the P paths nor the zero-policy filter read the ambiguity radius
     bundle = simulate_bundle(config.model, zero_policy(), grid, config.n_paths,
                              config.seed, measure="P")
-    u = rule.evaluate(config.model, grid, bundle.Y, seed=config.seed)
+    u = rule.evaluate(config.model, grid, bundle.Y)
     rows = []
     extras = {}
     for kv in config.k_grid:
         model_k = replace(config.model, k=float(kv))
         sol = solve_worst_value(bundle, u, model_k, basis)
         family = sign_pattern_family(float(kv), 3, model_k.T)
-        sup = grid_sup_cost(model_k, rule, family, config.n_paths, config.seed,
-                            n_particles=config.rule_particles, grid=grid)
+        sup = grid_sup_cost(model_k, rule, family, config.n_paths, config.seed, grid)
         rel = abs(sol.y0 - sup.J_worst) / max(sup.J_worst, 1e-12)
         rows.append((kv, sol.y0, sup.J_worst, sup.se_worst, rel))
     art = write_csv(run_dir / "worst_case.csv",
@@ -353,9 +352,8 @@ def _cmd_picard(config: ExperimentConfig, run_dir: Path):
                        for it in report.iterations])]
     probes = saddle_probes(config.model, report, n_policy_probes=10,
                            deltas=(0.05, -0.05, 0.1, -0.1),
-                           n_paths=config.n_paths,
-                           n_particles=config.rule_particles,
-                           seed=config.seed, n_steps=config.n_steps)
+                           n_paths=config.n_paths, seed=config.seed,
+                           n_steps=config.n_steps)
     arts.append(write_csv(run_dir / "saddle.csv",
                           ["probe_kind", "probe_id", "J", "se"],
                           [(p.kind, p.probe_id, p.report.J, p.report.se)
@@ -363,7 +361,7 @@ def _cmd_picard(config: ExperimentConfig, run_dir: Path):
     extras = {"converged": report.converged,
               "iterations": len(report.iterations),
               "J_final": report.final_cost.J,
-              "u_digest": report.final_u_digest}
+              "u_digest": report.final_rule.digest()}
     return arts, extras
 
 
@@ -375,16 +373,15 @@ def _default_grids(config: ExperimentConfig):
                      time_table_policy([-k], T, k),
                      time_table_policy([k, -k], T, k),
                      time_table_policy([-k, k], T, k)]
-    rules = [FilterRule(p, n_particles=config.rule_particles,
-                        ess_threshold=config.ess_threshold, seed=config.seed)
+    rules = [FilterRule(p, config.rule_particles, config.seed,
+                        ess_threshold=config.ess_threshold)
              for p in policies]
     return rules, policies
 
 
 def _cmd_minimax_gap(config: ExperimentConfig, run_dir: Path):
     rules, policies = _default_grids(config)
-    rep = minimax_gap(config.model, rules, policies, config.n_paths,
-                      config.rule_particles, config.seed,
+    rep = minimax_gap(config.model, rules, policies, config.n_paths, config.seed,
                       n_steps=config.n_steps)
     rows = [("grid_cell", f"u{i}_th{j}", rep.J[i, j], rep.se[i, j])
             for i in range(rep.J.shape[0]) for j in range(rep.J.shape[1])]

@@ -205,7 +205,7 @@ def innovation_path(Y: np.ndarray, pi_h: np.ndarray, grid: TimeGrid) -> np.ndarr
 def run_filter_finite(states: np.ndarray, transition: np.ndarray,
                       h_values: np.ndarray, f_values: np.ndarray,
                       Y: np.ndarray, grid: TimeGrid, n_particles: int,
-                      seed: int, x0: float, salt: int = 0,
+                      seed: int, x0: float,
                       ess_threshold: float = 0.5) -> FilterEstimatePath:
     """Particle filter for a finite-state signal: mutation samples the
     one-step transition matrix, weights use the same exponential factor as
@@ -231,7 +231,7 @@ def run_filter_finite(states: np.ndarray, transition: np.ndarray,
     u[0], pih[0], ess[0] = f_values[start], h_values[start], n
 
     for j in range(grid.n_steps):
-        gen = substream(seed, ROLE_MARKOV, salt, j)
+        gen = substream(seed, ROLE_MARKOV, 0, j)
         draw = gen.random(n)
         rows = cum[idx]
         idx = (rows <= draw[:, None]).sum(axis=1).astype(np.intp)

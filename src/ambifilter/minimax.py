@@ -2,15 +2,16 @@
 the control clamp, the fixed-point iteration on theta = k sgn(P), and
 minimax-gap estimation over finite control/policy grids.
 
-Control rules are causal functionals of the observation path. A filter rule
-carries the drift policy its internal model assumes; evaluating it against a
-different adversary policy is exactly the robustness experiment.
+Control rules are causal functionals of the observation path alone. A filter
+rule carries the drift policy its internal model assumes, its particle count
+and its seed; evaluating it against a different adversary policy is exactly
+the robustness experiment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,12 +34,7 @@ def clamp_control(u_values: np.ndarray, f_sup: float) -> np.ndarray:
 class ControlRule:
     """Causal control rule: observation paths -> control paths."""
 
-    def evaluate(self, model: ModelSpec, grid: TimeGrid, Y: np.ndarray,
-                 n_particles: Optional[int] = None,
-                 seed: int = 0) -> np.ndarray:
-        raise NotImplementedError
-
-    def digest(self) -> str:
+    def evaluate(self, model: ModelSpec, grid: TimeGrid, Y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -46,34 +42,26 @@ class ConstantRule(ControlRule):
     def __init__(self, value: float):
         self.value = float(value)
 
-    def evaluate(self, model, grid, Y, n_particles=None, seed=0):
+    def evaluate(self, model, grid, Y):
         return np.full_like(np.atleast_2d(Y), self.value)
-
-    def digest(self) -> str:
-        return f"const({self.value!r})"
 
 
 class FilterRule(ControlRule):
     """The particle-filter estimate of f(X_t) under an assumed drift policy."""
 
-    def __init__(self, policy: DriftPolicy, n_particles: Optional[int] = None,
-                 ess_threshold: float = 0.5, seed: Optional[int] = None,
-                 salt: int = 0):
+    def __init__(self, policy: DriftPolicy, n_particles: int, seed: int,
+                 ess_threshold: float = 0.5, salt: int = 0):
         self.policy = policy
         self.n_particles = n_particles
         self.ess_threshold = ess_threshold
         self.seed = seed
         self.salt = salt
 
-    def evaluate(self, model, grid, Y, n_particles=None, seed=0):
-        n_part = self.n_particles or n_particles
-        if n_part is None:
-            raise InvalidArgumentError("filter rule needs a particle count")
+    def evaluate(self, model, grid, Y):
         Y = np.atleast_2d(Y)
         return run_filter_bank(
-            model, self.policy, np.diff(Y, axis=1), grid.dt, n_part,
-            self.seed if self.seed is not None else seed,
-            salt=self.salt, ess_threshold=self.ess_threshold).u
+            model, self.policy, np.diff(Y, axis=1), grid.dt, self.n_particles,
+            self.seed, salt=self.salt, ess_threshold=self.ess_threshold).u
 
     def digest(self) -> str:
         return f"filter({self.policy.digest()},n={self.n_particles},salt={self.salt})"
@@ -88,22 +76,25 @@ class CostReport:
 
 
 def evaluate_cost(model: ModelSpec, u_rule: ControlRule, theta: DriftPolicy,
-                  n_paths: int, n_particles: int, seed: int,
-                  n_steps: int = 50, grid: Optional[TimeGrid] = None) -> CostReport:
+                  n_paths: int, seed: int, grid: TimeGrid) -> CostReport:
     """J(u, Q_theta) = E under the theta-perturbed measure of the integrated
     squared error, by direct simulation. Deterministic given the seed."""
+    bundle = _q_paths(model, theta, grid, n_paths, seed)
+    return _cost_report(model, bundle, u_rule.evaluate(model, grid, bundle.Y))
+
+
+def _q_paths(model: ModelSpec, theta: DriftPolicy, grid: TimeGrid, n_paths: int,
+             seed: int) -> PathBundle:
+    """Paths under the measure Q_theta of an admissible adversary policy."""
     if theta.radius > model.k + 1e-12:
         raise InvalidArgumentError("adversary policy exceeds the ambiguity radius")
-    grid = grid or build_time_grid(model.T, n_steps)
-    bundle = simulate_bundle(model, theta, grid, n_paths, seed, measure="Q")
-    u = u_rule.evaluate(model, grid, bundle.Y, n_particles=n_particles, seed=seed)
-    if u.shape != bundle.X.shape:
-        raise ShapeError("control rule returned misaligned paths")
-    return _cost_report(model, bundle, u)
+    return simulate_bundle(model, theta, grid, n_paths, seed, measure="Q")
 
 
 def _cost_report(model: ModelSpec, bundle: PathBundle, u: np.ndarray) -> CostReport:
     """Integrated squared error of the control u along each path of the bundle."""
+    if u.shape != bundle.X.shape:
+        raise ShapeError("control rule returned misaligned paths")
     err = model.f.value(bundle.X[:, :-1]) - u[:, :-1]
     per_path = (err * err).sum(axis=1) * bundle.grid.dt
     n_paths = bundle.n_paths
@@ -123,6 +114,11 @@ def sign_policy(adjoint: AdjointSolution, k: float) -> DriftPolicy:
                                      adjoint.grid.dt)
 
 
+# Picard stops only once the cost moves by less than this fraction between
+# iterations, on top of the sign-agreement tolerance.
+REL_J_TOL = 0.01
+
+
 @dataclass(frozen=True)
 class PicardConfig:
     n_paths: int = 2000
@@ -132,7 +128,6 @@ class PicardConfig:
     max_iters: int = 20
     damping: float = 0.5
     tol: float = 0.02            # sign-agreement tolerance
-    rel_j_tol: float = 0.01
     ess_threshold: float = 0.5
     mixture_prune: float = 0.02
 
@@ -156,8 +151,7 @@ class PicardReport:
     iterations: tuple[PicardIteration, ...]
     converged: bool
     final_policy: DriftPolicy
-    final_rule: ControlRule
-    final_u_digest: str
+    final_rule: FilterRule
     final_cost: CostReport
 
 
@@ -174,27 +168,23 @@ def picard_solve(model: ModelSpec, config: PicardConfig) -> PicardReport:
 
     Convergence is declared when the sign-agreement fraction stays above
     1 - tol on two consecutive iterations and the cost moves by less than
-    rel_j_tol relatively. Non-convergence is reported, not raised. The
+    REL_J_TOL relatively. Non-convergence is reported, not raised. The
     damping factor halves whenever the agreement drops between iterations.
     """
     k = model.k
     grid = build_time_grid(model.T, config.n_steps)
 
     def make_rule(policy: DriftPolicy) -> FilterRule:
-        return FilterRule(policy, n_particles=config.n_particles,
-                          ess_threshold=config.ess_threshold,
-                          seed=config.seed, salt=0)
+        return FilterRule(policy, config.n_particles, config.seed,
+                          ess_threshold=config.ess_threshold)
 
     if k == 0.0:
         pol = zero_policy()
         rule = make_rule(pol)
-        cost = evaluate_cost(model, rule, pol, config.n_paths,
-                             config.n_particles, config.seed,
-                             grid=grid)
+        cost = evaluate_cost(model, rule, pol, config.n_paths, config.seed, grid)
         return PicardReport(
             iterations=(PicardIteration(1, cost.J, 1.0, config.damping),),
-            converged=True, final_policy=pol, final_rule=rule,
-            final_u_digest=rule.digest(), final_cost=cost)
+            converged=True, final_policy=pol, final_rule=rule, final_cost=cost)
 
     theta = zero_policy()
     prev_target = zero_policy()
@@ -220,7 +210,7 @@ def picard_solve(model: ModelSpec, config: PicardConfig) -> PicardReport:
         iters.append(PicardIteration(it, J_it, agree, gamma))
 
         j_settled = prev_j is not None and \
-            abs(J_it - prev_j) <= config.rel_j_tol * max(abs(prev_j), 1e-12)
+            abs(J_it - prev_j) <= REL_J_TOL * max(abs(prev_j), 1e-12)
         if agree >= 1.0 - config.tol and prev_agree >= 1.0 - config.tol and j_settled:
             converged = True
             break
@@ -232,11 +222,9 @@ def picard_solve(model: ModelSpec, config: PicardConfig) -> PicardReport:
         prev_j = J_it
 
     rule = make_rule(theta)
-    cost = evaluate_cost(model, rule, theta, config.n_paths,
-                         config.n_particles, config.seed, grid=grid)
+    cost = evaluate_cost(model, rule, theta, config.n_paths, config.seed, grid)
     return PicardReport(iterations=tuple(iters), converged=converged,
-                        final_policy=theta, final_rule=rule,
-                        final_u_digest=rule.digest(), final_cost=cost)
+                        final_policy=theta, final_rule=rule, final_cost=cost)
 
 
 @dataclass(frozen=True)
@@ -251,20 +239,21 @@ class MinimaxReport:
 
 
 def minimax_gap(model: ModelSpec, control_grid: Sequence[ControlRule],
-                theta_grid: Sequence[DriftPolicy], n_paths: int,
-                n_particles: int, seed: int, n_steps: int = 50) -> MinimaxReport:
+                theta_grid: Sequence[DriftPolicy], n_paths: int, seed: int,
+                n_steps: int = 50) -> MinimaxReport:
     """min over controls of the max over policies, and the reverse, on one
     common-random-number cost matrix. On any single matrix
-    min-of-row-maxima >= max-of-column-minima holds exactly."""
+    min-of-row-maxima >= max-of-column-minima holds exactly. Each policy's
+    paths are simulated once and every control is costed on them."""
     if not control_grid or not theta_grid:
         raise InvalidArgumentError("both grids must be nonempty")
     grid = build_time_grid(model.T, n_steps)
     J = np.empty((len(control_grid), len(theta_grid)))
     se = np.empty_like(J)
-    for i, rule in enumerate(control_grid):
-        for j, pol in enumerate(theta_grid):
-            rep = evaluate_cost(model, rule, pol, n_paths, n_particles, seed,
-                                grid=grid)
+    for j, pol in enumerate(theta_grid):
+        bundle = _q_paths(model, pol, grid, n_paths, seed)
+        for i, rule in enumerate(control_grid):
+            rep = _cost_report(model, bundle, rule.evaluate(model, grid, bundle.Y))
             J[i, j], se[i, j] = rep.J, rep.se
     row_sup = J.max(axis=1)
     col_min = J.min(axis=0)
@@ -285,16 +274,17 @@ class SaddleProbe:
 
 
 def random_probe_policies(k: float, horizon: float, n_probes: int,
-                          seed: int, n_buckets: int = 4) -> list[DriftPolicy]:
-    """Random admissible piecewise-constant-in-time policies in [-k, k]."""
+                          seed: int) -> list[DriftPolicy]:
+    """Random admissible policies in [-k, k], constant on each of four equal
+    time buckets."""
     gen = substream(seed, role=9, index=0)
-    return [time_table_policy(gen.uniform(-k, k, size=n_buckets), horizon, radius=k)
+    return [time_table_policy(gen.uniform(-k, k, size=4), horizon, radius=k)
             for _ in range(n_probes)]
 
 
 def saddle_probes(model: ModelSpec, report: PicardReport, n_policy_probes: int,
-                  deltas: Sequence[float], n_paths: int, n_particles: int,
-                  seed: int, n_steps: int = 50) -> list[SaddleProbe]:
+                  deltas: Sequence[float], n_paths: int, seed: int,
+                  n_steps: int = 50) -> list[SaddleProbe]:
     """Cost probes around the computed pair (u*, theta*): random admissible
     adversaries against u*, and clamped constant shifts of u* against
     theta*. Common random numbers throughout, so paired differences against
@@ -304,14 +294,13 @@ def saddle_probes(model: ModelSpec, report: PicardReport, n_policy_probes: int,
     grid = build_time_grid(model.T, n_steps)
     bundle = simulate_bundle(model, report.final_policy, grid, n_paths, seed,
                              measure="Q")
-    u_star = report.final_rule.evaluate(model, grid, bundle.Y,
-                                        n_particles=n_particles, seed=seed)
+    u_star = report.final_rule.evaluate(model, grid, bundle.Y)
     out = [SaddleProbe("saddle", "ustar_thetastar", _cost_report(model, bundle, u_star))]
     for i, pol in enumerate(random_probe_policies(model.k, model.T,
                                                   n_policy_probes, seed)):
         out.append(SaddleProbe("policy_probe", f"theta_{i}",
                                evaluate_cost(model, report.final_rule, pol,
-                                             n_paths, n_particles, seed, grid=grid)))
+                                             n_paths, seed, grid)))
     for d in deltas:
         shifted = clamp_control(u_star + d, model.f_sup)
         out.append(SaddleProbe("control_shift", f"delta_{d:+g}",

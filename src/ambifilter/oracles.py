@@ -9,7 +9,7 @@ maximum of direct cost evaluations over a finite policy family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -59,15 +59,16 @@ def riccati_path(spec: LinearGaussianSpec, grid: TimeGrid,
     return R
 
 
-def kalman_bucy(spec: LinearGaussianSpec, Y: np.ndarray, grid: TimeGrid,
-                R0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def kalman_bucy(spec: LinearGaussianSpec, Y: np.ndarray,
+                grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     """Conditional mean and variance paths for one (or a bank of) observation
-    paths. The mean uses an exponential one-step integrator with the
-    mid-step Riccati gain, exact for frozen coefficients within a step."""
+    paths, from the known initial state (zero initial variance). The mean
+    uses an exponential one-step integrator with the mid-step Riccati gain,
+    exact for frozen coefficients within a step."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if Y.shape[1] != grid.n_steps + 1:
         raise ShapeError("Y and grid are not aligned")
-    R = riccati_path(spec, grid, R0)
+    R = riccati_path(spec, grid)
     mean = np.empty_like(Y)
     mean[:, 0] = spec.x0
     dt = grid.dt
@@ -88,13 +89,9 @@ class KalmanControlRule(ControlRule):
     def __init__(self, spec: LinearGaussianSpec):
         self.spec = spec
 
-    def evaluate(self, model: ModelSpec, grid: TimeGrid, Y: np.ndarray,
-                 n_particles=None, seed: int = 0) -> np.ndarray:
+    def evaluate(self, model: ModelSpec, grid: TimeGrid, Y: np.ndarray) -> np.ndarray:
         mean, _ = kalman_bucy(self.spec, Y, grid)
         return np.atleast_2d(mean)
-
-    def digest(self) -> str:
-        return f"kalman({self.spec.a!r},{self.spec.sigma!r},{self.spec.c!r})"
 
 
 @dataclass(frozen=True)
@@ -124,16 +121,16 @@ class FiniteSignalSpec:
 
 
 def make_finite_surrogate(model: ModelSpec, n_states: int, x_lo: float,
-                          x_hi: float, theta: float = 0.0) -> FiniteSignalSpec:
-    """Central finite differences of the generator on a uniform state grid
-    with reflecting boundaries; falls back to upwind differencing for the
-    drift wherever central rates would go negative."""
+                          x_hi: float) -> FiniteSignalSpec:
+    """Central finite differences of the base-measure generator on a uniform
+    state grid with reflecting boundaries; falls back to upwind differencing
+    for the drift wherever central rates would go negative."""
     if n_states < 2:
         raise InvalidArgumentError("need at least two states")
     xs = np.linspace(x_lo, x_hi, n_states)
     dx = xs[1] - xs[0]
     Q = np.zeros((n_states, n_states))
-    adv = model.b.value(xs) + model.sigma.value(xs) * theta
+    adv = model.b.value(xs)
     dif = 0.5 * np.asarray(model.sigma.value(xs)) ** 2
     for i in range(n_states):
         right = dif[i] / dx**2 + adv[i] / (2 * dx)
@@ -175,11 +172,11 @@ def finite_signal_estimates(spec: FiniteSignalSpec, masses: np.ndarray) -> np.nd
 
 
 def simulate_finite_signal(spec: FiniteSignalSpec, grid: TimeGrid, seed: int,
-                           x0: float, salt: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                           x0: float) -> tuple[np.ndarray, np.ndarray]:
     """One chain trajectory (state indices) and a consistent observation path
     dY = h(X) dt + dB."""
     trans_cum = np.cumsum(expm(spec.rate_matrix * grid.dt), axis=1)
-    gen = substream(seed, ROLE_MARKOV, salt, extra=1)
+    gen = substream(seed, ROLE_MARKOV, 0, extra=1)
     idx = np.empty(grid.n_steps + 1, dtype=np.intp)
     idx[0] = int(np.argmin(np.abs(spec.states - x0)))
     Y = np.empty(grid.n_steps + 1)
@@ -216,14 +213,13 @@ class GridSupReport:
         return self.reports[i].se
 
 
-def sign_pattern_family(k: float, n_buckets: int, horizon: float,
-                        levels: Sequence[float] = (-1.0, 0.0, 1.0)) -> list[DriftPolicy]:
+def sign_pattern_family(k: float, n_buckets: int, horizon: float) -> list[DriftPolicy]:
     """All piecewise-constant-in-time policies over n_buckets equal buckets
-    with values k * levels; the worst-case drift is bang-bang, so sign
+    with values in {-k, 0, +k}; the worst-case drift is bang-bang, so sign
     patterns are the natural brute-force family."""
     if k == 0.0:
         return [zero_policy()]
-    vals = [k * lv for lv in levels]
+    vals = [k * lv for lv in (-1.0, 0.0, 1.0)]
     fams: list[DriftPolicy] = []
     idx = np.indices([len(vals)] * n_buckets).reshape(n_buckets, -1).T
     for pattern in idx:
@@ -233,16 +229,14 @@ def sign_pattern_family(k: float, n_buckets: int, horizon: float,
 
 def grid_sup_cost(model: ModelSpec, u_rule: ControlRule,
                   theta_family: Sequence[DriftPolicy], n_paths: int, seed: int,
-                  n_steps: int = 50, n_particles: int = 300,
-                  grid: Optional[TimeGrid] = None) -> GridSupReport:
+                  grid: TimeGrid) -> GridSupReport:
     """Exhaustive worst case over a finite policy family with common random
     numbers: every member is costed on the same underlying noise."""
     if not theta_family:
         raise InvalidArgumentError("theta_family must be nonempty")
     reports = []
     for pol in theta_family:
-        reports.append(evaluate_cost(model, u_rule, pol, n_paths, n_particles,
-                                     seed, n_steps=n_steps, grid=grid))
+        reports.append(evaluate_cost(model, u_rule, pol, n_paths, seed, grid))
     js = [r.J for r in reports]
     best = int(np.argmax(js))
     return GridSupReport(J_worst=float(js[best]), argmax_policy=theta_family[best],

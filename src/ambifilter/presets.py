@@ -9,8 +9,9 @@ numeric parameters rather than arbitrary callables:
     sine(a, b, c, d)    -> a*sin(b*x + c) + d
     identity()          -> x   (alias of linear(0, 1))
 
-Each preset knows its derivative, a sup-norm bound, and whether it satisfies
-the boundedness requirements needed by the solver modules. Unbounded presets
+Each preset knows its derivative, a sup-norm bound, its exact infimum over R
+(which the model checks sigma against), and whether it satisfies the
+boundedness requirements needed by the solver modules. Unbounded presets
 (linear sensor, identity target) are permitted only for validation against
 closed-form references.
 """
@@ -78,6 +79,21 @@ class CoefPreset:
         if self.code == CODE_LINEAR:
             return abs(p[0]) if p[1] == 0.0 else math.inf
         return abs(p[0]) + abs(p[3])
+
+    @property
+    def inf(self) -> float:
+        """Exact infimum over all of R; -inf for a sloped linear preset and
+        NaN when a parameter is NaN."""
+        p = self.params
+        if any(math.isnan(v) for v in p):
+            return math.nan
+        if self.code == CODE_CONSTANT:
+            return p[0]
+        if self.code == CODE_LINEAR:
+            return p[0] if p[1] == 0.0 else -math.inf
+        if p[1] == 0.0:  # no dependence on x
+            return float(self.value(0.0))
+        return p[3] - abs(p[0])
 
 
 _REGISTRY = {

@@ -94,11 +94,10 @@ def test_criterion_3_worst_case_bsde_vs_brute_force():
     n_paths, seed = 2000, 31
     rule = ConstantRule(0.0)
     bundle = simulate_bundle(TANH, zero_policy(), grid, n_paths, seed, measure="P")
-    u = rule.evaluate(TANH, grid, bundle.Y, seed=seed)
+    u = rule.evaluate(TANH, grid, bundle.Y)
     sol = solve_worst_value(bundle, u, TANH, RegressionBasis("poly_xu", 3))
     family = sign_pattern_family(TANH.k, 3, TANH.T)
-    sup = grid_sup_cost(TANH, rule, family, n_paths, seed, n_particles=250,
-                        grid=grid)
+    sup = grid_sup_cost(TANH, rule, family, n_paths, seed, grid)
     rel = abs(sol.y0 - sup.J_worst) / sup.J_worst
     wall = time.monotonic() - t0
     criterion(3, "worst-case BSDE vs 27-policy brute force",
@@ -113,7 +112,7 @@ def test_criterion_4_monotone_in_ambiguity(picard_ladder):
     grid = build_time_grid(TANH.T, 50)
     rule = ConstantRule(0.0)
     bundle = simulate_bundle(TANH, zero_policy(), grid, 2000, 31, measure="P")
-    u = rule.evaluate(TANH, grid, bundle.Y, seed=31)
+    u = rule.evaluate(TANH, grid, bundle.Y)
     y0s = [solve_worst_value(bundle, u, replace(TANH, k=k),
                              RegressionBasis("poly_xu", 3)).y0 for k in ks]
     picard_js = [picard_ladder[k].final_cost.J for k in ks]
@@ -174,7 +173,7 @@ def test_criterion_6_minimax_gap():
                 time_table_policy([k], T, k), time_table_policy([-k], T, k),
                 time_table_policy([k, -k], T, k), time_table_policy([-k, k], T, k)]
     rules = [FilterRule(p, n_particles=200, seed=7) for p in policies]
-    rep = minimax_gap(TANH, rules, policies, 500, 200, 7, n_steps=50)
+    rep = minimax_gap(TANH, rules, policies, 500, 7, n_steps=50)
     se_at = rep.se[rep.argmin_control, rep.argmax_policy]
     hard_ok = rep.sup_min <= rep.min_sup + 3 * se_at
     soft_ok = rep.gap <= 0.10 * rep.min_sup
@@ -191,7 +190,7 @@ def test_criterion_7_saddle_point_probes(picard_ladder):
     rep = picard_ladder[0.25]
     probes = saddle_probes(TANH, rep, n_policy_probes=10,
                            deltas=(0.05, -0.05, 0.1, -0.1),
-                           n_paths=500, n_particles=150, seed=99, n_steps=50)
+                           n_paths=500, seed=99, n_steps=50)
     saddle = probes[0].report
     bad = []
     for p in probes[1:]:

@@ -137,12 +137,11 @@ class TestWorstValue:
         from ambifilter.oracles import grid_sup_cost, sign_pattern_family
         rule = FilterRule(zero_policy(), n_particles=120, seed=44)
         bundle = p_paths(tanh_model, grid50, 600, 44)
-        u = rule.evaluate(tanh_model, grid50, bundle.Y, seed=44)
+        u = rule.evaluate(tanh_model, grid50, bundle.Y)
         sol = solve_worst_value(bundle, u, tanh_model,
                                 RegressionBasis("poly_xu", 3))
         fam = sign_pattern_family(tanh_model.k, 2, tanh_model.T)
-        sup = grid_sup_cost(tanh_model, rule, fam, 600, 44, grid=grid50,
-                            n_particles=120)
+        sup = grid_sup_cost(tanh_model, rule, fam, 600, 44, grid50)
         assert sol.y0 >= sup.J_worst - 3 * sup.se_worst  # sup over a subset
         assert abs(sol.y0 - sup.J_worst) / sup.J_worst <= 0.15
 

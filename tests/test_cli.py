@@ -108,6 +108,7 @@ class TestLoadConfig:
         ("worst_case.k_grid = 0.0,0.25", "worst_case.k_grid = -0.1"),
         ("worst_case.k_grid = 0.0,0.25", "worst_case.k_grid = 0.1,inf"),
         ("model.sigma = constant(0.5)", "model.sigma = constant(nan)"),
+        ("model.sigma = constant(0.5)", "model.sigma = tanh(1.0, 0.01, 0.0, 0.5)"),
     ])
     def test_out_of_domain_value_names_line(self, tmp_path, old, new):
         text = TANH_CONF.replace(old, new)
@@ -118,6 +119,7 @@ class TestLoadConfig:
             load_config(p)
         (problem,) = err.value.problems
         assert problem.startswith(f"line {lineno}: {new.split(' = ')[0]}: ")
+        assert main(["simulate", "--config", str(p), "--out-dir", str(tmp_path)]) == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -40,7 +40,7 @@ class TestEvaluateCost:
                       h=make_coef("tanh", 1.0), f=make_coef("constant", 1.7),
                       x0=0.0, T=1.0, k=0.25)
         rep = evaluate_cost(m, ConstantRule(1.7), constant_policy(0.25), 100,
-                            32, 5, grid=grid50)
+                            5, grid50)
         assert rep.J == 0.0 and rep.se == 0.0
 
     def test_zero_control_constant_target(self, grid50):
@@ -48,29 +48,27 @@ class TestEvaluateCost:
                       h=make_coef("tanh", 1.0), f=make_coef("constant", 1.7),
                       x0=0.0, T=1.0, k=0.25)
         for theta in (zero_policy(), constant_policy(0.25)):
-            rep = evaluate_cost(m, ConstantRule(0.0), theta, 100, 32, 5,
-                                grid=grid50)
+            rep = evaluate_cost(m, ConstantRule(0.0), theta, 100, 5, grid50)
             assert rep.J == pytest.approx(1.7 ** 2 * 1.0, rel=1e-12)
 
     def test_kalman_rule_matches_riccati_integral(self, linear_model):
         grid = build_time_grid(1.0, 100)
         spec = LinearGaussianSpec(a=0.0, sigma=1.0, c=1.0, x0=0.0, T=1.0)
         rep = evaluate_cost(linear_model, KalmanControlRule(spec),
-                            zero_policy(), 2000, 2, 6, grid=grid)
+                            zero_policy(), 2000, 6, grid)
         target = float(np.log(np.cosh(1.0)))  # integral of tanh(t) on [0,1]
         assert rep.J == pytest.approx(target, rel=0.05)
 
     def test_inadmissible_adversary(self, tanh_model, grid50):
         with pytest.raises(InvalidArgumentError):
             evaluate_cost(tanh_model, ConstantRule(0.0),
-                          constant_policy(0.5, radius=0.5), 50, 8, 1,
-                          grid=grid50)
+                          constant_policy(0.5, radius=0.5), 50, 1, grid50)
 
     def test_deterministic(self, tanh_model, grid50):
         args = (tanh_model, FilterRule(zero_policy(), n_particles=32, seed=9),
-                constant_policy(0.2), 60, 32, 9)
-        a = evaluate_cost(*args, grid=grid50)
-        b = evaluate_cost(*args, grid=grid50)
+                constant_policy(0.2), 60, 9, grid50)
+        a = evaluate_cost(*args)
+        b = evaluate_cost(*args)
         assert a.J == b.J and np.array_equal(a.per_path, b.per_path)
 
 
@@ -124,7 +122,7 @@ class TestPicard:
         rep = picard_solve(m, cfg)
         grid = build_time_grid(m.T, 20)
         bundle = simulate_bundle(m, zero_policy(), grid, 1, 77, measure="P")
-        via_rule = rep.final_rule.evaluate(m, grid, bundle.Y[:1], seed=cfg.seed)
+        via_rule = rep.final_rule.evaluate(m, grid, bundle.Y[:1])
         direct = run_filter(m, zero_policy(), bundle.Y[0], 64, seed=cfg.seed,
                             salt=0).u
         np.testing.assert_array_equal(via_rule[0], direct)
@@ -140,7 +138,7 @@ class TestPicard:
         assert rep.converged
         fam = sign_pattern_family(tanh_model.k, 2, tanh_model.T)
         sup = grid_sup_cost(tanh_model, rep.final_rule, fam, 600, 99,
-                            n_particles=150, n_steps=50)
+                            build_time_grid(tanh_model.T, 50))
         assert rep.final_cost.J >= sup.J_worst - 3 * sup.se_worst
         assert abs(rep.final_cost.J - sup.J_worst) / sup.J_worst <= 0.10
 
@@ -155,7 +153,7 @@ class TestPicard:
         grid = build_time_grid(tanh_model.T, 50)
         bundle = simulate_bundle(tanh_model, zero_policy(), grid, 800, 36,
                                  measure="P")
-        u = rep.final_rule.evaluate(tanh_model, grid, bundle.Y, seed=99)
+        u = rep.final_rule.evaluate(tanh_model, grid, bundle.Y)
         sol = solve_worst_value(bundle, u, tanh_model,
                                 RegressionBasis("poly_xu", 3))
         J_star = rep.final_cost.J
@@ -191,7 +189,7 @@ class TestPicard:
 class TestMinimaxGap:
     def test_singletons(self, tanh_model, grid50):
         rep = minimax_gap(tanh_model, [ConstantRule(0.0)], [zero_policy()],
-                          100, 16, 41, n_steps=grid50.n_steps)
+                          100, 41, n_steps=grid50.n_steps)
         assert rep.min_sup == rep.sup_min
         assert rep.gap == 0.0
 
@@ -199,7 +197,7 @@ class TestMinimaxGap:
         m = replace(tanh_model, k=0.0)
         rules = [ConstantRule(0.0), ConstantRule(0.3),
                  FilterRule(zero_policy(), n_particles=32, seed=42)]
-        rep = minimax_gap(m, rules, [zero_policy()], 100, 32, 42, n_steps=20)
+        rep = minimax_gap(m, rules, [zero_policy()], 100, 42, n_steps=20)
         assert rep.gap == 0.0
 
     def test_weak_duality_random_grids(self, tanh_model):
@@ -207,24 +205,44 @@ class TestMinimaxGap:
         policies = [zero_policy(), constant_policy(k),
                     constant_policy(-k), time_table_policy([k, -k], 1.0, k)]
         rules = [ConstantRule(v) for v in (-0.3, 0.0, 0.4)]
-        rep = minimax_gap(tanh_model, rules, policies, 150, 16, 43, n_steps=20)
+        rep = minimax_gap(tanh_model, rules, policies, 150, 43, n_steps=20)
         assert rep.min_sup >= rep.sup_min  # exact on a single matrix
         assert rep.J.shape == (3, 4)
 
+    def test_policy_major_cells_match_evaluate_cost(self, tanh_model, monkeypatch):
+        from ambifilter import minimax
+        k, T = tanh_model.k, tanh_model.T
+        grid = build_time_grid(T, 20)
+        rules = [FilterRule(zero_policy(), n_particles=32, seed=44), ConstantRule(0.3)]
+        policies = [zero_policy(), time_table_policy([k], T, k),
+                    time_table_policy([-k], T, k)]
+        expected = [[evaluate_cost(tanh_model, r, p, 80, 44, grid) for p in policies]
+                    for r in rules]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return simulate_bundle(*args, **kwargs)
+
+        monkeypatch.setattr(minimax, "simulate_bundle", counting)
+        rep = minimax_gap(tanh_model, rules, policies, 80, 44, n_steps=20)
+        assert calls == policies  # one simulation per policy
+        for i, row in enumerate(expected):
+            for j, cell in enumerate(row):
+                assert rep.J[i, j] == cell.J and rep.se[i, j] == cell.se
+
     def test_empty_grid_rejected(self, tanh_model):
         with pytest.raises(InvalidArgumentError):
-            minimax_gap(tanh_model, [], [zero_policy()], 10, 8, 1)
+            minimax_gap(tanh_model, [], [zero_policy()], 10, 1)
 
 
 class TestSaddleProbes:
     def test_control_shift_costs_clamped_control(self, tanh_model):
         theta = constant_policy(0.2)
         report = PicardReport(iterations=(), converged=True, final_policy=theta,
-                              final_rule=ConstantRule(0.9), final_u_digest="",
-                              final_cost=None)
+                              final_rule=ConstantRule(0.9), final_cost=None)
         probes = saddle_probes(tanh_model, report, n_policy_probes=0,
-                               deltas=(0.5, -0.3), n_paths=40, n_particles=8,
-                               seed=3, n_steps=10)
+                               deltas=(0.5, -0.3), n_paths=40, seed=3, n_steps=10)
         assert [p.kind for p in probes] == ["saddle", "control_shift", "control_shift"]
         grid = build_time_grid(tanh_model.T, 10)
         bundle = simulate_bundle(tanh_model, theta, grid, 40, 3, measure="Q")

@@ -363,9 +363,31 @@ class TestModelSpecValidation:
         with pytest.raises(InvalidArgumentError):
             model_of(CONST, make_coef("linear", 0.0, 1.0), CONST, CONST)
 
+    @pytest.mark.parametrize("sigma", [
+        make_coef("tanh", 1.0, 0.01, 0.0, 0.5),   # negative below x ~ -55
+        make_coef("sine", 1.0, 0.02, 0.0, 0.5),   # negative on (-131, -26)
+        make_coef("linear", 13.0, -1.0),          # negative above x = 13
+    ])
+    def test_sigma_negative_far_from_origin(self, sigma):
+        with pytest.raises(InvalidArgumentError):
+            model_of(CONST, sigma, CONST, CONST)
+
+    @pytest.mark.parametrize("coef,inf", [
+        (make_coef("constant", -0.3), -0.3),
+        (make_coef("linear", 0.4, 0.0), 0.4),
+        (make_coef("linear", 0.4, -2.0), -np.inf),
+        (make_coef("tanh", -1.0, 2.0, 0.5, 1.5), 0.5),
+        (make_coef("sine", 0.5, 3.0, 0.0, 0.25), -0.25),
+        (make_coef("tanh", 1.0, 0.0, 0.5, 1.0), np.tanh(0.5) + 1.0),
+        (make_coef("sine", 2.0, 0.0, 0.5, 0.0), 2.0 * np.sin(0.5)),
+    ])
+    def test_preset_infimum(self, coef, inf):
+        assert coef.inf == inf
+
     @pytest.mark.parametrize("kwargs", [
         {"k": np.nan}, {"k": np.inf}, {"T": np.nan}, {"T": np.inf},
         {"sigma": make_coef("constant", np.nan)},
+        {"sigma": make_coef("tanh", 1.0, 1.0, np.nan, 2.0)},
     ])
     def test_non_finite_values_rejected(self, kwargs):
         args = {"b": CONST, "sigma": make_coef("constant", 0.5), "h": CONST,

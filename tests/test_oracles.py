@@ -97,10 +97,8 @@ class TestFiniteSignal:
 class TestGridSupCost:
     def test_singleton_equals_direct(self, tanh_model, grid50):
         rule = ConstantRule(0.0)
-        rep = evaluate_cost(tanh_model, rule, zero_policy(), 300, 50, 7,
-                            grid=grid50)
-        sup = grid_sup_cost(tanh_model, rule, [zero_policy()], 300, 7,
-                            grid=grid50, n_particles=50)
+        rep = evaluate_cost(tanh_model, rule, zero_policy(), 300, 7, grid50)
+        sup = grid_sup_cost(tanh_model, rule, [zero_policy()], 300, 7, grid50)
         assert sup.J_worst == rep.J
 
     def test_theta_free_integrand(self, grid50):
@@ -109,8 +107,7 @@ class TestGridSupCost:
                       h=make_coef("tanh", 1.0), f=make_coef("constant", 1.4),
                       x0=0.0, T=1.0, k=0.3)
         fam = [constant_policy(v, radius=0.3) for v in (-0.3, 0.0, 0.3)]
-        sup = grid_sup_cost(m, ConstantRule(0.0), fam, 200, 7, grid=grid50,
-                            n_particles=50)
+        sup = grid_sup_cost(m, ConstantRule(0.0), fam, 200, 7, grid50)
         for r in sup.reports:
             assert r.J == pytest.approx(1.4 ** 2, rel=1e-12)
         assert sup.J_worst == pytest.approx(1.4 ** 2, rel=1e-12)
@@ -119,16 +116,14 @@ class TestGridSupCost:
         rule = ConstantRule(0.0)
         small = sign_pattern_family(0.25, 1, 1.0)
         large = sign_pattern_family(0.25, 2, 1.0)
-        s1 = grid_sup_cost(tanh_model, rule, small, 250, 11, grid=grid50,
-                           n_particles=50)
-        s2 = grid_sup_cost(tanh_model, rule, large + small, 250, 11,
-                           grid=grid50, n_particles=50)
+        s1 = grid_sup_cost(tanh_model, rule, small, 250, 11, grid50)
+        s2 = grid_sup_cost(tanh_model, rule, large + small, 250, 11, grid50)
         assert s2.J_worst >= s1.J_worst
 
     def test_family_sizes(self):
         assert len(sign_pattern_family(0.25, 3, 1.0)) == 27
         assert len(sign_pattern_family(0.0, 3, 1.0)) == 1
 
-    def test_empty_family_rejected(self, tanh_model):
+    def test_empty_family_rejected(self, tanh_model, grid50):
         with pytest.raises(InvalidArgumentError):
-            grid_sup_cost(tanh_model, ConstantRule(0.0), [], 100, 1)
+            grid_sup_cost(tanh_model, ConstantRule(0.0), [], 100, 1, grid50)
