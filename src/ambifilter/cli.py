@@ -76,6 +76,7 @@ class RunManifest:
     seed: int
     version: str
     wall_clock_s: float
+    cpu_clock_s: float    # process CPU over all threads; >> wall when BLAS workers spin
     artifacts: tuple[dict, ...]
     status: str
     error: Optional[str] = None
@@ -89,6 +90,7 @@ class RunManifest:
             "seed": self.seed,
             "version": self.version,
             "wall_clock_s": self.wall_clock_s,
+            "cpu_clock_s": self.cpu_clock_s,
             "artifacts": list(self.artifacts),
             "status": self.status,
             "error": self.error,
@@ -482,7 +484,7 @@ def run_subcommand(cmd: str, config: ExperimentConfig,
     if run_dir is None:
         run_dir = Path(config.out_dir) / f"{config.label}-{cmd}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.monotonic()
+    t0, cpu0 = time.monotonic(), time.process_time()
     artifacts: list[dict] = []
     extras: dict = {}
     status, error = "ok", None
@@ -500,6 +502,7 @@ def run_subcommand(cmd: str, config: ExperimentConfig,
         manifest = RunManifest(command=cmd, config_digest=config.digest,
                                seed=config.seed, version=__version__,
                                wall_clock_s=time.monotonic() - t0,
+                               cpu_clock_s=time.process_time() - cpu0,
                                artifacts=tuple(artifacts), status=status,
                                error=error, extras=extras,
                                fp_warnings=_fp_warnings(caught))

@@ -16,16 +16,25 @@ is identical, so the design collapses to the intercept and the projection is
 the plain mean, as it should be).
 
 One regression step is factored once: `fit_ridge` standardizes the design,
-runs a pivoted QR and builds the ridge Gram matrix, and every right-hand side
-of the step is then fitted with a k x k solve. A fitted regression is a weight
-vector on the raw monomial design: `fit_ridge` maps the standardized
-coefficients back (scale 1/sd, intercept shift -mu/sd, zero weight for
-dropped columns), so `predict` is one `F @ w` and no consumer sees the
-standardization. The condition number is read from R, which has the singular
-values of the kept design, so the tall matrix sees one LAPACK only: numpy and
-scipy each load their own OpenBLAS, and a scipy QR followed by a numpy SVD of
-one tall matrix made each fit about ten times slower under the default BLAS
-threads.
+reads its rank and condition number from a pivoted QR and builds the ridge
+Gram matrix, and every right-hand side of the step is then fitted with a
+k x k solve. A fitted regression is a weight vector on the raw monomial
+design: `fit_ridge` maps the standardized coefficients back (scale 1/sd,
+intercept shift -mu/sd, zero weight for dropped columns), so `predict` is one
+`F @ w` and no consumer sees the standardization.
+
+The pivoted R comes from LAPACK calls of at most 8192 elements each
+(`QR_BLOCK_ELEMENTS`). A taller design is cut into row blocks; each block is
+reduced to its unpivoted R, and the pivoted QR runs on the stack of those R's,
+which has the same D.T @ D (the tall-skinny QR of Demmel, Grigori, Hoemmen and
+Langou). numpy and scipy each load their own OpenBLAS, and the one scipy
+loads threads a Householder update once the panel passes 8192 elements; its
+worker then spins between fits. A 2000 x 6 design, one Picard adjoint step,
+made that worker burn 46% of the process's CPU over a Picard solve without
+making the fit faster. No other per-fit work reaches scipy's OpenBLAS, and
+the condition number is read from R, so the tall matrix never meets an SVD:
+a scipy QR followed by a numpy SVD of one tall matrix made each fit about ten
+times slower under the default BLAS threads.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from itertools import product
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import qr, svdvals
+from scipy.linalg import get_lapack_funcs, svdvals
 
 from .errors import IllConditionedBasisError, InvalidArgumentError
 
@@ -48,6 +57,16 @@ FEATURE_MAPS = {
 }
 
 COND_LIMIT = 1e12
+
+# Largest LAPACK call of the rank/condition factorization, in elements. Each
+# Householder step of a QR applies one rank-1 update to the trailing
+# m x (k - 1) panel, and scipy's OpenBLAS threads that update once the panel
+# passes 8192 elements. Measured with geqrf and geqp3 on a 2-vCPU host, its
+# worker stays idle at 1638 x 6, 1170 x 8 and 910 x 10 and wakes at 1639 x 6,
+# 1172 x 8 and 911 x 10. Bounding the whole call by 8192 keeps a column spare.
+QR_BLOCK_ELEMENTS = 8192
+
+_geqrf, _geqp3 = get_lapack_funcs(("geqrf", "geqp3"), dtype=np.float64)
 
 
 @lru_cache(maxsize=None)
@@ -163,7 +182,7 @@ def fit_ridge(F: np.ndarray, lam: float) -> RidgeProjection:
     keep = np.arange(k)
     cond = 1.0
     if k > 1:
-        _, R, piv = qr(D, mode="raw", pivoting=True)  # R and pivots; Q is never formed
+        R, piv = _pivoted_r(D)
         diag = np.abs(np.diag(R))
         rank = int((diag > diag[0] * 1e-10).sum()) if diag[0] > 0 else 1
         keep = np.sort(piv[:rank])
@@ -179,6 +198,22 @@ def fit_ridge(F: np.ndarray, lam: float) -> RidgeProjection:
         penalty[0, 0] = 0.0  # never shrink the intercept
     gram = D.T @ D + penalty
     return RidgeProjection(D=D, gram=gram, to_raw=to_raw[:, keep])
+
+
+def _pivoted_r(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R and 0-based column pivots of a pivoted QR of D; Q is never formed.
+
+    Row blocks of D are replaced by their unpivoted R until the stack fits
+    in one block. Blocks of at least 2k rows keep that loop finite when k^2
+    exceeds QR_BLOCK_ELEMENTS / 2 (k > 64), at the price of larger calls.
+    """
+    k = D.shape[1]
+    rows = max(QR_BLOCK_ELEMENTS // k, 2 * k)
+    while D.shape[0] > rows:
+        D = np.vstack([np.triu(_geqrf(D[i:i + rows])[0][:k])
+                       for i in range(0, D.shape[0], rows)])
+    qr, jpvt = _geqp3(D)[:2]
+    return np.triu(qr[:k]), jpvt - 1
 
 
 def check_basis_size(basis: RegressionBasis, n_paths: int) -> None:

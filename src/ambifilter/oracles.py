@@ -17,7 +17,7 @@ from scipy.linalg import expm
 from .errors import InvalidArgumentError, ShapeError
 from .filtering import FilterEstimatePath, run_filter_finite
 from .minimax import ControlRule, CostReport, evaluate_cost
-from .model import ModelSpec, TimeGrid, ROLE_MARKOV, substream
+from .model import ModelSpec, TimeGrid, ROLE_CHAIN, substream
 from .policies import DriftPolicy, time_table_policy, zero_policy
 
 
@@ -176,7 +176,7 @@ def simulate_finite_signal(spec: FiniteSignalSpec, grid: TimeGrid, seed: int,
     """One chain trajectory (state indices) and a consistent observation path
     dY = h(X) dt + dB."""
     trans_cum = np.cumsum(expm(spec.rate_matrix * grid.dt), axis=1)
-    gen = substream(seed, ROLE_MARKOV, 0, extra=1)
+    gen = substream(seed, ROLE_CHAIN)
     idx = np.empty(grid.n_steps + 1, dtype=np.intp)
     idx[0] = int(np.argmin(np.abs(spec.states - x0)))
     Y = np.empty(grid.n_steps + 1)

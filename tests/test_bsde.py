@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from scipy.linalg import qr
 
 from ambifilter.bsde import (gateaux_adjoint, gateaux_fd, solve_adjoint,
                              solve_worst_value, weighted_cost_qtilde)
@@ -82,21 +83,81 @@ class TestFeatures:
         assert np.array_equal(sol.y_tables[-1].predict(F), np.zeros(400))
 
     def test_condition_limit_read_from_r(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=500)
-        basis = RegressionBasis("poly_xu", 1)
-        correlated = basis.design({"x": x, "u": x + 1e-4 * rng.normal(size=500)})
-        S = correlated[:, 1:]
-        cond = np.linalg.cond(np.column_stack([np.ones(500),
-                                               (S - S.mean(0)) / S.std(0)]))
-        assert cond > 1e3
-        well = basis.design({"x": x, "u": rng.normal(size=500)})
-        monkeypatch.setattr(features, "COND_LIMIT", 0.99 * cond)
-        with pytest.raises(IllConditionedBasisError):
+        for n in (500, 3000):  # 3000 rows are factored in row blocks
+            rng = np.random.default_rng(5)
+            x = rng.normal(size=n)
+            basis = RegressionBasis("poly_xu", 1)
+            correlated = basis.design({"x": x, "u": x + 1e-4 * rng.normal(size=n)})
+            S = correlated[:, 1:]
+            cond = np.linalg.cond(np.column_stack([np.ones(n),
+                                                   (S - S.mean(0)) / S.std(0)]))
+            assert cond > 1e3
+            well = basis.design({"x": x, "u": rng.normal(size=n)})
+            monkeypatch.setattr(features, "COND_LIMIT", 0.99 * cond)
+            with pytest.raises(IllConditionedBasisError):
+                fit_ridge(correlated, 1e-6)
+            fit_ridge(well, 1e-6)
+            monkeypatch.setattr(features, "COND_LIMIT", 1.01 * cond)
             fit_ridge(correlated, 1e-6)
-        fit_ridge(well, 1e-6)
-        monkeypatch.setattr(features, "COND_LIMIT", 1.01 * cond)
-        fit_ridge(correlated, 1e-6)
+
+    def test_factorization_calls_stay_below_block(self, monkeypatch):
+        # above QR_BLOCK_ELEMENTS scipy's OpenBLAS wakes a worker thread
+        shapes = []
+        for name in ("_geqrf", "_geqp3"):
+            def spy(a, *args, _real=getattr(features, name), **kw):
+                shapes.append(np.shape(a))
+                return _real(a, *args, **kw)
+            monkeypatch.setattr(features, name, spy)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=2000)
+        for basis, values in (
+                (RegressionBasis("poly_xm", 2), {"x": x, "m": np.exp(rng.normal(size=2000))}),
+                (RegressionBasis("poly_xu", 3), {"x": x[:1000], "u": np.tanh(x[1000:])})):
+            fit_ridge(basis.design(values), 1e-5)
+        assert shapes
+        assert all(r * c <= 8192 for r, c in shapes), shapes
+
+    @pytest.mark.parametrize("n", [features.QR_BLOCK_ELEMENTS // 6,
+                                   features.QR_BLOCK_ELEMENTS // 6 + 1, 3000])
+    def test_blocked_factorization_matches_direct(self, monkeypatch, n):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=n)
+        basis = RegressionBasis("poly_xu", 2)  # 6 columns
+        y = np.sin(x) + rng.normal(size=n)
+        cases = [("full rank", rng.normal(size=n))]
+        if n == 3000:
+            cases.append(("u = x", x))
+        for label, u in cases:
+            F = basis.design({"x": x, "u": u})
+            blocked = fit_ridge(F, 1e-8 * n)
+            with monkeypatch.context() as m:
+                m.setattr(features, "_pivoted_r",
+                          lambda D: qr(D, mode="raw", pivoting=True)[1:])
+                direct = fit_ridge(F, 1e-8 * n)
+            assert blocked.D.shape == direct.D.shape, label  # same rank
+            if label == "full rank":
+                assert blocked.D.shape[1] == 6
+                R, piv = features._pivoted_r(blocked.D)
+                _, R0, piv0 = qr(blocked.D, mode="raw", pivoting=True)
+                assert np.array_equal(piv, piv0)
+                np.testing.assert_allclose(np.abs(R), np.abs(R0), rtol=1e-9,
+                                           atol=1e-12 * abs(R0[0, 0]))
+                assert np.array_equal(blocked.to_raw, direct.to_raw)  # same columns
+                assert np.array_equal(blocked.fit(y).w, direct.fit(y).w)
+            else:
+                # which of the equal columns is kept is a floating-point tie
+                assert blocked.D.shape[1] == 3  # 1, x, x^2
+                np.testing.assert_allclose(blocked.fit(y).predict(F),
+                                           direct.fit(y).predict(F), rtol=1e-9)
+
+    def test_wide_design_blocks_terminate(self):
+        # 70 columns: 8192 // 70 rows per block would not shrink the stack
+        D = np.random.default_rng(10).normal(size=(1500, 70))
+        R, piv = features._pivoted_r(D)
+        _, R0, piv0 = qr(D, mode="raw", pivoting=True)
+        assert np.array_equal(piv, piv0)
+        np.testing.assert_allclose(np.abs(R), np.abs(R0), rtol=1e-9,
+                                   atol=1e-12 * abs(R0[0, 0]))
 
 
 class TestWorstValue:

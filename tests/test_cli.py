@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -151,6 +152,7 @@ class TestSubcommands:
         assert header == "t,X,Y,u,pi_h,nu,ess"
         manifest = json.loads((tmp_path / "flt" / "manifest.json").read_text())
         assert manifest["status"] == "ok" and manifest["artifacts"]
+        assert math.isfinite(manifest["cpu_clock_s"]) and manifest["cpu_clock_s"] >= 0
 
     def test_worst_case_schema(self, tanh_conf, tmp_path):
         cfg = load_config(tanh_conf)
@@ -210,6 +212,7 @@ class TestSubcommands:
         manifest = json.loads((tmp_path / "fail" / "manifest.json").read_text())
         assert manifest["status"] == "error"
         assert "IllConditionedBasis" in manifest["error"]
+        assert math.isfinite(manifest["cpu_clock_s"]) and manifest["cpu_clock_s"] >= 0
 
     def test_foreign_exception_recorded_in_manifest(self, tanh_conf, tmp_path,
                                                     monkeypatch):
@@ -299,11 +302,15 @@ class TestDeterminism:
                     assert f1.read_bytes() == f3.read_bytes()
 
     def test_worst_case_identical_across_blas_threads(self, tanh_conf, tmp_path):
-        # Every regression is past OpenBLAS's threading threshold (rows x
-        # columns >= ~10^4), so the two runs take different BLAS code paths:
-        # 1000 paths x 10 poly_xu features in worst-case, 2000 paths x 6
-        # poly_xm features in the picard adjoint (few steps and iterations
-        # keep it short; three iterations end in the non-convergence exit)
+        # The regression designs are past OpenBLAS's threading threshold
+        # (rows x columns > 8192): 1000 paths x 10 poly_xu features in
+        # worst-case, 2000 paths x 6 poly_xm features in the picard adjoint.
+        # fit_ridge factors them in row blocks below that threshold, so the
+        # QR no longer changes code path with the thread count; the products
+        # on the full designs and the filter banks still run under both
+        # settings, and the CSV bytes must not depend on them (few steps and
+        # iterations keep it short; three iterations end in the
+        # non-convergence exit)
         runs = {
             "worst-case": ((("grid.n_steps = 20", "grid.n_steps = 8"),
                             ("mc.n_paths = 120", "mc.n_paths = 1000"),

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ambifilter.errors import InvalidArgumentError
+from ambifilter import filtering, oracles
 from ambifilter.minimax import ConstantRule, evaluate_cost
-from ambifilter.model import ModelSpec, build_time_grid
+from ambifilter.model import ModelSpec, build_time_grid, substream
 from ambifilter.oracles import (FiniteSignalSpec, LinearGaussianSpec,
                                 finite_signal_estimates, finite_signal_filter,
                                 grid_sup_cost, kalman_bucy,
@@ -85,6 +86,23 @@ class TestFiniteSignal:
         rho1_exact = masses.sum(axis=1)
         rel = np.abs(np.exp(fp.log_mass) - rho1_exact) / rho1_exact
         assert np.mean(rel) <= 0.02
+
+    def test_chain_and_filter_draw_distinct_streams(self, monkeypatch):
+        # the oracle-check path feeds one seed to both the chain and the filter
+        keys = {}
+        for module in (oracles, filtering):
+            def spy(*args, _real=module.substream, _name=module.__name__, **kw):
+                keys.setdefault(_name, []).append((args, kw))
+                return _real(*args, **kw)
+            monkeypatch.setattr(module, "substream", spy)
+        spec = self._spec()
+        grid = build_time_grid(1.0, 10)
+        _, Y = simulate_finite_signal(spec, grid, seed=777, x0=0.8)
+        particle_filter_on_surrogate(spec, Y, grid, 50, seed=777, x0=0.8)
+        (chain_args, chain_kw), = keys["ambifilter.oracles"]
+        filter_args, filter_kw = keys["ambifilter.filtering"][1]  # step j = 1
+        assert not np.array_equal(substream(*chain_args, **chain_kw).random(8),
+                                  substream(*filter_args, **filter_kw).random(8))
 
     def test_bad_rate_matrix_rejected(self):
         states = np.linspace(0, 1, 3)
