@@ -53,8 +53,6 @@ NESTED_FILTER_SALT = 104729
 class BsdeSolution:
     y0: float
     y_tables: tuple[FrozenRegression, ...]   # per step; terminal entry is zero
-    grid: TimeGrid
-    basis: RegressionBasis
     y_mean_path: np.ndarray                  # E[y_t] per grid time, diagnostics
 
 
@@ -126,8 +124,8 @@ def solve_worst_value(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
         y_mean[j] = y.mean()
     if not np.isfinite(y).all():
         raise NumericalError("worst-case value is not finite (the k|z| driver overflowed)")
-    return BsdeSolution(y0=float(y.mean()), y_tables=tuple(y_tabs), grid=grid,
-                        basis=basis, y_mean_path=y_mean)
+    return BsdeSolution(y0=float(y.mean()), y_tables=tuple(y_tabs),
+                        y_mean_path=y_mean)
 
 
 def _adjoint_driver(variant: str, bprime, sprime, hprime, fprime, hval, fval,

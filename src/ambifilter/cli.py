@@ -100,20 +100,6 @@ class RunManifest:
         return json.dumps(body, indent=2, sort_keys=True)
 
 
-_KNOWN_KEYS = (
-    "model.b", "model.sigma", "model.h", "model.f", "model.x0", "model.T",
-    "model.k",
-    "grid.n_steps",
-    "mc.n_paths", "mc.n_particles", "mc.seed", "mc.ess_threshold",
-    "bsde.degree", "bsde.ridge_lambda",
-    "picard.max_iters", "picard.damping", "picard.tol",
-    "worst_case.k_grid", "worst_case.rule_particles",
-    "output.dir", "output.label",
-)
-
-_REQUIRED = ("model.b", "model.sigma", "model.h", "model.f")
-
-
 def _parse_preset(raw: str) -> CoefPreset:
     m = _PRESET_RE.match(raw.strip())
     if not m:
@@ -125,6 +111,82 @@ def _parse_preset(raw: str) -> CoefPreset:
     if not all(math.isfinite(v) for v in params):
         raise InvalidArgumentError(f"preset parameters must be finite, got {raw!r}")
     return make_coef(name, *params)
+
+
+def _int_at_least(name, lo=1):
+    def conv(s):
+        v = int(s)
+        if v < lo:
+            raise ValueError(f"out of range: {name} must be >= {lo}, got {v}")
+        return v
+    return conv
+
+
+def _float_in(name, lo, hi):
+    def conv(s):
+        v = float(s)
+        if not (math.isfinite(v) and lo <= v <= hi):
+            raise ValueError(f"out of range: {name} must be finite and in "
+                             f"[{lo}, {hi}], got {v}")
+        return v
+    return conv
+
+
+def _radius_list(s):
+    ks = tuple(float(tok) for tok in s.split(","))
+    if not all(math.isfinite(v) and v >= 0 for v in ks):
+        raise ValueError("out of range: worst_case.k_grid entries must be "
+                         f"finite and >= 0, got {list(ks)}")
+    return ks
+
+
+def _ridge_lambda(s):
+    return None if s == "auto" else _float_in("bsde.ridge_lambda", 0.0, math.inf)(s)
+
+
+# config key -> (field, converter). model.* keys fill ModelSpec fields, the
+# rest ExperimentConfig fields; an absent key keeps the field's default.
+_SETTINGS = {
+    "model.b": ("b", _parse_preset),
+    "model.sigma": ("sigma", _parse_preset),
+    "model.h": ("h", _parse_preset),
+    "model.f": ("f", _parse_preset),
+    "model.x0": ("x0", float),
+    "model.T": ("T", _float_in("model.T", 1e-9, math.inf)),
+    "model.k": ("k", _float_in("model.k", 0.0, math.inf)),
+    "grid.n_steps": ("n_steps", _int_at_least("grid.n_steps")),
+    "mc.n_paths": ("n_paths", _int_at_least("mc.n_paths")),
+    "mc.n_particles": ("n_particles", _int_at_least("mc.n_particles", lo=2)),
+    "mc.seed": ("seed", _int_at_least("mc.seed", lo=0)),
+    "mc.ess_threshold": ("ess_threshold", _float_in("mc.ess_threshold", 0.0, 1.0)),
+    "bsde.degree": ("bsde_degree", _int_at_least("bsde.degree")),
+    "bsde.ridge_lambda": ("ridge_lambda", _ridge_lambda),
+    "picard.max_iters": ("picard_max_iters", _int_at_least("picard.max_iters")),
+    "picard.damping": ("picard_damping", _float_in("picard.damping", 1e-9, 1.0)),
+    "picard.tol": ("picard_tol", _float_in("picard.tol", 0.0, 1.0)),
+    "worst_case.k_grid": ("k_grid", _radius_list),
+    "worst_case.rule_particles": ("rule_particles",
+                                  _int_at_least("worst_case.rule_particles", lo=2)),
+    "output.dir": ("out_dir", str),
+    "output.label": ("label", str),
+}
+_MODEL_DEFAULTS = {"x0": 0.0, "T": 1.0, "k": 0.0}
+_REQUIRED = ("model.b", "model.sigma", "model.h", "model.f")
+
+
+def _convert(values: dict, where, problems: list[str]) -> tuple[dict, dict]:
+    """Run each present key's converter; returns (ModelSpec fields,
+    ExperimentConfig fields) and appends `where(key): message` per failure."""
+    model_kw: dict = {}
+    config_kw: dict = {}
+    for key, (name, conv) in _SETTINGS.items():
+        if key not in values:
+            continue
+        try:
+            (model_kw if key.startswith("model.") else config_kw)[name] = conv(values[key])
+        except (ValueError, InvalidArgumentError) as exc:
+            problems.append(f"{where(key)}: {exc}")
+    return model_kw, config_kw
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -150,8 +212,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             continue
         key, _, val = stripped.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _KNOWN_KEYS:
-            hint = difflib.get_close_matches(key, _KNOWN_KEYS, n=1)
+        if key not in _SETTINGS:
+            hint = difflib.get_close_matches(key, _SETTINGS, n=1)
             suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
             problems.append(f"line {lineno}: unknown key {key!r}{suffix}")
             continue
@@ -164,69 +226,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for key in _REQUIRED:
         if key not in values:
             problems.append(f"missing required key {key!r}")
-
-    def take(key: str, default, conv):
-        if key not in values:
-            return default
-        try:
-            return conv(values[key])
-        except (ValueError, InvalidArgumentError) as exc:
-            problems.append(f"line {lines[key]}: {key}: {exc}")
-            return default
-
-    def positive_int(name, lo=1):
-        def conv(s):
-            v = int(s)
-            if v < lo:
-                raise ValueError(f"out of range: {name} must be >= {lo}, got {v}")
-            return v
-        return conv
-
-    def bounded_float(name, lo, hi):
-        def conv(s):
-            v = float(s)
-            if not (math.isfinite(v) and lo <= v <= hi):
-                raise ValueError(f"out of range: {name} must be finite and in "
-                                 f"[{lo}, {hi}], got {v}")
-            return v
-        return conv
-
-    def radius_list(s):
-        ks = tuple(float(tok) for tok in s.split(","))
-        if not all(math.isfinite(v) and v >= 0 for v in ks):
-            raise ValueError("out of range: worst_case.k_grid entries must be "
-                             f"finite and >= 0, got {list(ks)}")
-        return ks
-
-    presets = {key: take(key, None, _parse_preset) for key in _REQUIRED}
-
-    x0 = take("model.x0", 0.0, float)
-    T = take("model.T", 1.0, bounded_float("model.T", 1e-9, np.inf))
-    k = take("model.k", 0.0, bounded_float("model.k", 0.0, np.inf))
-    n_steps = take("grid.n_steps", 50, positive_int("grid.n_steps"))
-    n_paths = take("mc.n_paths", 2000, positive_int("mc.n_paths"))
-    n_particles = take("mc.n_particles", 500, positive_int("mc.n_particles", lo=2))
-    seed = take("mc.seed", 12345, int)
-    ess = take("mc.ess_threshold", 0.5, bounded_float("mc.ess_threshold", 0.0, 1.0))
-    degree = take("bsde.degree", 3, positive_int("bsde.degree"))
-    ridge = take("bsde.ridge_lambda", None,
-                 lambda s: None if s == "auto" else
-                 bounded_float("bsde.ridge_lambda", 0.0, math.inf)(s))
-    max_iters = take("picard.max_iters", 20, positive_int("picard.max_iters"))
-    damping = take("picard.damping", 0.5, bounded_float("picard.damping", 1e-9, 1.0))
-    tol = take("picard.tol", 0.02, bounded_float("picard.tol", 0.0, 1.0))
-    k_grid = take("worst_case.k_grid", (0.0, 0.1, 0.25, 0.5), radius_list)
-    rule_particles = take("worst_case.rule_particles", 250,
-                          positive_int("worst_case.rule_particles", lo=2))
-    out_dir = take("output.dir", "runs", str)
-    label = take("output.label", "run", str)
+    model_kw, config_kw = _convert(values, lambda key: f"line {lines[key]}: {key}",
+                                   problems)
 
     model = None
     if not problems:  # every required preset is present and parsed
         try:
-            model = ModelSpec(b=presets["model.b"], sigma=presets["model.sigma"],
-                              h=presets["model.h"], f=presets["model.f"],
-                              x0=x0, T=T, k=k)
+            model = ModelSpec(**{**_MODEL_DEFAULTS, **model_kw})
         except InvalidArgumentError as exc:
             # T and k are range-checked above, so only sigma can fail here
             problems.append(f"line {lines['model.sigma']}: model.sigma: {exc}")
@@ -237,36 +243,26 @@ def load_config(path: str | Path) -> ExperimentConfig:
     digest = hashlib.sha256(
         "\n".join(f"{k2}={v2}" for k2, v2 in sorted(values.items())).encode()
     ).hexdigest()[:16]
-    return ExperimentConfig(model=model, n_steps=n_steps, n_paths=n_paths,
-                            n_particles=n_particles, seed=seed,
-                            ess_threshold=ess, bsde_degree=degree,
-                            ridge_lambda=ridge, picard_max_iters=max_iters,
-                            picard_damping=damping, picard_tol=tol,
-                            k_grid=k_grid, rule_particles=rule_particles,
-                            out_dir=out_dir, label=label, digest=digest)
+    return ExperimentConfig(model=model, digest=digest, **config_kw)
 
 
 def apply_overrides(config: ExperimentConfig, seed=None, k=None, n_paths=None,
                     n_particles=None, out_dir=None) -> ExperimentConfig:
-    """The whitelisted command-line overrides."""
-    updates = {}
-    if seed is not None:
-        updates["seed"] = int(seed)
-    if k is not None:
-        if not (math.isfinite(k) and k >= 0):
-            raise ConfigError([f"out of range: model.k must be finite and >= 0, got {k}"])
-        updates["model"] = replace(config.model, k=float(k))
-    if n_paths is not None:
-        if n_paths < 1:
-            raise ConfigError([f"out of range: mc.n_paths must be >= 1, got {n_paths}"])
-        updates["n_paths"] = int(n_paths)
-    if n_particles is not None:
-        if n_particles < 2:
-            raise ConfigError([f"out of range: mc.n_particles must be >= 2, got {n_particles}"])
-        updates["n_particles"] = int(n_particles)
-    if out_dir is not None:
-        updates["out_dir"] = str(out_dir)
-    return replace(config, **updates) if updates else config
+    """The whitelisted command-line overrides, each checked by the converter
+    of its config key."""
+    flags = {"mc.seed": ("--seed", seed), "model.k": ("--k", k),
+             "mc.n_paths": ("--n-paths", n_paths),
+             "mc.n_particles": ("--n-particles", n_particles),
+             "output.dir": ("--out-dir", out_dir)}
+    problems: list[str] = []
+    model_kw, config_kw = _convert(
+        {key: value for key, (_, value) in flags.items() if value is not None},
+        lambda key: flags[key][0], problems)
+    if problems:
+        raise ConfigError(problems)
+    if model_kw:
+        config_kw["model"] = replace(config.model, **model_kw)
+    return replace(config, **config_kw)
 
 
 def _fmt(v) -> str:

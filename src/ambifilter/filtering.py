@@ -13,6 +13,11 @@ A bank of independent clouds (one per outer observation path) is the hot path
 of the whole package. Everything is vectorized over (cloud, particle) arrays;
 randomness comes from per-step numpy substreams so the output at time t never
 depends on observations after t.
+
+One loop (`_run_clouds`) weights, estimates and resamples for every signal,
+which supplies only its mutation: an Euler step for the diffusion bank, a
+transition-matrix draw for the finite-state filter. So the exact finite-state
+recursion in `oracles` checks the step the diffusion filter runs.
 """
 
 from __future__ import annotations
@@ -29,25 +34,20 @@ from .policies import DriftPolicy
 
 
 @dataclass(frozen=True)
-class FilterEstimatePath:
-    grid: TimeGrid
-    u: np.ndarray              # estimate of f(X_t), one per grid time
-    pi_h: np.ndarray           # normalized filter applied to h
-    ess: np.ndarray
-    resample_flags: np.ndarray
-    log_mass: np.ndarray       # log rho_t(1) per grid time
-
-
-@dataclass(frozen=True)
 class BankResult:
     """Per-path filter outputs over a bank of observation paths; every field
-    has shape (n_paths, n_steps + 1)."""
+    has shape (n_paths, n_steps + 1), or (n_steps + 1,) in a `row` view."""
 
-    u: np.ndarray
-    pi_h: np.ndarray
+    u: np.ndarray              # estimate of f(X_t)
+    pi_h: np.ndarray           # normalized filter applied to h
     ess: np.ndarray
-    flags: np.ndarray
-    log_mass: np.ndarray
+    flags: np.ndarray          # 1 where the cloud was resampled
+    log_mass: np.ndarray       # log rho_t(1)
+
+    def row(self, i: int) -> BankResult:
+        """Path i's outputs, each of shape (n_steps + 1,)."""
+        return BankResult(self.u[i], self.pi_h[i], self.ess[i], self.flags[i],
+                          self.log_mass[i])
 
 
 def _check_filter_args(n_particles: int, ess_threshold: float) -> None:
@@ -96,33 +96,44 @@ def _reduce_and_resample(pos, logw, logm, w, hv, fv, mx, resample_u, ess_frac):
     return u, pih, ess, logmass, flags
 
 
-def _step_arrays(model: ModelSpec, policy: DriftPolicy, pos, logw, logm,
-                 t: float, dY, dt: float, normals, unif, ess_frac: float):
-    """One filter step over a bank of clouds, arrays mutated in place.
+def _run_clouds(mutate, pos: np.ndarray, dY: np.ndarray, dt: float,
+                u0: float, pih0: float, ess_frac: float) -> BankResult:
+    """The filter loop shared by every signal, over a bank of clouds. Step j
+    calls mutate(j, pos, logm), which moves the (n_paths, n_particles) states
+    pos in place and returns h and f at the new states and one resampling
+    offset per cloud. The loop applies the exact exponential weight update
+    with h at the new states, then the fused estimate/resample pass."""
+    m, n = pos.shape
+    n_steps = dY.shape[1]
+    dY_cols = np.ascontiguousarray(dY.T)
+    logw = np.full((m, n), -np.log(n))
+    logm = np.zeros((m, n))
 
-    Euler mutation under the theta-perturbed drift, exact exponential weight
-    update with h at the post-mutation position, then the fused
-    estimate/resample pass. Returns (u, pi_h, ess, logmass, flags).
-    """
-    theta = policy.evaluate(t, pos, np.exp(logm) if policy.needs_m else None)
-    sig = model.sigma.params[0] if model.sigma.name == "constant" else model.sigma.value(pos)
-    bv = model.b.params[0] if model.b.name == "constant" else model.b.value(pos)
-    pos += (bv + sig * theta) * dt + (sig * np.sqrt(dt)) * normals
-    hv = model.h.value(pos)
-    fv = hv if model.f == model.h else model.f.value(pos)
-    incr = hv * dY[:, None] - (0.5 * dt) * hv * hv
-    logw += incr
-    logm += incr
+    u = np.empty((m, n_steps + 1))
+    pih = np.empty((m, n_steps + 1))
+    ess = np.empty((m, n_steps + 1))
+    flags = np.zeros((m, n_steps + 1), dtype=np.uint8)
+    log_mass = np.zeros((m, n_steps + 1))
+    u[:, 0], pih[:, 0], ess[:, 0] = u0, pih0, n
 
-    mx = logw.max(axis=1)
-    w = np.exp(logw - np.where(np.isfinite(mx), mx, 0.0)[:, None])
-    u, pih, ess, logmass, flags = _reduce_and_resample(
-        pos, logw, logm, w, hv, fv, mx, unif, ess_frac)
-    if not np.all(np.isfinite(logmass)):
-        raise DegenerateCloudError(
-            "total particle mass underflowed; all log-weights are -inf"
-        )
-    return u, pih, ess, logmass, flags
+    # A step's arrays stay bound until the next step replaces them. Freeing
+    # them all at the end of each step let the allocator return the memory
+    # and fault it in again: 9x the minor page faults on the picard workload.
+    for j in range(n_steps):
+        hv, fv, resample_u = mutate(j, pos, logm)
+        incr = hv * dY_cols[j][:, None] - (0.5 * dt) * hv * hv
+        logw += incr
+        logm += incr
+        mx = logw.max(axis=1)
+        w = np.exp(logw - np.where(np.isfinite(mx), mx, 0.0)[:, None])
+        (u[:, j + 1], pih[:, j + 1], ess[:, j + 1], log_mass[:, j + 1],
+         flags[:, j + 1]) = _reduce_and_resample(pos, logw, logm, w, hv, fv, mx,
+                                                 resample_u, ess_frac)
+        if not np.all(np.isfinite(log_mass[:, j + 1])):
+            raise DegenerateCloudError(
+                "total particle mass underflowed; all log-weights are -inf"
+            )
+    return BankResult(u=u, pi_h=pih, ess=ess, flags=flags, log_mass=log_mass)
 
 
 def run_filter_bank(model: ModelSpec, policy: DriftPolicy, dY: np.ndarray,
@@ -132,62 +143,45 @@ def run_filter_bank(model: ModelSpec, policy: DriftPolicy, dY: np.ndarray,
 
     dY has shape (n_paths, n_steps). Mutation noise and resampling offsets
     are drawn per step from substreams keyed by (seed, role, salt, step), so
-    the output at time t never depends on observations after t.
+    the output at time t never depends on observations after t. The mutation
+    is an Euler step under the theta-perturbed drift.
     """
     _check_filter_args(n_particles, ess_threshold)
-    dY = np.ascontiguousarray(dY, dtype=float)
+    dY = np.asarray(dY, dtype=float)
     if dY.ndim != 2:
         raise ShapeError("dY must have shape (n_paths, n_steps)")
     if not np.all(np.isfinite(dY)):
         raise DataError("observation increments must be finite")
-    m, n_steps = dY.shape
-    dY_cols = np.ascontiguousarray(dY.T)
-    n = n_particles
-    pos = np.full((m, n), float(model.x0))
-    logw = np.full((m, n), -np.log(n))
-    logm = np.zeros((m, n))
+    m, n = dY.shape[0], n_particles
 
-    u = np.empty((m, n_steps + 1))
-    pih = np.empty((m, n_steps + 1))
-    ess = np.empty((m, n_steps + 1))
-    flags = np.zeros((m, n_steps + 1), dtype=np.uint8)
-    log_mass = np.zeros((m, n_steps + 1))
-    u[:, 0] = float(model.f.value(model.x0))
-    pih[:, 0] = float(model.h.value(model.x0))
-    ess[:, 0] = n
-
-    for j in range(n_steps):
+    def mutate(j, pos, logm):
         normals = substream(seed, ROLE_CLOUD_NORMAL, salt, j).standard_normal((m, n))
         unif = substream(seed, ROLE_CLOUD_UNIFORM, salt, j).random(m)
-        uj, pj, ej, lmj, fj = _step_arrays(model, policy, pos, logw, logm,
-                                           j * dt, dY_cols[j], dt, normals,
-                                           unif, ess_threshold)
-        u[:, j + 1] = uj
-        pih[:, j + 1] = pj
-        ess[:, j + 1] = ej
-        log_mass[:, j + 1] = lmj
-        flags[:, j + 1] = fj
-    return BankResult(u=u, pi_h=pih, ess=ess, flags=flags, log_mass=log_mass)
+        theta = policy.evaluate(j * dt, pos, np.exp(logm) if policy.needs_m else None)
+        sig = model.sigma.params[0] if model.sigma.name == "constant" else model.sigma.value(pos)
+        bv = model.b.params[0] if model.b.name == "constant" else model.b.value(pos)
+        pos += (bv + sig * theta) * dt + (sig * np.sqrt(dt)) * normals
+        hv = model.h.value(pos)
+        fv = hv if model.f == model.h else model.f.value(pos)
+        return hv, fv, unif
+
+    return _run_clouds(mutate, np.full((m, n), float(model.x0)), dY, dt,
+                       float(model.f.value(model.x0)),
+                       float(model.h.value(model.x0)), ess_threshold)
 
 
 def run_filter(model: ModelSpec, policy: DriftPolicy, Y: np.ndarray,
                n_particles: int, seed: int, salt: int = 0,
-               ess_threshold: float = 0.5) -> FilterEstimatePath:
-    """Filter one observation path on the model grid implied by len(Y)."""
+               ess_threshold: float = 0.5) -> BankResult:
+    """Filter one observation path on the model grid implied by len(Y);
+    every field of the result has shape (n_steps + 1,)."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 1 or Y.size < 2:
         raise ShapeError("Y must be a path of at least two grid values")
     n_steps = Y.size - 1
-    dt = model.T / n_steps
-    grid_times = np.linspace(0.0, model.T, n_steps + 1)
-    bank = run_filter_bank(
-        model, policy, np.diff(Y).reshape(1, n_steps), dt, n_particles, seed,
-        salt=salt, ess_threshold=ess_threshold)
-    grid = TimeGrid(n_steps=n_steps, dt=dt, times=grid_times)
-    return FilterEstimatePath(grid=grid, u=bank.u[0], pi_h=bank.pi_h[0],
-                              ess=bank.ess[0],
-                              resample_flags=bank.flags[0].astype(bool),
-                              log_mass=bank.log_mass[0])
+    return run_filter_bank(model, policy, np.diff(Y).reshape(1, n_steps),
+                           model.T / n_steps, n_particles, seed, salt=salt,
+                           ess_threshold=ess_threshold).row(0)
 
 
 def innovation_path(Y: np.ndarray, pi_h: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -206,50 +200,26 @@ def run_filter_finite(states: np.ndarray, transition: np.ndarray,
                       h_values: np.ndarray, f_values: np.ndarray,
                       Y: np.ndarray, grid: TimeGrid, n_particles: int,
                       seed: int, x0: float,
-                      ess_threshold: float = 0.5) -> FilterEstimatePath:
-    """Particle filter for a finite-state signal: mutation samples the
-    one-step transition matrix, weights use the same exponential factor as
-    the diffusion filter. This is the Monte Carlo counterpart of the exact
-    matrix recursion in the oracles module.
+                      ess_threshold: float = 0.5) -> BankResult:
+    """Particle filter for a finite-state signal: the diffusion filter's loop
+    with a mutation that samples the one-step transition matrix. This is the
+    Monte Carlo counterpart of the exact matrix recursion in the oracles
+    module; every field of the result has shape (n_steps + 1,).
     """
     _check_filter_args(n_particles, ess_threshold)
-    states = np.asarray(states, dtype=float)
     cum = np.cumsum(np.asarray(transition, dtype=float), axis=1)
     Y = np.asarray(Y, dtype=float)
     if Y.size != grid.n_steps + 1:
         raise ShapeError("Y and grid are not aligned")
-    n = n_particles
-    start = int(np.argmin(np.abs(states - x0)))
-    idx = np.full(n, start, dtype=np.intp)
-    logw = np.full(n, -np.log(n))
+    start = int(np.argmin(np.abs(np.asarray(states, dtype=float) - x0)))
 
-    u = np.empty(grid.n_steps + 1)
-    pih = np.empty(grid.n_steps + 1)
-    ess = np.empty(grid.n_steps + 1)
-    flags = np.zeros(grid.n_steps + 1, dtype=bool)
-    log_mass = np.zeros(grid.n_steps + 1)
-    u[0], pih[0], ess[0] = f_values[start], h_values[start], n
-
-    for j in range(grid.n_steps):
+    def mutate(j, idx, _logm):
         gen = substream(seed, ROLE_MARKOV, 0, j)
-        draw = gen.random(n)
-        rows = cum[idx]
-        idx = (rows <= draw[:, None]).sum(axis=1).astype(np.intp)
-        np.clip(idx, 0, states.size - 1, out=idx)
-        hv = h_values[idx]
-        dY = Y[j + 1] - Y[j]
-        logw = logw + hv * dY - 0.5 * hv * hv * grid.dt
-        mx = logw.max()
-        w = np.exp(logw - mx)
-        wn = w / w.sum()
-        log_mass[j + 1] = mx + np.log(w.sum())
-        u[j + 1] = (wn * f_values[idx]).sum()
-        pih[j + 1] = (wn * hv).sum()
-        e = 1.0 / (wn * wn).sum()
-        ess[j + 1] = e
-        if e < ess_threshold * n:
-            idx = idx[systematic_indices(wn, gen.random(1)[0])]
-            logw = np.full(n, log_mass[j + 1] - np.log(n))
-            flags[j + 1] = True
-    return FilterEstimatePath(grid=grid, u=u, pi_h=pih, ess=ess,
-                              resample_flags=flags, log_mass=log_mass)
+        draw = gen.random(n_particles)
+        moved = (cum[idx[0]] <= draw[:, None]).sum(axis=1)
+        idx[0] = np.minimum(moved, len(states) - 1)
+        return h_values[idx], f_values[idx], gen.random(1)
+
+    return _run_clouds(mutate, np.full((1, n_particles), start, dtype=np.intp),
+                       np.diff(Y).reshape(1, grid.n_steps), grid.dt,
+                       f_values[start], h_values[start], ess_threshold).row(0)

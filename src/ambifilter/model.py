@@ -68,10 +68,6 @@ class TimeGrid:
     dt: float
     times: np.ndarray
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
 
 def build_time_grid(T: float, n_steps: int) -> TimeGrid:
     if not T > 0:
@@ -205,7 +201,7 @@ def simulate_bundle(model: ModelSpec, policy: DriftPolicy, grid: TimeGrid,
         )
     if noise is None:
         noise = _shared_noise(grid, n_paths, seed)
-    elif noise.n_paths != n_paths or noise.n_steps != grid.n_steps:
+    elif (noise.n_paths, noise.n_steps, noise.dt) != (n_paths, grid.n_steps, grid.dt):
         raise ShapeError("supplied noise does not match (n_paths, grid)")
     n = n_paths
     dt = grid.dt

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InvalidArgumentError, ShapeError
-from .filtering import FilterEstimatePath, run_filter_finite
+from .filtering import BankResult, run_filter_finite
 from .minimax import ControlRule, CostReport, evaluate_cost
 from .model import ModelSpec, TimeGrid, ROLE_CHAIN, substream
 from .policies import DriftPolicy, time_table_policy, zero_policy
@@ -192,9 +192,9 @@ def simulate_finite_signal(spec: FiniteSignalSpec, grid: TimeGrid, seed: int,
 def particle_filter_on_surrogate(spec: FiniteSignalSpec, Y: np.ndarray,
                                  grid: TimeGrid, n_particles: int, seed: int,
                                  x0: float,
-                                 ess_threshold: float = 0.5) -> FilterEstimatePath:
-    """The package's particle machinery run on the chain itself, so that it
-    converges to the exact recursion as the particle count grows."""
+                                 ess_threshold: float = 0.5) -> BankResult:
+    """The diffusion filter's loop run on the chain itself (a transition-matrix
+    mutation), so it converges to the exact recursion as particles grow."""
     trans = expm(spec.rate_matrix * grid.dt)
     return run_filter_finite(spec.states, trans, spec.h_values, spec.f_values,
                              Y, grid, n_particles, seed, x0,

@@ -78,8 +78,9 @@ class TestFeatures:
     def test_zero_terminal_table_predicts_zero(self, tanh_model, grid50):
         bundle = p_paths(tanh_model, grid50, 400, 2)
         u = np.zeros_like(bundle.X)
-        sol = solve_worst_value(bundle, u, tanh_model, RegressionBasis("poly_xu", 2))
-        F = sol.basis.design({"x": bundle.X[:, -1], "u": u[:, -1]})
+        basis = RegressionBasis("poly_xu", 2)
+        sol = solve_worst_value(bundle, u, tanh_model, basis)
+        F = basis.design({"x": bundle.X[:, -1], "u": u[:, -1]})
         assert np.array_equal(sol.y_tables[-1].predict(F), np.zeros(400))
 
     def test_condition_limit_read_from_r(self, monkeypatch):
@@ -227,9 +228,9 @@ class TestWorstValue:
 
     def test_terminal_condition(self, tanh_model, grid50):
         bundle = p_paths(tanh_model, grid50, 400, 7)
-        sol = solve_worst_value(bundle, np.zeros_like(bundle.X), tanh_model,
-                                RegressionBasis("poly_xu", 2))
-        F = sol.basis.design({"x": bundle.X[:, -1], "u": np.zeros(400)})
+        basis = RegressionBasis("poly_xu", 2)
+        sol = solve_worst_value(bundle, np.zeros_like(bundle.X), tanh_model, basis)
+        F = basis.design({"x": bundle.X[:, -1], "u": np.zeros(400)})
         assert np.all(sol.y_tables[-1].predict(F) == 0.0)
 
     def test_requires_base_measure(self, tanh_model, grid50):

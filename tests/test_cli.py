@@ -110,6 +110,7 @@ class TestLoadConfig:
         ("worst_case.k_grid = 0.0,0.25", "worst_case.k_grid = 0.1,inf"),
         ("model.sigma = constant(0.5)", "model.sigma = constant(nan)"),
         ("model.sigma = constant(0.5)", "model.sigma = tanh(1.0, 0.01, 0.0, 0.5)"),
+        ("mc.seed = 777", "mc.seed = -1"),
     ])
     def test_out_of_domain_value_names_line(self, tmp_path, old, new):
         text = TANH_CONF.replace(old, new)
@@ -233,6 +234,13 @@ class TestExitCodes:
         p.write_text("model.b = tanh(0.2)\n")
         r = run_cli("filter", "--config", str(p))
         assert r.returncode == 1 and "config error" in r.stderr
+
+    def test_negative_seed_flag_is_1(self, tanh_conf, tmp_path):
+        r = run_cli("filter", "--config", str(tanh_conf), "--seed", "-1",
+                    "--out-dir", str(tmp_path / "o1"))
+        assert r.returncode == 1 and "Traceback" not in r.stderr
+        (line,) = r.stderr.splitlines()
+        assert line.startswith("config error: --seed: ") and "mc.seed" in line
 
     def test_numerical_failure_is_2(self, tanh_conf, tmp_path):
         r = run_cli("worst-case", "--config", str(tanh_conf), "--n-paths", "30",

@@ -214,6 +214,25 @@ class TestRunFilter:
             run_filter(tanh_model, zero_policy(), np.array([0.0]), 16, seed=1)
 
 
+class TestFiniteFilter:
+    def test_frozen_chain_matches_frozen_bank(self, tanh_model, grid50):
+        # neither signal moves, so both filters weight the same point mass
+        # through the same loop
+        m = model_of(CONST0, CONST0, tanh_model.h, tanh_model.f, x0=0.8)
+        states = np.array([0.8, -0.3])
+        bundle = simulate_bundle(tanh_model, zero_policy(), grid50, 1, 27,
+                                 measure="P")
+        Y = bundle.Y[0]
+        chain = run_filter_finite(states, np.eye(2), m.h.value(states),
+                                  m.f.value(states), Y, grid50, 64, seed=28,
+                                  x0=0.8)
+        bank = run_filter_bank(m, zero_policy(), np.diff(Y).reshape(1, -1),
+                               grid50.dt, 64, seed=28)
+        for name in ("u", "pi_h", "ess", "log_mass"):
+            np.testing.assert_array_equal(getattr(chain, name),
+                                          getattr(bank, name)[0], err_msg=name)
+
+
 class TestInnovation:
     def test_zero_sensor(self, grid50):
         Y = np.cumsum(np.r_[0.0, np.full(grid50.n_steps, 0.1)])

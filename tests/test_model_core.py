@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ambifilter.errors import InvalidArgumentError, MissingFeatureError
+from ambifilter.errors import InvalidArgumentError, MissingFeatureError, ShapeError
 from ambifilter.features import FrozenRegression, RegressionBasis, fit_ridge
 from ambifilter.model import (ModelSpec, NoiseBundle, build_time_grid,
                               sample_noise, simulate_bundle)
@@ -108,6 +108,13 @@ class TestSharedNoise:
         np.testing.assert_array_equal(bundle.Y, 0.0)
         after = simulate_bundle(tanh_model, zero_policy(), g, 4, 7)
         assert after.noise is shared
+
+    def test_noise_from_another_grid_rejected(self, tanh_model):
+        # same path and step counts, but increments of variance 1/50 on a
+        # grid whose steps are 2/50 long
+        noise = sample_noise(build_time_grid(1.0, 50), 4, 7)
+        with pytest.raises(ShapeError):
+            paths_on(tanh_model, noise, build_time_grid(2.0, 50))
 
 
 class TestEvolveSignal:

@@ -80,12 +80,17 @@ class TestFiniteSignal:
         _, Y = simulate_finite_signal(spec, grid, seed=101, x0=0.8)
         masses = finite_signal_filter(spec, Y, grid, x0=0.8)
         u_exact = finite_signal_estimates(spec, masses)
-        fp = particle_filter_on_surrogate(spec, Y, grid, 5000, seed=102, x0=0.8)
-        assert np.mean(np.abs(fp.u - u_exact)) <= 0.02
-        # unnormalized masses agree too
         rho1_exact = masses.sum(axis=1)
-        rel = np.abs(np.exp(fp.log_mass) - rho1_exact) / rho1_exact
-        assert np.mean(rel) <= 0.02
+        # ess_threshold 1.0 resamples at every step
+        for ess_threshold in (0.5, 1.0):
+            fp = particle_filter_on_surrogate(spec, Y, grid, 5000, seed=102,
+                                              x0=0.8, ess_threshold=ess_threshold)
+            if ess_threshold == 1.0:
+                assert fp.flags[1:].all()
+            assert np.mean(np.abs(fp.u - u_exact)) <= 0.02
+            # unnormalized masses agree too
+            rel = np.abs(np.exp(fp.log_mass) - rho1_exact) / rho1_exact
+            assert np.mean(rel) <= 0.02
 
     def test_chain_and_filter_draw_distinct_streams(self, monkeypatch):
         # the oracle-check path feeds one seed to both the chain and the filter
