@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import re
+import resource
 import sys
 import time
 import warnings
@@ -77,6 +78,7 @@ class RunManifest:
     version: str
     wall_clock_s: float
     cpu_clock_s: float    # process CPU over all threads; >> wall when BLAS workers spin
+    peak_rss_mb: float    # peak resident memory of the process so far, in MiB
     artifacts: tuple[dict, ...]
     status: str
     error: Optional[str] = None
@@ -91,6 +93,7 @@ class RunManifest:
             "version": self.version,
             "wall_clock_s": self.wall_clock_s,
             "cpu_clock_s": self.cpu_clock_s,
+            "peak_rss_mb": self.peak_rss_mb,
             "artifacts": list(self.artifacts),
             "status": self.status,
             "error": self.error,
@@ -495,10 +498,12 @@ def run_subcommand(cmd: str, config: ExperimentConfig,
         status, error = "error", f"{type(exc).__name__}: {exc}"
         raise
     finally:
+        rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
         manifest = RunManifest(command=cmd, config_digest=config.digest,
                                seed=config.seed, version=__version__,
                                wall_clock_s=time.monotonic() - t0,
                                cpu_clock_s=time.process_time() - cpu0,
+                               peak_rss_mb=rss_kib / 1024,
                                artifacts=tuple(artifacts), status=status,
                                error=error, extras=extras,
                                fp_warnings=_fp_warnings(caught))

@@ -16,25 +16,22 @@ is identical, so the design collapses to the intercept and the projection is
 the plain mean, as it should be).
 
 One regression step is factored once: `fit_ridge` standardizes the design,
-reads its rank and condition number from a pivoted QR and builds the ridge
-Gram matrix, and every right-hand side of the step is then fitted with a
-k x k solve. A fitted regression is a weight vector on the raw monomial
-design: `fit_ridge` maps the standardized coefficients back (scale 1/sd,
-intercept shift -mu/sd, zero weight for dropped columns), so `predict` is one
-`F @ w` and no consumer sees the standardization.
+reads its rank and condition number from its triangular factor R and builds
+the ridge Gram matrix, and every right-hand side of the step is then fitted
+with a k x k solve. A fitted regression is a weight vector on the raw
+monomial design: `fit_ridge` maps the standardized coefficients back (scale
+1/sd, intercept shift -mu/sd, zero weight for dropped columns), so `predict`
+is one `F @ w` and no consumer sees the standardization.
 
-The pivoted R comes from LAPACK calls of at most 8192 elements each
-(`QR_BLOCK_ELEMENTS`). A taller design is cut into row blocks; each block is
-reduced to its unpivoted R, and the pivoted QR runs on the stack of those R's,
-which has the same D.T @ D (the tall-skinny QR of Demmel, Grigori, Hoemmen and
-Langou). numpy and scipy each load their own OpenBLAS, and the one scipy
-loads threads a Householder update once the panel passes 8192 elements; its
-worker then spins between fits. A 2000 x 6 design, one Picard adjoint step,
-made that worker burn 46% of the process's CPU over a Picard solve without
-making the fit faster. No other per-fit work reaches scipy's OpenBLAS, and
-the condition number is read from R, so the tall matrix never meets an SVD:
-a scipy QR followed by a numpy SVD of one tall matrix made each fit about ten
-times slower under the default BLAS threads.
+R comes from numpy QR calls of at most 8192 elements (`QR_BLOCK_ELEMENTS`):
+a taller design is cut into row blocks, each reduced to its R, and the stack
+of R's, which has the same D.T @ D, is reduced again to k x k (the
+tall-skinny QR of Demmel, Grigori, Hoemmen and Langou). Past that size
+numpy's OpenBLAS threads the Householder updates and its worker spins
+between fits: unblocked QRs of 2000 x 6 designs, a Picard adjoint step's
+shape, made it burn as much CPU as the calling thread. The tall design never
+meets an SVD, and a column-pivoted QR of R runs only when the rank rule can
+drop a column.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from itertools import product
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, svdvals
 
 from .errors import IllConditionedBasisError, InvalidArgumentError
 
@@ -60,13 +56,11 @@ COND_LIMIT = 1e12
 
 # Largest LAPACK call of the rank/condition factorization, in elements. Each
 # Householder step of a QR applies one rank-1 update to the trailing
-# m x (k - 1) panel, and scipy's OpenBLAS threads that update once the panel
-# passes 8192 elements. Measured with geqrf and geqp3 on a 2-vCPU host, its
+# m x (k - 1) panel, and numpy's OpenBLAS threads that update once the panel
+# passes 8192 elements. Measured with np.linalg.qr on a 2-vCPU host, its
 # worker stays idle at 1638 x 6, 1170 x 8 and 910 x 10 and wakes at 1639 x 6,
-# 1172 x 8 and 911 x 10. Bounding the whole call by 8192 keeps a column spare.
+# 1171 x 8 and 911 x 10. Bounding the whole call by 8192 keeps a column spare.
 QR_BLOCK_ELEMENTS = 8192
-
-_geqrf, _geqp3 = get_lapack_funcs(("geqrf", "geqp3"), dtype=np.float64)
 
 
 @lru_cache(maxsize=None)
@@ -111,15 +105,17 @@ class RegressionBasis:
             if v not in values:
                 raise InvalidArgumentError(f"feature map needs variable {v!r}")
             cols.append(np.asarray(values[v], dtype=float).ravel())
-        n = cols[0].size
         exps = monomial_exponents(len(cols), self.degree)
-        F = np.empty((n, len(exps)))
+        # each power c**p is computed once; a column multiplies its powers in
+        # variable order, the same float products as building it factor by factor
+        powers = [[None] + [c**p for p in range(1, self.degree + 1)] for c in cols]
+        F = np.empty((cols[0].size, len(exps)))
         for j, e in enumerate(exps):
-            col = np.ones(n)
-            for c, p in zip(cols, e):
+            col = None
+            for pw, p in zip(powers, e):
                 if p:
-                    col = col * c**p
-            F[:, j] = col
+                    col = pw[p] if col is None else col * pw[p]
+            F[:, j] = 1.0 if col is None else col
         return F
 
     def effective_lambda(self, n_paths: int) -> float:
@@ -182,13 +178,21 @@ def fit_ridge(F: np.ndarray, lam: float) -> RidgeProjection:
     keep = np.arange(k)
     cond = 1.0
     if k > 1:
-        R, piv = _pivoted_r(D)
-        diag = np.abs(np.diag(R))
-        rank = int((diag > diag[0] * 1e-10).sum()) if diag[0] > 0 else 1
-        keep = np.sort(piv[:rank])
-        D = D[:, keep]
-        sv = svdvals(R[:rank, :rank])
-        cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
+        R = _triangular_r(D)
+        sv = np.linalg.svd(R, compute_uv=False)
+        # |r_ii| of a pivoted R is >= sigma_min and its r_00 is the largest
+        # column norm, so this keeps every column under the rank rule below;
+        # the factor 2 absorbs the rounding of both factorizations.
+        if len(sv) == k and sv[-1] > 2e-10 * np.sqrt((R * R).sum(axis=0)).max():
+            cond = sv[0] / sv[-1]
+        else:
+            R, piv = _pivoted_qr(R)
+            diag = np.abs(np.diag(R))
+            rank = int((diag > diag[0] * 1e-10).sum()) if diag[0] > 0 else 1
+            keep = np.sort(piv[:rank])
+            D = D[:, keep]
+            sv = np.linalg.svd(R[:rank, :rank], compute_uv=False)
+            cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
     if cond > COND_LIMIT:
         raise IllConditionedBasisError(
             f"design condition number {cond:.3e} exceeds {COND_LIMIT:.0e}"
@@ -200,20 +204,41 @@ def fit_ridge(F: np.ndarray, lam: float) -> RidgeProjection:
     return RidgeProjection(D=D, gram=gram, to_raw=to_raw[:, keep])
 
 
-def _pivoted_r(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """R and 0-based column pivots of a pivoted QR of D; Q is never formed.
-
-    Row blocks of D are replaced by their unpivoted R until the stack fits
-    in one block. Blocks of at least 2k rows keep that loop finite when k^2
-    exceeds QR_BLOCK_ELEMENTS / 2 (k > 64), at the price of larger calls.
-    """
+def _triangular_r(D: np.ndarray) -> np.ndarray:
+    """R of an unpivoted QR of D, at most k x k; Q is never formed. Blocks of
+    at least 2k rows keep the loop finite when k^2 exceeds
+    QR_BLOCK_ELEMENTS / 2 (k > 64), at the price of larger calls."""
     k = D.shape[1]
     rows = max(QR_BLOCK_ELEMENTS // k, 2 * k)
     while D.shape[0] > rows:
-        D = np.vstack([np.triu(_geqrf(D[i:i + rows])[0][:k])
+        D = np.vstack([np.linalg.qr(D[i:i + rows], mode="r")
                        for i in range(0, D.shape[0], rows)])
-    qr, jpvt = _geqp3(D)[:2]
-    return np.triu(qr[:k]), jpvt - 1
+    return np.linalg.qr(D, mode="r")
+
+
+def _pivoted_qr(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column-pivoted Householder QR of a small matrix, as LAPACK's geqp3
+    pivots it: each step takes the remaining column of largest norm (the
+    first on ties) and reflects it to beta e_1 with beta = -sign(a_11) |a|.
+    Returns the triangular factor and the 0-based column pivots."""
+    A = R.copy()
+    m, k = A.shape
+    piv = np.arange(k)
+    for j in range(min(m, k)):
+        p = j + int(np.argmax((A[j:, j:] ** 2).sum(axis=0)))
+        A[:, [j, p]] = A[:, [p, j]]
+        piv[[j, p]] = piv[[p, j]]
+        x = A[j:, j]
+        tail = np.linalg.norm(x[1:])
+        if tail == 0.0:
+            continue
+        beta = -np.copysign(np.hypot(x[0], tail), x[0])
+        v = x / (x[0] - beta)
+        v[0] = 1.0
+        tau = (beta - x[0]) / beta
+        A[j:, j + 1:] -= np.outer(tau * v, v @ A[j:, j + 1:])
+        A[j, j], A[j + 1:, j] = beta, 0.0
+    return A, piv
 
 
 def check_basis_size(basis: RegressionBasis, n_paths: int) -> None:

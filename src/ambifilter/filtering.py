@@ -82,7 +82,7 @@ def _reduce_and_resample(pos, logw, logm, w, hv, fv, mx, resample_u, ess_frac):
     with np.errstate(invalid="ignore", divide="ignore"):
         logmass = np.where(finite, mx + np.log(sw), -np.inf)
         u = np.where(finite, (w * fv).sum(axis=1) / sw, 0.0)
-        pih = np.where(finite, (w * hv).sum(axis=1) / sw, 0.0)
+        pih = u if hv is fv else np.where(finite, (w * hv).sum(axis=1) / sw, 0.0)
         ess = np.where(finite, sw * sw / (w * w).sum(axis=1), 0.0)
 
     flags = np.zeros(m, dtype=np.uint8)

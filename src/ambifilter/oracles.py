@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InvalidArgumentError, ShapeError
 from .filtering import BankResult, run_filter_finite
@@ -148,6 +147,13 @@ def make_finite_surrogate(model: ModelSpec, n_states: int, x_lo: float,
                             f_values=np.asarray(model.f.value(xs), dtype=float))
 
 
+def _transition_matrix(spec: FiniteSignalSpec, grid: TimeGrid) -> np.ndarray:
+    """exp(Q dt); scipy is loaded only when a finite-state oracle runs."""
+    from scipy.linalg import expm
+
+    return expm(spec.rate_matrix * grid.dt)
+
+
 def finite_signal_filter(spec: FiniteSignalSpec, Y: np.ndarray, grid: TimeGrid,
                          x0: float) -> np.ndarray:
     """Exact unnormalized mass recursion: propagate the mass vector by the
@@ -156,7 +162,7 @@ def finite_signal_filter(spec: FiniteSignalSpec, Y: np.ndarray, grid: TimeGrid,
     Y = np.asarray(Y, dtype=float)
     if Y.size != grid.n_steps + 1:
         raise ShapeError("Y and grid are not aligned")
-    trans = expm(spec.rate_matrix * grid.dt)
+    trans = _transition_matrix(spec, grid)
     masses = np.zeros((grid.n_steps + 1, spec.n_states))
     masses[0, int(np.argmin(np.abs(spec.states - x0)))] = 1.0
     for j in range(grid.n_steps):
@@ -175,7 +181,7 @@ def simulate_finite_signal(spec: FiniteSignalSpec, grid: TimeGrid, seed: int,
                            x0: float) -> tuple[np.ndarray, np.ndarray]:
     """One chain trajectory (state indices) and a consistent observation path
     dY = h(X) dt + dB."""
-    trans_cum = np.cumsum(expm(spec.rate_matrix * grid.dt), axis=1)
+    trans_cum = np.cumsum(_transition_matrix(spec, grid), axis=1)
     gen = substream(seed, ROLE_CHAIN)
     idx = np.empty(grid.n_steps + 1, dtype=np.intp)
     idx[0] = int(np.argmin(np.abs(spec.states - x0)))
@@ -195,7 +201,7 @@ def particle_filter_on_surrogate(spec: FiniteSignalSpec, Y: np.ndarray,
                                  ess_threshold: float = 0.5) -> BankResult:
     """The diffusion filter's loop run on the chain itself (a transition-matrix
     mutation), so it converges to the exact recursion as particles grow."""
-    trans = expm(spec.rate_matrix * grid.dt)
+    trans = _transition_matrix(spec, grid)
     return run_filter_finite(spec.states, trans, spec.h_values, spec.f_values,
                              Y, grid, n_particles, seed, x0,
                              ess_threshold=ess_threshold)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from dataclasses import replace
 from scipy.linalg import qr
 
@@ -102,18 +103,19 @@ class TestFeatures:
             fit_ridge(correlated, 1e-6)
 
     def test_factorization_calls_stay_below_block(self, monkeypatch):
-        # above QR_BLOCK_ELEMENTS scipy's OpenBLAS wakes a worker thread
+        # above QR_BLOCK_ELEMENTS numpy's OpenBLAS wakes a worker thread
         shapes = []
-        for name in ("_geqrf", "_geqp3"):
-            def spy(a, *args, _real=getattr(features, name), **kw):
+        for name in ("qr", "svd"):
+            def spy(a, *args, _real=getattr(np.linalg, name), **kw):
                 shapes.append(np.shape(a))
                 return _real(a, *args, **kw)
-            monkeypatch.setattr(features, name, spy)
+            monkeypatch.setattr(np.linalg, name, spy)
         rng = np.random.default_rng(8)
         x = rng.normal(size=2000)
         for basis, values in (
                 (RegressionBasis("poly_xm", 2), {"x": x, "m": np.exp(rng.normal(size=2000))}),
-                (RegressionBasis("poly_xu", 3), {"x": x[:1000], "u": np.tanh(x[1000:])})):
+                (RegressionBasis("poly_xu", 3), {"x": x[:1000], "u": np.tanh(x[1000:])}),
+                (RegressionBasis("poly_xu", 2), {"x": x, "u": x})):  # rank deficient
             fit_ridge(basis.design(values), 1e-5)
         assert shapes
         assert all(r * c <= 8192 for r, c in shapes), shapes
@@ -132,13 +134,12 @@ class TestFeatures:
             F = basis.design({"x": x, "u": u})
             blocked = fit_ridge(F, 1e-8 * n)
             with monkeypatch.context() as m:
-                m.setattr(features, "_pivoted_r",
-                          lambda D: qr(D, mode="raw", pivoting=True)[1:])
+                m.setattr(features, "_triangular_r", lambda D: np.linalg.qr(D, mode="r"))
                 direct = fit_ridge(F, 1e-8 * n)
             assert blocked.D.shape == direct.D.shape, label  # same rank
             if label == "full rank":
                 assert blocked.D.shape[1] == 6
-                R, piv = features._pivoted_r(blocked.D)
+                R, piv = features._pivoted_qr(features._triangular_r(blocked.D))
                 _, R0, piv0 = qr(blocked.D, mode="raw", pivoting=True)
                 assert np.array_equal(piv, piv0)
                 np.testing.assert_allclose(np.abs(R), np.abs(R0), rtol=1e-9,
@@ -154,11 +155,89 @@ class TestFeatures:
     def test_wide_design_blocks_terminate(self):
         # 70 columns: 8192 // 70 rows per block would not shrink the stack
         D = np.random.default_rng(10).normal(size=(1500, 70))
-        R, piv = features._pivoted_r(D)
+        R, piv = features._pivoted_qr(features._triangular_r(D))
         _, R0, piv0 = qr(D, mode="raw", pivoting=True)
         assert np.array_equal(piv, piv0)
         np.testing.assert_allclose(np.abs(R), np.abs(R0), rtol=1e-9,
                                    atol=1e-12 * abs(R0[0, 0]))
+
+    def test_rank_rule_matches_scipy_pivoted_qr(self, monkeypatch):
+        # Reference: scipy's pivoted QR of the whole standardized design under
+        # the same rank rule. Standardized columns all have norm sqrt(n), so
+        # which of two dependent columns a pivoted QR keeps is a floating-point
+        # tie; columns are compared by the variable they were built from.
+        loops = []
+        real = features._pivoted_qr
+        monkeypatch.setattr(features, "_pivoted_qr",
+                            lambda R: loops.append(1) or real(R))
+        ran = {"shortcut": 0, "loop": 0}
+
+        def reference(F):
+            mu, sd = F.mean(axis=0), F.std(axis=0)
+            cols = np.flatnonzero(sd > 1e-12)
+            cols = cols[cols > 0]
+            D = np.column_stack([np.ones(len(F)), (F[:, cols] - mu[cols]) / sd[cols]])
+            R, piv = qr(D, mode="r", pivoting=True)
+            diag = np.abs(np.diag(R))
+            rank = int((diag > diag[0] * 1e-10).sum())
+            sv = np.linalg.svd(R[:rank, :rank], compute_uv=False)
+            return np.concatenate([[0], cols])[np.sort(piv[:rank])], sv[0] / sv[-1]
+
+        @example(seed=0, n=400, n_free=2, dups=[], eps_exp=-2.0)         # full rank
+        @example(seed=1, n=3000, n_free=1, dups=[(0, 1)], eps_exp=-3.0)  # duplicate
+        @given(seed=st.integers(0, 2**32 - 1), n=st.integers(100, 3000),
+               n_free=st.integers(1, 4),
+               dups=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=2),
+               eps_exp=st.floats(-14.0, -1.0))
+        def check(seed, n, n_free, dups, eps_exp):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=n)
+            labels = ["x"] + [f"r{i}" for i in range(n_free)]
+            cols = [x] + [rng.normal(size=n) for _ in range(n_free)]
+            cols = [c * 10.0 ** rng.uniform(-6, 6) for c in cols]
+            for src, at in dups:  # exact copies of a scaled column
+                src, at = src % len(cols), at % (len(cols) + 1)
+                cols.insert(at, cols[src])
+                labels.insert(at, labels[src])
+            z = rng.normal(size=n)
+            cols.append((x + 10.0 ** eps_exp * z) * 10.0 ** rng.uniform(-6, 6))
+            labels.append("x")
+            F = np.column_stack([np.ones(n)] + cols)
+            labels = ["1"] + labels
+            kept_ref, cond = reference(F)
+            before = len(loops)
+            if cond > features.COND_LIMIT:
+                with pytest.raises(IllConditionedBasisError):
+                    fit_ridge(F, 1e-8 * n)
+            else:
+                proj = fit_ridge(F, 1e-8 * n)
+                kept = [0] + [i for i in range(1, F.shape[1]) if proj.to_raw[i].any()]
+                assert len(kept) == proj.D.shape[1]
+                assert (sorted(labels[i] for i in kept)
+                        == sorted(labels[i] for i in kept_ref))
+            ran["loop" if len(loops) > before else "shortcut"] += 1
+
+        check()
+        assert ran["shortcut"] and ran["loop"], ran
+
+    def test_design_matches_column_by_column_products(self):
+        rng = np.random.default_rng(12)
+        n = 500
+        values = {"x": rng.normal(size=n), "m": np.exp(rng.normal(size=n)),
+                  "u": np.tanh(rng.normal(size=n))}
+        values["x"][:3] = (0.0, -0.0, 1e-200)
+        for fmap in features.FEATURE_MAPS:
+            basis = RegressionBasis(fmap, 3)
+            F = basis.design(values)
+            exps = monomial_exponents(len(basis.variables), 3)
+            assert F.shape == (n, len(exps))
+            for j, e in enumerate(exps):
+                col = np.ones(n)
+                for v, p in zip(basis.variables, e):
+                    if p:
+                        col = col * values[v] ** p
+                assert np.array_equal(F[:, j], col), (fmap, e)
+                assert np.array_equal(np.signbit(F[:, j]), np.signbit(col)), (fmap, e)
 
 
 class TestWorstValue:

@@ -141,6 +141,16 @@ def run_cli(*args, env=None) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=env)
 
 
+def test_library_imports_load_no_scipy():
+    # scipy is loaded only by the finite-state oracle's matrix exponential
+    code = ("import sys\n"
+            "import ambifilter.cli, ambifilter.bsde, ambifilter.minimax, ambifilter.oracles\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 class TestSubcommands:
     def test_simulate_and_filter_schemas(self, tanh_conf, tmp_path):
         cfg = load_config(tanh_conf)
@@ -154,6 +164,7 @@ class TestSubcommands:
         manifest = json.loads((tmp_path / "flt" / "manifest.json").read_text())
         assert manifest["status"] == "ok" and manifest["artifacts"]
         assert math.isfinite(manifest["cpu_clock_s"]) and manifest["cpu_clock_s"] >= 0
+        assert math.isfinite(manifest["peak_rss_mb"]) and manifest["peak_rss_mb"] > 0
 
     def test_worst_case_schema(self, tanh_conf, tmp_path):
         cfg = load_config(tanh_conf)
@@ -214,6 +225,7 @@ class TestSubcommands:
         assert manifest["status"] == "error"
         assert "IllConditionedBasis" in manifest["error"]
         assert math.isfinite(manifest["cpu_clock_s"]) and manifest["cpu_clock_s"] >= 0
+        assert math.isfinite(manifest["peak_rss_mb"]) and manifest["peak_rss_mb"] > 0
 
     def test_foreign_exception_recorded_in_manifest(self, tanh_conf, tmp_path,
                                                     monkeypatch):
