@@ -34,7 +34,8 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericalError, ShapeError
 from .features import FrozenRegression, RegressionBasis, check_basis_size, fit_ridge
 from .filtering import run_filter_bank
-from .model import ModelSpec, PathBundle, TimeGrid, build_time_grid, simulate_bundle
+from .model import (ModelSpec, NoiseBundle, PathBundle, TimeGrid, build_time_grid,
+                    sample_noise, simulate_bundle)
 from .policies import DriftPolicy, perturbed_policy
 
 # The duality test (gateaux_fd vs gateaux_adjoint) selects "derived", the
@@ -52,7 +53,6 @@ NESTED_FILTER_SALT = 104729
 @dataclass(frozen=True)
 class BsdeSolution:
     y0: float
-    y_tables: tuple[FrozenRegression, ...]   # per step; terminal entry is zero
     y_mean_path: np.ndarray                  # E[y_t] per grid time, diagnostics
 
 
@@ -106,26 +106,22 @@ def solve_worst_value(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
     k = model.k
 
     y = np.zeros(n)
-    y_tabs = [FrozenRegression(np.zeros(basis.n_features))] * (steps + 1)
     y_mean = np.zeros(steps + 1)
     for j in range(steps - 1, -1, -1):
         F = basis.design({"x": paths.X[:, j], "u": u_vals[:, j],
                           "m": paths.M[:, j]})
         proj = fit_ridge(F, lam)
-        y_reg = proj.fit(y)
-        cont = y_reg.predict(F)
+        cont = proj.fit(y).predict(F)
         # center y before the increment regression: same conditional
         # expectation, but the removed level variance would otherwise feed a
         # Jensen bias into y through k|z|
         z = proj.fit((y - cont) * dW[:, j] / dt).predict(F)
         err = model.f.value(paths.X[:, j]) - u_vals[:, j]
         y = cont + (err * err + k * np.abs(z)) * dt
-        y_tabs[j] = y_reg
         y_mean[j] = y.mean()
     if not np.isfinite(y).all():
         raise NumericalError("worst-case value is not finite (the k|z| driver overflowed)")
-    return BsdeSolution(y0=float(y.mean()), y_tables=tuple(y_tabs),
-                        y_mean_path=y_mean)
+    return BsdeSolution(y0=float(y.mean()), y_mean_path=y_mean)
 
 
 def _adjoint_driver(variant: str, bprime, sprime, hprime, fprime, hval, fval,
@@ -213,16 +209,19 @@ def solve_adjoint(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
 
 def weighted_cost_qtilde(model: ModelSpec, policy: DriftPolicy, n_paths: int,
                          n_particles: int, seed: int, n_steps: int,
-                         ess_threshold: float = 0.5
+                         ess_threshold: float = 0.5,
+                         noise: Optional[NoiseBundle] = None
                          ) -> tuple[np.ndarray, PathBundle, np.ndarray]:
     """Per-path weighted mean-field cost under the reference measure:
 
         j_i = -(1/2) * sum_t (f(X_t) - u_t)^2 M_t dt
 
     where u is the nested-filter conditional-expectation ratio along the
-    path's own observation. Returns (per-path values, bundle, u)."""
+    path's own observation. Returns (per-path values, bundle, u). `noise`, if
+    given, drives the paths (see `simulate_bundle`)."""
     grid = build_time_grid(model.T, n_steps)
-    bundle = simulate_bundle(model, policy, grid, n_paths, seed, measure="Q_tilde")
+    bundle = simulate_bundle(model, policy, grid, n_paths, seed, measure="Q_tilde",
+                             noise=noise)
     u = run_filter_bank(model, policy, np.diff(bundle.Y, axis=1), grid.dt,
                         n_particles, seed, salt=NESTED_FILTER_SALT,
                         ess_threshold=ess_threshold).u
@@ -242,12 +241,15 @@ def gateaux_fd(model: ModelSpec, policy: DriftPolicy, v: DriftPolicy,
     eps = [float(e) for e in epsilons]
     if not eps or any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
         raise InvalidArgumentError("epsilons must be a strictly decreasing positive ladder")
+    noise = sample_noise(build_time_grid(model.T, n_steps), n_paths, seed)
     slopes_pp = []
     for e in eps:
         plus = perturbed_policy(policy, v, +e, radius=model.k)
         minus = perturbed_policy(policy, v, -e, radius=model.k)
-        jp, _, _ = weighted_cost_qtilde(model, plus, n_paths, n_particles, seed, n_steps)
-        jm, _, _ = weighted_cost_qtilde(model, minus, n_paths, n_particles, seed, n_steps)
+        jp, _, _ = weighted_cost_qtilde(model, plus, n_paths, n_particles, seed, n_steps,
+                                        noise=noise)
+        jm, _, _ = weighted_cost_qtilde(model, minus, n_paths, n_particles, seed, n_steps,
+                                        noise=noise)
         slopes_pp.append((jp - jm) / (2.0 * e))
     slopes = [float(s.mean()) for s in slopes_pp]
     if len(eps) == 1:

@@ -205,6 +205,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError([f"config file not found: {path}"])
     except UnicodeDecodeError as exc:
         raise ConfigError([f"config file is not UTF-8: {exc}"])
+    except OSError as exc:
+        raise ConfigError([f"cannot read config file {path}: {exc.strerror}"])
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -482,7 +484,10 @@ def run_subcommand(cmd: str, config: ExperimentConfig,
         raise ConfigError([f"unknown subcommand {cmd!r}; choose from {SUBCOMMANDS}"])
     if run_dir is None:
         run_dir = Path(config.out_dir) / f"{config.label}-{cmd}"
-    run_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:   # no manifest can be written without the directory
+        raise ConfigError([f"output.dir: cannot create {run_dir}: {exc.strerror}"])
     t0, cpu0 = time.monotonic(), time.process_time()
     artifacts: list[dict] = []
     extras: dict = {}

@@ -11,15 +11,15 @@ the robustness experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .bsde import AdjointSolution, solve_adjoint, weighted_cost_qtilde
 from .errors import InvalidArgumentError, ShapeError
 from .filtering import run_filter_bank
-from .model import (ModelSpec, PathBundle, TimeGrid, build_time_grid, simulate_bundle,
-                    substream)
+from .model import (ModelSpec, NoiseBundle, PathBundle, TimeGrid, build_time_grid,
+                    sample_noise, simulate_bundle, substream)
 from .policies import (DriftPolicy, mixture_policy, sign_of_regression_policy,
                        time_table_policy, zero_policy)
 
@@ -76,19 +76,13 @@ class CostReport:
 
 
 def evaluate_cost(model: ModelSpec, u_rule: ControlRule, theta: DriftPolicy,
-                  n_paths: int, seed: int, grid: TimeGrid) -> CostReport:
+                  n_paths: int, seed: int, grid: TimeGrid,
+                  noise: Optional[NoiseBundle] = None) -> CostReport:
     """J(u, Q_theta) = E under the theta-perturbed measure of the integrated
-    squared error, by direct simulation. Deterministic given the seed."""
-    bundle = _q_paths(model, theta, grid, n_paths, seed)
+    squared error, by direct simulation. Deterministic given the seed;
+    `noise`, if given, drives the paths (see `simulate_bundle`)."""
+    bundle = simulate_bundle(model, theta, grid, n_paths, seed, measure="Q", noise=noise)
     return _cost_report(model, bundle, u_rule.evaluate(model, grid, bundle.Y))
-
-
-def _q_paths(model: ModelSpec, theta: DriftPolicy, grid: TimeGrid, n_paths: int,
-             seed: int) -> PathBundle:
-    """Paths under the measure Q_theta of an admissible adversary policy."""
-    if theta.radius > model.k + 1e-12:
-        raise InvalidArgumentError("adversary policy exceeds the ambiguity radius")
-    return simulate_bundle(model, theta, grid, n_paths, seed, measure="Q")
 
 
 def _cost_report(model: ModelSpec, bundle: PathBundle, u: np.ndarray) -> CostReport:
@@ -170,9 +164,11 @@ def picard_solve(model: ModelSpec, config: PicardConfig) -> PicardReport:
     1 - tol on two consecutive iterations and the cost moves by less than
     REL_J_TOL relatively. Non-convergence is reported, not raised. The
     damping factor halves whenever the agreement drops between iterations.
+    Every iteration and the final cost run on one noise draw.
     """
     k = model.k
     grid = build_time_grid(model.T, config.n_steps)
+    noise = sample_noise(grid, config.n_paths, config.seed)
 
     def make_rule(policy: DriftPolicy) -> FilterRule:
         return FilterRule(policy, config.n_particles, config.seed,
@@ -181,7 +177,8 @@ def picard_solve(model: ModelSpec, config: PicardConfig) -> PicardReport:
     if k == 0.0:
         pol = zero_policy()
         rule = make_rule(pol)
-        cost = evaluate_cost(model, rule, pol, config.n_paths, config.seed, grid)
+        cost = evaluate_cost(model, rule, pol, config.n_paths, config.seed, grid,
+                             noise=noise)
         return PicardReport(
             iterations=(PicardIteration(1, cost.J, 1.0, config.damping),),
             converged=True, final_policy=pol, final_rule=rule, final_cost=cost)
@@ -197,7 +194,7 @@ def picard_solve(model: ModelSpec, config: PicardConfig) -> PicardReport:
     for it in range(1, config.max_iters + 1):
         per_path, bundle, u = weighted_cost_qtilde(
             model, theta, config.n_paths, config.n_particles, config.seed,
-            config.n_steps, ess_threshold=config.ess_threshold)
+            config.n_steps, ess_threshold=config.ess_threshold, noise=noise)
         J_it = float(-2.0 * per_path.mean())
         adjoint = solve_adjoint(bundle, u, model, theta)
         target = sign_policy(adjoint, k)
@@ -222,7 +219,8 @@ def picard_solve(model: ModelSpec, config: PicardConfig) -> PicardReport:
         prev_j = J_it
 
     rule = make_rule(theta)
-    cost = evaluate_cost(model, rule, theta, config.n_paths, config.seed, grid)
+    cost = evaluate_cost(model, rule, theta, config.n_paths, config.seed, grid,
+                         noise=noise)
     return PicardReport(iterations=tuple(iters), converged=converged,
                         final_policy=theta, final_rule=rule, final_cost=cost)
 
@@ -248,10 +246,11 @@ def minimax_gap(model: ModelSpec, control_grid: Sequence[ControlRule],
     if not control_grid or not theta_grid:
         raise InvalidArgumentError("both grids must be nonempty")
     grid = build_time_grid(model.T, n_steps)
+    noise = sample_noise(grid, n_paths, seed)
     J = np.empty((len(control_grid), len(theta_grid)))
     se = np.empty_like(J)
     for j, pol in enumerate(theta_grid):
-        bundle = _q_paths(model, pol, grid, n_paths, seed)
+        bundle = simulate_bundle(model, pol, grid, n_paths, seed, measure="Q", noise=noise)
         for i, rule in enumerate(control_grid):
             rep = _cost_report(model, bundle, rule.evaluate(model, grid, bundle.Y))
             J[i, j], se[i, j] = rep.J, rep.se
@@ -292,15 +291,16 @@ def saddle_probes(model: ModelSpec, report: PicardReport, n_policy_probes: int,
     u* on them are computed once and shared by the saddle row and every
     control shift."""
     grid = build_time_grid(model.T, n_steps)
+    noise = sample_noise(grid, n_paths, seed)
     bundle = simulate_bundle(model, report.final_policy, grid, n_paths, seed,
-                             measure="Q")
+                             measure="Q", noise=noise)
     u_star = report.final_rule.evaluate(model, grid, bundle.Y)
     out = [SaddleProbe("saddle", "ustar_thetastar", _cost_report(model, bundle, u_star))]
     for i, pol in enumerate(random_probe_policies(model.k, model.T,
                                                   n_policy_probes, seed)):
         out.append(SaddleProbe("policy_probe", f"theta_{i}",
                                evaluate_cost(model, report.final_rule, pol,
-                                             n_paths, seed, grid)))
+                                             n_paths, seed, grid, noise=noise)))
     for d in deltas:
         shifted = clamp_control(u_star + d, model.f_sup)
         out.append(SaddleProbe("control_shift", f"delta_{d:+g}",

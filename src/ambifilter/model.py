@@ -25,11 +25,10 @@ Randomness is counter-based: every path's increments come from a dedicated
 Philox substream keyed by (seed, role, path_id), so a path is reproducible
 from its key alone and parallel schedules cannot reorder draws.
 
-`simulate_bundle` draws its noise once per (seed, n_paths, n_steps, dt) key
-and reuses the most recent draw when called again with the same key, so
-Picard, `grid_sup_cost`, `saddle_probes`, `minimax_gap` and `gateaux_fd`
-compare costs on common random numbers without redrawing them. The memoized
-arrays are read-only, so no caller can alter the noise a later call sees.
+`simulate_bundle` draws fresh noise unless it is handed a `NoiseBundle`.
+Every estimator that compares costs on common random numbers (Picard,
+`grid_sup_cost`, `saddle_probes`, `minimax_gap`, `gateaux_fd`) draws one
+bundle with `sample_noise` and passes it down to each simulation it runs.
 """
 
 from __future__ import annotations
@@ -150,23 +149,6 @@ def sample_noise(grid: TimeGrid, n_paths: int, seed: int,
     return NoiseBundle(dW=dW, dB=dB, seed=int(seed), path_ids=path_ids, dt=grid.dt)
 
 
-# The most recent (key, NoiseBundle) drawn by simulate_bundle.
-_last_noise: Optional[tuple[tuple, NoiseBundle]] = None
-
-
-def _shared_noise(grid: TimeGrid, n_paths: int, seed: int) -> NoiseBundle:
-    """The noise for (seed, n_paths, grid), drawn on a key change only."""
-    global _last_noise
-    key = (int(seed), int(n_paths), grid.n_steps, grid.dt)
-    last = _last_noise   # one read, so a concurrent redraw cannot swap keys
-    if last is None or last[0] != key:
-        noise = sample_noise(grid, n_paths, seed)
-        for arr in (noise.dW, noise.dB, noise.path_ids):
-            arr.flags.writeable = False
-        last = _last_noise = (key, noise)
-    return last[1]
-
-
 @dataclass(frozen=True)
 class PathBundle:
     grid: TimeGrid
@@ -190,8 +172,9 @@ def simulate_bundle(model: ModelSpec, policy: DriftPolicy, grid: TimeGrid,
     This is the forward backbone for every solver: the policy may read the
     weight feature M, so signal and weight advance together. Under Q_tilde
     the decoupling is exploited: Y is generated directly from the B-channel
-    noise and M is driven by it. Without `noise`, the draw for
-    (seed, n_paths, grid) is shared with the previous call of the same key.
+    noise and M is driven by it. Without `noise`, a fresh bundle is drawn
+    with `sample_noise(grid, n_paths, seed)`; callers that compare costs on
+    common random numbers draw once and pass the same bundle to every call.
     """
     if measure not in MEASURES:
         raise InvalidArgumentError(f"measure must be one of {MEASURES}")
@@ -200,7 +183,7 @@ def simulate_bundle(model: ModelSpec, policy: DriftPolicy, grid: TimeGrid,
             f"policy radius {policy.radius} exceeds model ambiguity radius {model.k}"
         )
     if noise is None:
-        noise = _shared_noise(grid, n_paths, seed)
+        noise = sample_noise(grid, n_paths, seed)
     elif (noise.n_paths, noise.n_steps, noise.dt) != (n_paths, grid.n_steps, grid.dt):
         raise ShapeError("supplied noise does not match (n_paths, grid)")
     n = n_paths

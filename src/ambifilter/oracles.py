@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidArgumentError, ShapeError
 from .filtering import BankResult, run_filter_finite
 from .minimax import ControlRule, CostReport, evaluate_cost
-from .model import ModelSpec, TimeGrid, ROLE_CHAIN, substream
+from .model import ModelSpec, TimeGrid, ROLE_CHAIN, sample_noise, substream
 from .policies import DriftPolicy, time_table_policy, zero_policy
 
 
@@ -237,12 +237,12 @@ def grid_sup_cost(model: ModelSpec, u_rule: ControlRule,
                   theta_family: Sequence[DriftPolicy], n_paths: int, seed: int,
                   grid: TimeGrid) -> GridSupReport:
     """Exhaustive worst case over a finite policy family with common random
-    numbers: every member is costed on the same underlying noise."""
+    numbers: every member is costed on one noise draw."""
     if not theta_family:
         raise InvalidArgumentError("theta_family must be nonempty")
-    reports = []
-    for pol in theta_family:
-        reports.append(evaluate_cost(model, u_rule, pol, n_paths, seed, grid))
+    noise = sample_noise(grid, n_paths, seed)
+    reports = [evaluate_cost(model, u_rule, pol, n_paths, seed, grid, noise=noise)
+               for pol in theta_family]
     js = [r.J for r in reports]
     best = int(np.argmax(js))
     return GridSupReport(J_worst=float(js[best]), argmax_policy=theta_family[best],

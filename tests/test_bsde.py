@@ -76,14 +76,6 @@ class TestFeatures:
         np.testing.assert_allclose(fit_ridge(F, lam).fit(y).predict(F), D @ coef,
                                    rtol=1e-9)
 
-    def test_zero_terminal_table_predicts_zero(self, tanh_model, grid50):
-        bundle = p_paths(tanh_model, grid50, 400, 2)
-        u = np.zeros_like(bundle.X)
-        basis = RegressionBasis("poly_xu", 2)
-        sol = solve_worst_value(bundle, u, tanh_model, basis)
-        F = basis.design({"x": bundle.X[:, -1], "u": u[:, -1]})
-        assert np.array_equal(sol.y_tables[-1].predict(F), np.zeros(400))
-
     def test_condition_limit_read_from_r(self, monkeypatch):
         for n in (500, 3000):  # 3000 rows are factored in row blocks
             rng = np.random.default_rng(5)
@@ -304,13 +296,6 @@ class TestWorstValue:
         y2 = solve_worst_value(bundle, u, tanh_model, RegressionBasis("poly_xu", 2)).y0
         y3 = solve_worst_value(bundle, u, tanh_model, RegressionBasis("poly_xu", 3)).y0
         assert abs(y3 - y2) < 2 * mc_se(direct)
-
-    def test_terminal_condition(self, tanh_model, grid50):
-        bundle = p_paths(tanh_model, grid50, 400, 7)
-        basis = RegressionBasis("poly_xu", 2)
-        sol = solve_worst_value(bundle, np.zeros_like(bundle.X), tanh_model, basis)
-        F = basis.design({"x": bundle.X[:, -1], "u": np.zeros(400)})
-        assert np.all(sol.y_tables[-1].predict(F) == 0.0)
 
     def test_requires_base_measure(self, tanh_model, grid50):
         bundle = simulate_bundle(tanh_model, zero_policy(), grid50, 400, 8,

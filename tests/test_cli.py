@@ -126,6 +126,12 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.conf")
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            load_config(tmp_path)
+        r = run_cli("simulate", "--config", str(tmp_path))
+        assert r.returncode == 1 and "Traceback" not in r.stderr
+        (line,) = r.stderr.splitlines()
+        assert line.startswith("config error: cannot read config file")
 
     def test_overrides(self, tanh_conf):
         cfg = load_config(tanh_conf)
@@ -253,6 +259,14 @@ class TestExitCodes:
         assert r.returncode == 1 and "Traceback" not in r.stderr
         (line,) = r.stderr.splitlines()
         assert line.startswith("config error: --seed: ") and "mc.seed" in line
+
+    def test_uncreatable_out_dir_is_1(self, tanh_conf, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        r = run_cli("filter", "--config", str(tanh_conf), "--out-dir", str(blocker))
+        assert r.returncode == 1 and "Traceback" not in r.stderr
+        (line,) = r.stderr.splitlines()
+        assert line.startswith("config error: output.dir: ")
 
     def test_numerical_failure_is_2(self, tanh_conf, tmp_path):
         r = run_cli("worst-case", "--config", str(tanh_conf), "--n-paths", "30",

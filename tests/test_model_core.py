@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ambifilter import bsde, minimax, model, oracles
 from ambifilter.errors import InvalidArgumentError, MissingFeatureError, ShapeError
 from ambifilter.features import FrozenRegression, RegressionBasis, fit_ridge
 from ambifilter.model import (ModelSpec, NoiseBundle, build_time_grid,
@@ -74,7 +75,8 @@ class TestSampleNoise:
 
 
 class TestSharedNoise:
-    """simulate_bundle reuses the last draw for an identical key."""
+    """simulate_bundle draws fresh noise unless it is given a bundle; common
+    random numbers are shared by passing one bundle down."""
 
     def test_each_key_gets_its_own_draw(self, tanh_model):
         g, g2 = build_time_grid(1.0, 10), build_time_grid(2.0, 10)
@@ -89,25 +91,23 @@ class TestSharedNoise:
             np.testing.assert_array_equal(bundle.noise.dW, fresh.dW)
             np.testing.assert_array_equal(bundle.noise.dB, fresh.dB)
 
-    def test_shared_arrays_are_read_only(self, tanh_model):
+    def test_same_key_draws_equal_but_distinct_noise(self, tanh_model):
         g = build_time_grid(1.0, 10)
-        bundle = simulate_bundle(tanh_model, zero_policy(), g, 4, 7)
-        for arr in (bundle.noise.dW, bundle.noise.dB, bundle.noise.path_ids):
-            with pytest.raises(ValueError):
-                arr[0] = 0
-        again = simulate_bundle(tanh_model, zero_policy(), g, 4, 7)
-        assert again.noise is bundle.noise
+        first = simulate_bundle(tanh_model, zero_policy(), g, 4, 7).noise
+        again = simulate_bundle(tanh_model, zero_policy(), g, 4, 7).noise
+        assert again is not first
+        for a, b in ((first.dW, again.dW), (first.dB, again.dB),
+                     (first.path_ids, again.path_ids)):
+            assert a is not b
+            np.testing.assert_array_equal(a, b)
 
     def test_supplied_noise_used_as_given(self, tanh_model):
         g = build_time_grid(1.0, 10)
-        shared = simulate_bundle(tanh_model, zero_policy(), g, 4, 7).noise
         zeros = NoiseBundle(dW=np.zeros((4, 10)), dB=np.zeros((4, 10)), seed=7,
                             path_ids=np.arange(4), dt=g.dt)
         bundle = paths_on(tanh_model, zeros, g, "Q_tilde")
         assert bundle.noise is zeros
         np.testing.assert_array_equal(bundle.Y, 0.0)
-        after = simulate_bundle(tanh_model, zero_policy(), g, 4, 7)
-        assert after.noise is shared
 
     def test_noise_from_another_grid_rejected(self, tanh_model):
         # same path and step counts, but increments of variance 1/50 on a
@@ -115,6 +115,121 @@ class TestSharedNoise:
         noise = sample_noise(build_time_grid(1.0, 50), 4, 7)
         with pytest.raises(ShapeError):
             paths_on(tanh_model, noise, build_time_grid(2.0, 50))
+
+    @pytest.mark.parametrize("family", ["picard_solve", "grid_sup_cost", "minimax_gap",
+                                        "saddle_probes", "gateaux_fd"])
+    def test_crn_family_draws_once(self, tanh_model, monkeypatch, family):
+        grid, n_paths, families = crn_families(tanh_model)
+        run, by_hand = families[family]
+        # a draw no seed of the family gives, so every simulation it runs must
+        # have received this one bundle for the results to match by hand
+        hand = sample_noise(grid, n_paths, seed=999)
+        draws = []
+
+        def counting(name):
+            def draw(grid_, n, seed, path_ids=None):
+                assert (grid_.n_steps, grid_.dt, n) == (grid.n_steps, grid.dt, n_paths)
+                draws.append(name)
+                return hand
+            return draw
+
+        for mod in (model, bsde, minimax, oracles):
+            monkeypatch.setattr(mod, "sample_noise", counting(mod.__name__))
+        got = run()
+        # drawn once by the family itself, never per simulation
+        assert len(draws) == 1 and draws[0] != "ambifilter.model"
+        expected = by_hand(hand)
+        assert len(draws) == 1   # by hand, every simulation is given the noise
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+
+
+def crn_families(m):
+    """The common grid and path count, and for each common-random-number
+    family a pair (run, by_hand), where by_hand(noise) recomputes run()'s
+    outputs with the noise passed to every simulation explicitly."""
+    k, T, seed, n, steps, particles = m.k, m.T, 5, 80, 10, 16
+    grid = build_time_grid(T, steps)
+    rule = minimax.FilterRule(zero_policy(), n_particles=particles, seed=seed)
+
+    def cost(u_rule, pol, noise):
+        return minimax.evaluate_cost(m, u_rule, pol, n, seed, grid, noise=noise)
+
+    config = minimax.PicardConfig(n_paths=n, n_particles=particles, n_steps=steps,
+                                  seed=seed, max_iters=2)
+    solved = {}
+
+    def picard():
+        rep = solved["report"] = minimax.picard_solve(m, config)
+        return rep.iterations[0].J, rep.final_cost.per_path
+
+    def picard_by_hand(noise):
+        rep = solved["report"]
+        per_path, _, _ = bsde.weighted_cost_qtilde(m, zero_policy(), n, particles, seed,
+                                                   steps, noise=noise)
+        return (float(-2.0 * per_path.mean()),
+                cost(rep.final_rule, rep.final_policy, noise).per_path)
+
+    family = oracles.sign_pattern_family(k, 2, T)
+    const = minimax.ConstantRule(0.1)
+
+    def sup():
+        rep = oracles.grid_sup_cost(m, const, family, n, seed, grid)
+        return tuple(r.per_path for r in rep.reports)
+
+    def sup_by_hand(noise):
+        return tuple(cost(const, p, noise).per_path for p in family)
+
+    policies = [zero_policy(), constant_policy(k), constant_policy(-k)]
+    rules = [rule, minimax.ConstantRule(0.0)]
+
+    def gap():
+        rep = minimax.minimax_gap(m, rules, policies, n, seed, n_steps=steps)
+        return (rep.J,)
+
+    def gap_by_hand(noise):
+        return (np.array([[cost(r, p, noise).J for p in policies] for r in rules]),)
+
+    star = minimax.PicardReport(iterations=(), converged=True,
+                                final_policy=constant_policy(0.2), final_rule=rule,
+                                final_cost=None)
+
+    def probes():
+        out = minimax.saddle_probes(m, star, n_policy_probes=2, deltas=(0.1,),
+                                    n_paths=n, seed=seed, n_steps=steps)
+        return tuple(p.report.per_path for p in out)
+
+    def probes_by_hand(noise):
+        probe_pols = minimax.random_probe_policies(k, T, 2, seed)
+        bundle = simulate_bundle(m, star.final_policy, grid, n, seed, measure="Q",
+                                 noise=noise)
+        shifted = minimax.clamp_control(rule.evaluate(m, grid, bundle.Y) + 0.1, m.f_sup)
+        err = m.f.value(bundle.X[:, :-1]) - shifted[:, :-1]
+        return (cost(rule, star.final_policy, noise).per_path,
+                *(cost(rule, p, noise).per_path for p in probe_pols),
+                (err * err).sum(axis=1) * grid.dt)
+
+    base, v = constant_policy(0.05, radius=k), time_table_policy([1.0, -1.0], T, 1.0)
+    eps = (0.1, 0.05)
+
+    def fd():
+        return bsde.gateaux_fd(m, base, v, eps, n, particles, seed, n_steps=steps).slopes
+
+    def fd_by_hand(noise):
+        slopes = []
+        for e in eps:
+            jp, jm = (bsde.weighted_cost_qtilde(
+                m, mixture_policy([(1.0, base), (s * e, v)], radius=k), n, particles,
+                seed, steps, noise=noise)[0] for s in (1.0, -1.0))
+            slopes.append(float(((jp - jm) / (2.0 * e)).mean()))
+        return tuple(slopes)
+
+    return grid, n, {"picard_solve": (picard, picard_by_hand),
+                     "grid_sup_cost": (sup, sup_by_hand),
+                     "minimax_gap": (gap, gap_by_hand),
+                     "saddle_probes": (probes, probes_by_hand),
+                     "gateaux_fd": (fd, fd_by_hand)}
 
 
 class TestEvolveSignal:
