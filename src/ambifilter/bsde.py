@@ -135,11 +135,8 @@ def _adjoint_driver(variant: str, bprime, sprime, hprime, fprime, hval, fval,
     if variant == "eq_alt":
         return (bprime - sprime * theta) * P_cont + sprime * Q \
             - hprime * M * q - hprime * hval * p + src
-    if variant == "derived":
-        return (bprime + sprime * theta) * P_cont + sprime * Q \
-            + hprime * M * q + src
-    raise InvalidArgumentError(f"unknown adjoint variant {variant!r}; "
-                               f"choose from {ADJOINT_VARIANTS}")
+    return (bprime + sprime * theta) * P_cont + sprime * Q \
+        + hprime * M * q + src    # "derived"; solve_adjoint rejects any other
 
 
 def solve_adjoint(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,

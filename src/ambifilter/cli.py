@@ -6,7 +6,7 @@ every problem found, not just the first. Each run writes its CSV artifacts
 into a fresh directory and finishes with manifest.json; a directory without a
 manifest is an incomplete run by definition.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure
 (degenerate cloud, ill-conditioned basis, bad data), 3 fixed-point
 non-convergence.
 """
@@ -23,7 +23,7 @@ import resource
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -43,9 +43,6 @@ from .oracles import (LinearGaussianSpec, finite_signal_estimates,
                       sign_pattern_family, simulate_finite_signal)
 from .policies import time_table_policy, zero_policy
 from .presets import CoefPreset, make_coef
-
-SUBCOMMANDS = ("simulate", "filter", "worst-case", "picard", "minimax-gap",
-               "oracle-check")
 
 _PRESET_RE = re.compile(r"^([a-z_]+)\s*(?:\(([^)]*)\))?$")
 
@@ -84,23 +81,6 @@ class RunManifest:
     error: Optional[str] = None
     extras: dict = field(default_factory=dict)
     fp_warnings: tuple[dict, ...] = ()
-
-    def to_json(self) -> str:
-        body = {
-            "command": self.command,
-            "config_digest": self.config_digest,
-            "seed": self.seed,
-            "version": self.version,
-            "wall_clock_s": self.wall_clock_s,
-            "cpu_clock_s": self.cpu_clock_s,
-            "peak_rss_mb": self.peak_rss_mb,
-            "artifacts": list(self.artifacts),
-            "status": self.status,
-            "error": self.error,
-            "extras": self.extras,
-            "fp_warnings": list(self.fp_warnings),
-        }
-        return json.dumps(body, indent=2, sort_keys=True)
 
 
 def _parse_preset(raw: str) -> CoefPreset:
@@ -173,6 +153,10 @@ _SETTINGS = {
     "output.dir": ("out_dir", str),
     "output.label": ("label", str),
 }
+# command-line flag -> the config key it overrides; the value reaches that
+# key's converter as typed, so a bad flag reads like a bad config line
+_FLAGS = {"--seed": "mc.seed", "--k": "model.k", "--n-paths": "mc.n_paths",
+          "--n-particles": "mc.n_particles", "--out-dir": "output.dir"}
 _MODEL_DEFAULTS = {"x0": 0.0, "T": 1.0, "k": 0.0}
 _REQUIRED = ("model.b", "model.sigma", "model.h", "model.f")
 
@@ -251,18 +235,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig(model=model, digest=digest, **config_kw)
 
 
-def apply_overrides(config: ExperimentConfig, seed=None, k=None, n_paths=None,
-                    n_particles=None, out_dir=None) -> ExperimentConfig:
-    """The whitelisted command-line overrides, each checked by the converter
-    of its config key."""
-    flags = {"mc.seed": ("--seed", seed), "model.k": ("--k", k),
-             "mc.n_paths": ("--n-paths", n_paths),
-             "mc.n_particles": ("--n-particles", n_particles),
-             "output.dir": ("--out-dir", out_dir)}
+def apply_overrides(config: ExperimentConfig, /, **overrides) -> ExperimentConfig:
+    """The `_FLAGS` overrides by flag name (`seed=`, `k=`, `n_paths=`,
+    `n_particles=`, `out_dir=`; None leaves the key alone), each checked by
+    the converter of the config key its flag overrides."""
+    values = {_FLAGS["--" + name.replace("_", "-")]: value
+              for name, value in overrides.items() if value is not None}
+    flag_of = {key: flag for flag, key in _FLAGS.items()}
     problems: list[str] = []
-    model_kw, config_kw = _convert(
-        {key: value for key, (_, value) in flags.items() if value is not None},
-        lambda key: flags[key][0], problems)
+    model_kw, config_kw = _convert(values, flag_of.get, problems)
     if problems:
         raise ConfigError(problems)
     if model_kw:
@@ -303,13 +284,18 @@ def _cmd_simulate(config: ExperimentConfig, run_dir: Path):
     return [art], {"n_paths": config.n_paths}
 
 
-def _cmd_filter(config: ExperimentConfig, run_dir: Path):
-    grid = build_time_grid(config.model.T, config.n_steps)
+def _filter_one_path(config: ExperimentConfig, grid):
+    """One P path under the zero policy, and the particle filter run on it."""
     bundle = simulate_bundle(config.model, zero_policy(), grid, 1, config.seed,
                              measure="P")
-    fp = run_filter(config.model, zero_policy(), bundle.Y[0],
-                    config.n_particles, config.seed,
-                    ess_threshold=config.ess_threshold)
+    fp = run_filter(config.model, zero_policy(), bundle.Y[0], config.n_particles,
+                    config.seed, ess_threshold=config.ess_threshold)
+    return bundle, fp
+
+
+def _cmd_filter(config: ExperimentConfig, run_dir: Path):
+    grid = build_time_grid(config.model.T, config.n_steps)
+    bundle, fp = _filter_one_path(config, grid)
     nu = innovation_path(bundle.Y[0], fp.pi_h, grid)
     rows = [(grid.times[j], bundle.X[0, j], bundle.Y[0, j], fp.u[j], fp.pi_h[j],
              nu[j], fp.ess[j]) for j in range(grid.n_steps + 1)]
@@ -417,12 +403,8 @@ def _cmd_oracle_check(config: ExperimentConfig, run_dir: Path):
     grid = build_time_grid(model.T, config.n_steps)
     spec = _kalman_compatible(model)
     if spec is not None:
-        bundle = simulate_bundle(model, zero_policy(), grid, 1, config.seed,
-                                 measure="P")
-        fp = run_filter(model, zero_policy(), bundle.Y[0], config.n_particles,
-                        config.seed, ess_threshold=config.ess_threshold)
-        mean, _ = kalman_bucy(spec, bundle.Y[0], grid)
-        u_oracle = mean
+        bundle, fp = _filter_one_path(config, grid)
+        u_oracle, _ = kalman_bucy(spec, bundle.Y[0], grid)
         u_part = fp.u
         extras = {"oracle": "kalman_bucy",
                   "rmse": float(np.sqrt(np.mean((u_part - u_oracle) ** 2)))}
@@ -459,6 +441,7 @@ _DISPATCH = {
     "minimax-gap": _cmd_minimax_gap,
     "oracle-check": _cmd_oracle_check,
 }
+SUBCOMMANDS = tuple(_DISPATCH)
 
 
 def _fp_warnings(caught: Sequence[warnings.WarningMessage]) -> tuple[dict, ...]:
@@ -512,37 +495,37 @@ def run_subcommand(cmd: str, config: ExperimentConfig,
                                artifacts=tuple(artifacts), status=status,
                                error=error, extras=extras,
                                fp_warnings=_fp_warnings(caught))
-        (run_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
+        (run_dir / "manifest.json").write_text(
+            json.dumps(asdict(manifest), indent=2, sort_keys=True), encoding="utf-8")
     return manifest
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a configuration error: exit 1
+        raise ConfigError([message])
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ambifilter",
         description="Ambiguity-filter experiments: simulation, filtering, "
                     "worst-case evaluation and saddle-point computation.")
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="path to the config file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--k", type=float, default=None)
-    parser.add_argument("--n-paths", type=int, default=None)
-    parser.add_argument("--n-particles", type=int, default=None)
-    parser.add_argument("--out-dir", type=str, default=None)
-    args = parser.parse_args(argv)
+    for flag, key in _FLAGS.items():
+        parser.add_argument(flag, help=f"overrides {key}")
 
     try:
-        config = load_config(args.config)
-        config = apply_overrides(config, seed=args.seed, k=args.k,
-                                 n_paths=args.n_paths,
-                                 n_particles=args.n_particles,
-                                 out_dir=args.out_dir)
-        manifest = run_subcommand(args.subcommand, config)
+        overrides = vars(parser.parse_args(argv))
+        cmd = overrides.pop("subcommand")
+        config = apply_overrides(load_config(overrides.pop("config")), **overrides)
+        manifest = run_subcommand(cmd, config)
     except AmbiFilterError as exc:
         for line in exc.report_lines():
             print(line, file=sys.stderr)
         return exc.exit_code
 
-    if args.subcommand == "picard" and not manifest.extras.get("converged", True):
+    if cmd == "picard" and not manifest.extras.get("converged", True):
         print("picard iteration did not converge within max_iters", file=sys.stderr)
         return 3
     return 0

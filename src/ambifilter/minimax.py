@@ -18,8 +18,8 @@ import numpy as np
 from .bsde import AdjointSolution, solve_adjoint, weighted_cost_qtilde
 from .errors import InvalidArgumentError, ShapeError
 from .filtering import run_filter_bank
-from .model import (ModelSpec, NoiseBundle, PathBundle, TimeGrid, build_time_grid,
-                    sample_noise, simulate_bundle, substream)
+from .model import (ROLE_PROBE, ModelSpec, NoiseBundle, PathBundle, TimeGrid,
+                    build_time_grid, sample_noise, simulate_bundle, substream)
 from .policies import (DriftPolicy, mixture_policy, sign_of_regression_policy,
                        time_table_policy, zero_policy)
 
@@ -276,7 +276,7 @@ def random_probe_policies(k: float, horizon: float, n_probes: int,
                           seed: int) -> list[DriftPolicy]:
     """Random admissible policies in [-k, k], constant on each of four equal
     time buckets."""
-    gen = substream(seed, role=9, index=0)
+    gen = substream(seed, ROLE_PROBE, index=0)
     return [time_table_policy(gen.uniform(-k, k, size=4), horizon, radius=k)
             for _ in range(n_probes)]
 

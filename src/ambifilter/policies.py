@@ -44,6 +44,8 @@ class DriftPolicy:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise InvalidArgumentError(f"unknown policy kind {self.kind!r}")
+        # the digest writes repr(radius): 1, 1.0 and np.float64(1.0) must agree
+        object.__setattr__(self, "radius", float(self.radius))
         if not self.radius >= 0:
             raise InvalidArgumentError("policy radius must be >= 0")
 
@@ -153,7 +155,7 @@ def mixture_policy(members: Sequence[tuple[float, DriftPolicy]], radius: float,
     flat: list[tuple[float, DriftPolicy]] = []
     for w, pol in members:
         if pol.kind == "mixture":
-            flat.extend((w * wi, mi) for wi, mi in pol.payload["members"])
+            flat.extend((float(w) * wi, mi) for wi, mi in pol.payload["members"])
         else:
             flat.append((float(w), pol))
     if prune_below > 0.0:

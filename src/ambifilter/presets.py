@@ -61,9 +61,6 @@ class CoefPreset:
             return p[0] * p[1] * (1.0 - t * t)
         return p[0] * p[1] * np.cos(p[1] * x + p[2])
 
-    def __call__(self, x):
-        return self.value(x)
-
     @property
     def bounded(self) -> bool:
         if self.code in (CODE_TANH, CODE_SINE, CODE_CONSTANT):

@@ -168,6 +168,10 @@ class TestSubcommands:
         header = (tmp_path / "flt" / "filter_path.csv").read_text().splitlines()[0]
         assert header == "t,X,Y,u,pi_h,nu,ess"
         manifest = json.loads((tmp_path / "flt" / "manifest.json").read_text())
+        assert sorted(manifest) == ["artifacts", "command", "config_digest",
+                                    "cpu_clock_s", "error", "extras",
+                                    "fp_warnings", "peak_rss_mb", "seed",
+                                    "status", "version", "wall_clock_s"]
         assert manifest["status"] == "ok" and manifest["artifacts"]
         assert math.isfinite(manifest["cpu_clock_s"]) and manifest["cpu_clock_s"] >= 0
         assert math.isfinite(manifest["peak_rss_mb"]) and manifest["peak_rss_mb"] > 0
@@ -306,6 +310,30 @@ class TestExitCodes:
         assert "Traceback" not in r.stderr and "numerical failure" in r.stderr
         manifest = json.loads(next(out.glob("*/manifest.json")).read_text())
         assert manifest["status"] == "error"
+
+    @pytest.mark.parametrize("args", [
+        ["bogus", "--config", "{conf}"],
+        ["filter"],
+        ["filter", "--config", "{conf}", "--seed", "abc"],
+        ["filter", "--config", "{conf}", "--seed", "1.5"],
+        ["filter", "--config", "{conf}", "--n-paths", "x"],
+        ["filter", "--config", "{conf}", "--k", "nan"],
+    ], ids=["unknown-subcommand", "no-config", "seed-abc", "seed-float",
+            "n-paths-x", "k-nan"])
+    def test_usage_error_is_1(self, tanh_conf, tmp_path, args):
+        r = run_cli(*(a.format(conf=tanh_conf) for a in args),
+                    "--out-dir", str(tmp_path / "o"))
+        assert r.returncode == 1 and "Traceback" not in r.stderr
+        (line,) = r.stderr.splitlines()
+        assert line.startswith("config error: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_help_is_0(self):
+        r = run_cli("--help")
+        assert r.returncode == 0, r.stderr
+        for cmd in ("simulate", "filter", "worst-case", "picard", "minimax-gap",
+                    "oracle-check"):
+            assert cmd in r.stdout
 
     def test_success_is_0(self, tanh_conf, tmp_path):
         r = run_cli("filter", "--config", str(tanh_conf), "--out-dir",

@@ -73,6 +73,11 @@ class TestSampleNoise:
         assert nb.dW.flags.writeable and nb.dB.flags.writeable
         nb.dW[0, 0] = 0.0
 
+    def test_roles_are_distinct(self):
+        roles = {name: v for name, v in vars(model).items() if name.startswith("ROLE_")}
+        assert "ROLE_PROBE" in roles
+        assert len(set(roles.values())) == len(roles), roles
+
 
 class TestSharedNoise:
     """simulate_bundle draws fresh noise unless it is given a bundle; common
@@ -472,6 +477,14 @@ class TestPolicyValidation:
     def test_time_table_rejects_bad_input(self, values, horizon):
         with pytest.raises(InvalidArgumentError):
             time_table_policy(values, horizon, 0.25)
+
+    def test_digest_ignores_number_type(self):
+        assert len({constant_policy(v).digest()
+                    for v in (1, 1.0, np.float64(1.0))}) == 1
+        inner = mixture_policy([(0.5, constant_policy(0.2)), (0.5, zero_policy())],
+                               radius=0.25)
+        assert len({mixture_policy([(w, inner)], radius=0.25).digest()
+                    for w in (1, 1.0, np.float64(1.0))}) == 1
 
     def test_nan_radius_rejected(self):
         with pytest.raises(InvalidArgumentError):
