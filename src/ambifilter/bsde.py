@@ -78,8 +78,8 @@ class GateauxEstimate:
 def _require_h1(model: ModelSpec, what: str) -> None:
     if not model.h1_compliant:
         raise InvalidArgumentError(
-            f"{what} requires bounded coefficients; presets tagged for oracle "
-            "validation only are not accepted here"
+            f"{what} requires bounded h and f; a sloped linear or identity "
+            "preset is unbounded"
         )
 
 

@@ -18,6 +18,7 @@ import difflib
 import hashlib
 import json
 import math
+import numbers
 import re
 import resource
 import sys
@@ -98,6 +99,9 @@ def _parse_preset(raw: str) -> CoefPreset:
 
 def _int_at_least(name, lo=1):
     def conv(s):
+        # int() would truncate a number; only a string or an integral value converts
+        if not isinstance(s, (str, numbers.Integral)) and not float(s).is_integer():
+            raise ValueError(f"not an integer: {name} got {s!r}")
         v = int(s)
         if v < lo:
             raise ValueError(f"out of range: {name} must be >= {lo}, got {v}")
@@ -304,7 +308,14 @@ def _cmd_filter(config: ExperimentConfig, run_dir: Path):
     return [art], {"n_particles": config.n_particles}
 
 
+def _require_bounded(model: ModelSpec, what: str) -> None:
+    if not model.h1_compliant:
+        raise ConfigError([f"{what} needs bounded model.h and model.f; a sloped "
+                           "linear or identity preset is unbounded"])
+
+
 def _cmd_worst_case(config: ExperimentConfig, run_dir: Path):
+    _require_bounded(config.model, "worst-case")
     grid = build_time_grid(config.model.T, config.n_steps)
     basis = RegressionBasis("poly_xu", config.bsde_degree, config.ridge_lambda)
     rule = FilterRule(zero_policy(), config.rule_particles, config.seed,
@@ -329,6 +340,8 @@ def _cmd_worst_case(config: ExperimentConfig, run_dir: Path):
 
 
 def _cmd_picard(config: ExperimentConfig, run_dir: Path):
+    if config.model.k > 0:
+        _require_bounded(config.model, "picard with model.k > 0")
     pc = PicardConfig(n_paths=config.n_paths, n_particles=config.n_particles,
                       n_steps=config.n_steps, seed=config.seed,
                       max_iters=config.picard_max_iters,
@@ -386,7 +399,7 @@ def _kalman_compatible(model: ModelSpec) -> Optional[LinearGaussianSpec]:
     def slope(c: CoefPreset) -> Optional[float]:
         if c.name == "constant" and c.params[0] == 0.0:
             return 0.0
-        if c.name in ("linear", "identity") and c.params[0] == 0.0:
+        if c.name == "linear" and c.params[0] == 0.0:
             return c.params[1]
         return None
 

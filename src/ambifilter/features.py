@@ -30,8 +30,7 @@ tall-skinny QR of Demmel, Grigori, Hoemmen and Langou). Past that size
 numpy's OpenBLAS threads the Householder updates and its worker spins
 between fits: unblocked QRs of 2000 x 6 designs, a Picard adjoint step's
 shape, made it burn as much CPU as the calling thread. The tall design never
-meets an SVD, and a column-pivoted QR of R runs only when the rank rule can
-drop a column.
+meets an SVD, and R is never pivoted: the rank rule reads its diagonal.
 """
 
 from __future__ import annotations
@@ -150,13 +149,15 @@ def fit_ridge(F: np.ndarray, lam: float) -> RidgeProjection:
     right-hand sides.
 
     Structural rank deficiency is expected (every path starts at the same
-    point, so early-step monomials coincide exactly); linearly dependent
-    columns are dropped by a rank-revealing QR before the solve. The
-    ill-conditioned error is reserved for designs with non-finite column
-    statistics and for designs whose independent part is still numerically
-    singular beyond the ridge guard. Since
-    D[:, piv[:rank]] = Q[:, :rank] R[:rank, :rank], that part has the
-    condition number of R[:rank, :rank].
+    point, so early-step monomials coincide exactly). |r_jj| of the
+    unpivoted R is column j's distance from the span of the columns before
+    it, so column j is kept iff it exceeds 1e-10 times the largest column
+    norm: of each dependent set the lowest index is kept, the same columns
+    under any row blocking or BLAS build. The intercept, orthogonal to the
+    centred columns, is always kept. The ill-conditioned error is reserved
+    for designs with non-finite column statistics and for designs whose
+    kept part is still numerically singular beyond the ridge guard; R[:, keep]
+    has the singular values of D[:, keep].
     """
     n = F.shape[0]
     mu_all = F.mean(axis=0)
@@ -175,31 +176,18 @@ def fit_ridge(F: np.ndarray, lam: float) -> RidgeProjection:
     to_raw[0, 0] = 1.0
     to_raw[0, 1:] = -mu / sd
     to_raw[cols, np.arange(1, k)] = 1.0 / sd
-    keep = np.arange(k)
-    cond = 1.0
-    if k > 1:
-        R = _triangular_r(D)
-        sv = np.linalg.svd(R, compute_uv=False)
-        # |r_ii| of a pivoted R is >= sigma_min and its r_00 is the largest
-        # column norm, so this keeps every column under the rank rule below;
-        # the factor 2 absorbs the rounding of both factorizations.
-        if len(sv) == k and sv[-1] > 2e-10 * np.sqrt((R * R).sum(axis=0)).max():
-            cond = sv[0] / sv[-1]
-        else:
-            R, piv = _pivoted_qr(R)
-            diag = np.abs(np.diag(R))
-            rank = int((diag > diag[0] * 1e-10).sum()) if diag[0] > 0 else 1
-            keep = np.sort(piv[:rank])
-            D = D[:, keep]
-            sv = np.linalg.svd(R[:rank, :rank], compute_uv=False)
-            cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
+    R = _triangular_r(D)
+    scale = np.sqrt((R * R).sum(axis=0)).max()  # r_00 of a pivoted R
+    keep = np.flatnonzero(np.abs(np.diag(R)) > 1e-10 * scale)
+    D = D[:, keep]
+    sv = np.linalg.svd(R[:, keep], compute_uv=False)
+    cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
     if cond > COND_LIMIT:
         raise IllConditionedBasisError(
             f"design condition number {cond:.3e} exceeds {COND_LIMIT:.0e}"
         )
     penalty = lam * np.eye(D.shape[1])
-    if keep[0] == 0:
-        penalty[0, 0] = 0.0  # never shrink the intercept
+    penalty[0, 0] = 0.0  # never shrink the intercept
     gram = D.T @ D + penalty
     return RidgeProjection(D=D, gram=gram, to_raw=to_raw[:, keep])
 
@@ -214,31 +202,6 @@ def _triangular_r(D: np.ndarray) -> np.ndarray:
         D = np.vstack([np.linalg.qr(D[i:i + rows], mode="r")
                        for i in range(0, D.shape[0], rows)])
     return np.linalg.qr(D, mode="r")
-
-
-def _pivoted_qr(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column-pivoted Householder QR of a small matrix, as LAPACK's geqp3
-    pivots it: each step takes the remaining column of largest norm (the
-    first on ties) and reflects it to beta e_1 with beta = -sign(a_11) |a|.
-    Returns the triangular factor and the 0-based column pivots."""
-    A = R.copy()
-    m, k = A.shape
-    piv = np.arange(k)
-    for j in range(min(m, k)):
-        p = j + int(np.argmax((A[j:, j:] ** 2).sum(axis=0)))
-        A[:, [j, p]] = A[:, [p, j]]
-        piv[[j, p]] = piv[[p, j]]
-        x = A[j:, j]
-        tail = np.linalg.norm(x[1:])
-        if tail == 0.0:
-            continue
-        beta = -np.copysign(np.hypot(x[0], tail), x[0])
-        v = x / (x[0] - beta)
-        v[0] = 1.0
-        tau = (beta - x[0]) / beta
-        A[j:, j + 1:] -= np.outer(tau * v, v @ A[j:, j + 1:])
-        A[j, j], A[j + 1:, j] = beta, 0.0
-    return A, piv
 
 
 def check_basis_size(basis: RegressionBasis, n_paths: int) -> None:

@@ -19,16 +19,11 @@ closed-form references.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-
-CODE_CONSTANT = 0
-CODE_LINEAR = 1
-CODE_TANH = 2
-CODE_SINE = 3
 
 
 @dataclass(frozen=True)
@@ -37,43 +32,41 @@ class CoefPreset:
 
     name: str
     params: tuple[float, ...]
-    code: int = field(repr=False)
 
     def value(self, x):
         p = self.params
-        if self.code == CODE_CONSTANT:
+        if self.name == "constant":
             return np.full_like(np.asarray(x, dtype=float), p[0]) if np.ndim(x) else p[0]
-        if self.code == CODE_LINEAR:
+        if self.name == "linear":
             return p[0] + p[1] * np.asarray(x, dtype=float) if np.ndim(x) else p[0] + p[1] * x
-        if self.code == CODE_TANH:
+        if self.name == "tanh":
             return p[0] * np.tanh(p[1] * np.asarray(x) + p[2]) + p[3]
         return p[0] * np.sin(p[1] * np.asarray(x) + p[2]) + p[3]
 
     def deriv(self, x):
         p = self.params
         x = np.asarray(x, dtype=float)
-        if self.code == CODE_CONSTANT:
+        if self.name == "constant":
             return np.zeros_like(x)
-        if self.code == CODE_LINEAR:
+        if self.name == "linear":
             return np.full_like(x, p[1])
-        if self.code == CODE_TANH:
+        if self.name == "tanh":
             t = np.tanh(p[1] * x + p[2])
             return p[0] * p[1] * (1.0 - t * t)
         return p[0] * p[1] * np.cos(p[1] * x + p[2])
 
     @property
     def bounded(self) -> bool:
-        if self.code in (CODE_TANH, CODE_SINE, CODE_CONSTANT):
-            return True
-        return self.params[1] == 0.0  # linear with zero slope is a constant
+        # a linear preset is bounded only with zero slope, as a constant
+        return self.name != "linear" or self.params[1] == 0.0
 
     @property
     def sup(self) -> float:
         """Upper bound for sup |f|; infinite for unbounded presets."""
         p = self.params
-        if self.code == CODE_CONSTANT:
+        if self.name == "constant":
             return abs(p[0])
-        if self.code == CODE_LINEAR:
+        if self.name == "linear":
             return abs(p[0]) if p[1] == 0.0 else math.inf
         return abs(p[0]) + abs(p[3])
 
@@ -84,21 +77,17 @@ class CoefPreset:
         p = self.params
         if any(math.isnan(v) for v in p):
             return math.nan
-        if self.code == CODE_CONSTANT:
+        if self.name == "constant":
             return p[0]
-        if self.code == CODE_LINEAR:
+        if self.name == "linear":
             return p[0] if p[1] == 0.0 else -math.inf
         if p[1] == 0.0:  # no dependence on x
             return float(self.value(0.0))
         return p[3] - abs(p[0])
 
 
-_REGISTRY = {
-    "constant": (CODE_CONSTANT, 1, 1),
-    "linear": (CODE_LINEAR, 2, 2),
-    "tanh": (CODE_TANH, 1, 4),
-    "sine": (CODE_SINE, 1, 4),
-}
+# name -> (fewest, most) parameters
+_REGISTRY = {"constant": (1, 1), "linear": (2, 2), "tanh": (1, 4), "sine": (1, 4)}
 
 
 def make_coef(name: str, *params: float) -> CoefPreset:
@@ -106,19 +95,19 @@ def make_coef(name: str, *params: float) -> CoefPreset:
     if name == "identity":
         if params:
             raise InvalidArgumentError("identity takes no parameters")
-        return CoefPreset(name="identity", params=(0.0, 1.0), code=CODE_LINEAR)
+        return make_coef("linear", 0.0, 1.0)
     if name not in _REGISTRY:
         raise InvalidArgumentError(
             f"unknown coefficient preset {name!r}; known: "
             f"{sorted(_REGISTRY) + ['identity']}"
         )
-    code, lo, hi = _REGISTRY[name]
+    lo, hi = _REGISTRY[name]
     if not (lo <= len(params) <= hi):
         raise InvalidArgumentError(
             f"preset {name!r} takes between {lo} and {hi} parameters, got {len(params)}"
         )
     full = list(params)
-    if code in (CODE_TANH, CODE_SINE):
+    if name in ("tanh", "sine"):
         defaults = [1.0, 1.0, 0.0, 0.0]
         full = full + defaults[len(full):]
-    return CoefPreset(name=name, params=tuple(float(v) for v in full), code=code)
+    return CoefPreset(name=name, params=tuple(float(v) for v in full))

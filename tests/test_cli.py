@@ -140,6 +140,17 @@ class TestLoadConfig:
         assert cfg2.seed == 1 and cfg2.model.k == 0.5
         assert cfg2.n_paths == 10 and cfg2.n_particles == 8
         assert cfg2.out_dir == "elsewhere"
+        cfg3 = apply_overrides(cfg, seed="3", n_paths=np.int64(12))
+        assert cfg3.seed == 3 and cfg3.n_paths == 12
+
+    @pytest.mark.parametrize("name,value", [("seed", 1.5), ("n_paths", 2.9),
+                                            ("n_particles", float("inf"))])
+    def test_non_integral_override_names_flag(self, tanh_conf, name, value):
+        # a number is not truncated to an integer
+        with pytest.raises(ConfigError) as err:
+            apply_overrides(load_config(tanh_conf), **{name: value})
+        (problem,) = err.value.problems
+        assert problem.startswith(f"--{name.replace('_', '-')}: ")
 
 
 def run_cli(*args, env=None) -> subprocess.CompletedProcess:
@@ -327,6 +338,20 @@ class TestExitCodes:
         (line,) = r.stderr.splitlines()
         assert line.startswith("config error: ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args", [["worst-case"], ["picard", "--k", "0.1"]],
+                             ids=["worst-case", "picard-k"])
+    def test_unbounded_presets_are_config_error(self, linear_conf, tmp_path, args):
+        # identity h and f are unbounded: refused before the run, not inside it
+        out = tmp_path / "o"
+        r = run_cli(args[0], "--config", str(linear_conf), *args[1:],
+                    "--out-dir", str(out))
+        assert r.returncode == 1 and "Traceback" not in r.stderr
+        (line,) = r.stderr.splitlines()
+        assert line.startswith("config error: ")
+        manifest = json.loads(next(out.glob("*/manifest.json")).read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"].startswith("ConfigError: ")
 
     def test_help_is_0(self):
         r = run_cli("--help")
