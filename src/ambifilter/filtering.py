@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (DataError, DegenerateCloudError, InvalidArgumentError,
                      ShapeError)
 from .model import (ModelSpec, TimeGrid, ROLE_CLOUD_NORMAL, ROLE_CLOUD_UNIFORM,
-                    ROLE_MARKOV, substream)
+                    ROLE_MARKOV, rekey, substream, substream_keys)
 from .policies import DriftPolicy
 
 
@@ -153,10 +153,14 @@ def run_filter_bank(model: ModelSpec, policy: DriftPolicy, dY: np.ndarray,
     if not np.all(np.isfinite(dY)):
         raise DataError("observation increments must be finite")
     m, n = dY.shape[0], n_particles
+    steps = np.arange(dY.shape[1])
+    normal_keys = substream_keys(seed, ROLE_CLOUD_NORMAL, salt, steps)
+    uniform_keys = substream_keys(seed, ROLE_CLOUD_UNIFORM, salt, steps)
+    gen = np.random.Generator(np.random.Philox())
 
     def mutate(j, pos, logm):
-        normals = substream(seed, ROLE_CLOUD_NORMAL, salt, j).standard_normal((m, n))
-        unif = substream(seed, ROLE_CLOUD_UNIFORM, salt, j).random(m)
+        normals = rekey(gen, normal_keys[j]).standard_normal((m, n))
+        unif = rekey(gen, uniform_keys[j]).random(m)
         theta = policy.evaluate(j * dt, pos, np.exp(logm) if policy.needs_m else None)
         sig = model.sigma.params[0] if model.sigma.name == "constant" else model.sigma.value(pos)
         bv = model.b.params[0] if model.b.name == "constant" else model.b.value(pos)

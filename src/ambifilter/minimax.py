@@ -156,9 +156,11 @@ def _sign_field(policy: DriftPolicy, bundle, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def picard_solve(model: ModelSpec, config: PicardConfig) -> PicardReport:
+def picard_solve(model: ModelSpec, config: PicardConfig,
+                 initial_policy: Optional[DriftPolicy] = None) -> PicardReport:
     """Alternate simulate -> filter -> adjoint -> sign update until the sign
-    field of theta stabilizes.
+    field of theta stabilizes, starting from initial_policy (theta = 0 by
+    default; ignored at k = 0, where theta = 0 is the only policy).
 
     Convergence is declared when the sign-agreement fraction stays above
     1 - tol on two consecutive iterations and the cost moves by less than
@@ -183,8 +185,7 @@ def picard_solve(model: ModelSpec, config: PicardConfig) -> PicardReport:
             iterations=(PicardIteration(1, cost.J, 1.0, config.damping),),
             converged=True, final_policy=pol, final_rule=rule, final_cost=cost)
 
-    theta = zero_policy()
-    prev_target = zero_policy()
+    theta = prev_target = zero_policy() if initial_policy is None else initial_policy
     gamma = config.damping
     iters: list[PicardIteration] = []
     converged = False

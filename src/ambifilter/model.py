@@ -23,7 +23,9 @@ where a naive Euler step would not.
 
 Randomness is counter-based: every path's increments come from a dedicated
 Philox substream keyed by (seed, role, path_id), so a path is reproducible
-from its key alone and parallel schedules cannot reorder draws.
+from its key alone and parallel schedules cannot reorder draws. The key is
+numpy's SeedSequence hash, computed for a whole bundle at once
+(`substream_keys`); the streams are those of `substream`.
 
 `simulate_bundle` draws fresh noise unless it is handed a `NoiseBundle`.
 Every estimator that compares costs on common random numbers (Picard,
@@ -33,6 +35,8 @@ bundle with `sample_noise` and passes it down to each simulation it runs.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -51,15 +55,78 @@ ROLE_CHAIN = 5
 ROLE_PROBE = 9
 
 MEASURES = ("P", "Q", "Q_tilde")
+_M32 = 0xFFFFFFFF
+
+
+def _check_seed(seed) -> int:
+    """seed as a Python int; anything but a non-negative integer (numpy
+    integer types included) raises `InvalidArgumentError`."""
+    if isinstance(seed, (int, np.integer)) and seed >= 0:
+        return int(seed)
+    raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def substream(seed: int, role: int, index: int = 0,
               extra: int = 0) -> np.random.Generator:
     """Philox generator for the (seed, role, index[, extra]) substream."""
     idx = int(index)
-    key = (int(role), idx & 0xFFFFFFFF, (idx >> 32) & 0xFFFFFFFF, int(extra))
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
+    key = (int(role), idx & _M32, (idx >> 32) & _M32, int(extra))
+    ss = np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's `hashmix`, with its running constant."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = (value ^ const) * (const := const * mult & _M32) & _M32
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _mix(x, y):
+    # (0xca01f9dd x - 0x4973f715 y) mod 2^32, with no uint64 wraparound
+    r = ((0xCA01F9DD * x & _M32) + (1 << 32) - (0x4973F715 * y & _M32)) & _M32
+    return r ^ (r >> 16)
+
+
+def substream_keys(seed: int, role: int, index, extra=0) -> np.ndarray:
+    """The (..., 2) uint64 Philox keys of `substream(seed, role, index, extra)`
+    for int64 arrays of index broadcast against arrays of extra: numpy's
+    SeedSequence hash (`mix_entropy`, then `generate_state(2, np.uint64)`) on
+    uint64 arrays of 32-bit words, whose constants do not depend on the words."""
+    seed = _check_seed(seed)
+    idx = np.asarray(index, dtype=np.int64)
+    extra = np.asarray(extra)
+    if extra.dtype.kind not in "iub" or np.any((extra < 0) | (extra > _M32)):
+        raise InvalidArgumentError("substream extra must be an integer in [0, 2^32)")
+    # the seed's 32-bit words, zero-padded to the pool size, then the key
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words)) + [
+        operator.index(role), (idx & _M32).astype(np.uint64),
+        (idx >> 32 & _M32).astype(np.uint64), extra.astype(np.uint64)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in words[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word, dst in itertools.product(words[4:], range(4)):
+        pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+    state = [hashmix(w) for w in pool]
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
+
+
+_ZEROS4 = np.zeros(4, dtype=np.uint64)
+
+
+def rekey(gen: np.random.Generator, key: np.ndarray) -> np.random.Generator:
+    """gen (Philox) at the start of the stream with this key, as `substream` builds it."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": _ZEROS4, "key": key},
+        "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 @dataclass(frozen=True)
@@ -141,13 +208,15 @@ def sample_noise(grid: TimeGrid, n_paths: int, seed: int,
         path_ids = np.asarray(path_ids, dtype=np.int64)
         if path_ids.shape != (n_paths,):
             raise ShapeError("path_ids must have shape (n_paths,)")
-    root = np.sqrt(grid.dt)
+    seed = _check_seed(seed)
+    gen = np.random.Generator(np.random.Philox())
     dW = np.empty((n_paths, grid.n_steps))
     dB = np.empty((n_paths, grid.n_steps))
-    for i, pid in enumerate(path_ids):
-        dW[i] = substream(seed, ROLE_W, pid).standard_normal(grid.n_steps) * root
-        dB[i] = substream(seed, ROLE_B, pid).standard_normal(grid.n_steps) * root
-    return NoiseBundle(dW=dW, dB=dB, seed=int(seed), path_ids=path_ids, dt=grid.dt)
+    for out, role in ((dW, ROLE_W), (dB, ROLE_B)):
+        for row, key in zip(out, substream_keys(seed, role, path_ids)):
+            rekey(gen, key).standard_normal(out=row)
+        out *= np.sqrt(grid.dt)
+    return NoiseBundle(dW=dW, dB=dB, seed=seed, path_ids=path_ids, dt=grid.dt)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ from ambifilter.cli import load_config, run_subcommand
 from ambifilter.features import RegressionBasis
 from ambifilter.filtering import run_filter_bank
 from ambifilter.minimax import (ConstantRule, FilterRule, PicardConfig,
-                                picard_solve, minimax_gap, saddle_probes)
+                                _sign_field, picard_solve, minimax_gap,
+                                saddle_probes)
 from ambifilter.model import ModelSpec, build_time_grid, simulate_bundle
 from ambifilter.oracles import (LinearGaussianSpec, finite_signal_estimates,
                                 finite_signal_filter, grid_sup_cost,
@@ -41,15 +42,16 @@ def criterion(num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
+LADDER_CFG = PicardConfig(n_paths=600, n_particles=200, n_steps=50, seed=99,
+                          max_iters=10, mixture_prune=0.05)
+
+
 @pytest.fixture(scope="module")
 def picard_ladder():
-    """Fixed-point runs over the ambiguity ladder, shared by criteria 4 and 7."""
-    out = {}
-    for k in (0.0, 0.1, 0.25, 0.5):
-        cfg = PicardConfig(n_paths=600, n_particles=200, n_steps=50, seed=99,
-                           max_iters=10, mixture_prune=0.05)
-        out[k] = picard_solve(replace(TANH, k=k), cfg)
-    return out
+    """Fixed-point runs over the ambiguity ladder, shared by criteria 4 and 7
+    and the uniqueness check."""
+    return {k: picard_solve(replace(TANH, k=k), LADDER_CFG)
+            for k in (0.0, 0.1, 0.25, 0.5)}
 
 
 def test_criterion_1_classical_reduction():
@@ -204,6 +206,41 @@ def test_criterion_7_saddle_point_probes(picard_ladder):
               not bad,
               f"J(saddle)={saddle.J:.5f}; 10 policy probes + 4 control shifts; "
               f"violations={bad or 'none'}")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "from theta = -k Picard stops after 4 iterations with the start still "
+    "weighted 0.125 in the final mixture, whose sign field then agrees with "
+    "the theta = 0 run on about 97% of the points, below 98%"))
+def test_fixed_point_independent_of_start(picard_ladder):
+    """The paper's uniqueness theorem: Picard started from theta = 0 (the
+    ladder's run), +k and -k reaches one fixed point. The final costs agree
+    within 3 SE and the final sign fields on one common bundle agree."""
+    k = TANH.k
+    runs = {"0": picard_ladder[k]}
+    for name, value in (("+k", k), ("-k", -k)):
+        runs[name] = picard_solve(TANH, LADDER_CFG,
+                                  initial_policy=constant_policy(value, radius=k))
+    grid = build_time_grid(TANH.T, LADDER_CFG.n_steps)
+    common = simulate_bundle(TANH, zero_policy(), grid, LADDER_CFG.n_paths,
+                             LADDER_CFG.seed, measure="Q_tilde")
+    signs = {name: _sign_field(rep.final_policy, common, grid.times)
+             for name, rep in runs.items()}
+    bad, details = [], []
+    for a, b in (("0", "+k"), ("0", "-k"), ("+k", "-k")):
+        ca, cb = runs[a].final_cost, runs[b].final_cost
+        gap, se3 = abs(ca.J - cb.J), 3 * max(ca.se, cb.se)
+        agree = float((signs[a] == signs[b]).mean())
+        if gap > se3 or agree < 0.98:
+            bad.append(f"{a}/{b}")
+        details.append(f"{a}/{b}: |dJ|={gap:.5f} (3 SE {se3:.5f}), "
+                       f"sign agreement {agree:.4f}")
+    detail = (f"J by start { {n: round(r.final_cost.J, 5) for n, r in runs.items()} }; "
+              f"{'; '.join(details)} (want 3 SE and >= 0.98); "
+              f"disagreeing={bad or 'none'}")
+    print(f"[uniqueness] fixed point independent of the Picard start: {detail} "
+          f"-> {'FAIL' if bad else 'PASS'}")
+    assert not bad, detail
 
 
 def test_criterion_8_exact_recursion_equivalence():

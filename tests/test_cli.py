@@ -502,6 +502,14 @@ def test_fp_warnings_go_to_manifest(tmp_path, capsys):
         assert w["count"] >= 1 and ".py:" in w["location"]
 
 
+@pytest.mark.parametrize("cmd", ["simulate", "filter", "picard"])
+def test_clean_run_records_no_fp_warnings(tanh_conf, tmp_path, cmd):
+    m = run_subcommand(cmd, load_config(tanh_conf), run_dir=tmp_path)
+    assert m.status == "ok" and m.fp_warnings == ()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["fp_warnings"] == []
+
+
 def test_fp_warnings_counted_and_others_reissued(tanh_conf, tmp_path, monkeypatch):
     def noisy(config, run_dir):
         for _ in range(3):

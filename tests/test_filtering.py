@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,9 +9,10 @@ from ambifilter.errors import (DataError, DegenerateCloudError,
 from ambifilter.filtering import (_reduce_and_resample, innovation_path,
                                   run_filter, run_filter_bank,
                                   run_filter_finite, systematic_indices)
-from ambifilter.model import (ModelSpec, build_time_grid, simulate_bundle)
+from ambifilter.model import (ModelSpec, build_time_grid, sample_noise,
+                              simulate_bundle)
 from ambifilter.oracles import LinearGaussianSpec, kalman_bucy
-from ambifilter.policies import zero_policy
+from ambifilter.policies import constant_policy, zero_policy
 from ambifilter.presets import make_coef
 
 
@@ -208,6 +211,25 @@ class TestRunFilter:
                                seed=26, salt=0)
         single = run_filter(tanh_model, zero_policy(), bundle.Y[0], 64, seed=26)
         np.testing.assert_array_equal(bank.u[0], single.u)
+
+    def test_golden_digest(self, tanh_model):
+        # every step resamples (ess_threshold 1), so both per-step streams
+        # reach the output; any change to them changes these bytes
+        g = build_time_grid(1.0, 6)
+        dY = sample_noise(g, 4, 2024, path_ids=np.array([0, 7, -3, 2**33])).dB
+        r = run_filter_bank(tanh_model, constant_policy(0.25), dY, g.dt, 16,
+                            seed=2024, salt=3, ess_threshold=1.0)
+        assert r.flags[:, 1:].all()
+        h = hashlib.sha256()
+        for a in (r.u, r.pi_h, r.ess, r.flags, r.log_mass):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == (
+            "64897ead9b674d2139df47d7720e571942f3814a04c65642d094571609de7766")
+
+    @pytest.mark.parametrize("seed", [2.9, -1, float("nan")])
+    def test_bad_seed(self, tanh_model, seed):
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            run_filter_bank(tanh_model, zero_policy(), DY3, 0.1, 8, seed=seed)
 
     def test_shape_validation(self, tanh_model):
         with pytest.raises(ShapeError):

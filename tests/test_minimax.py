@@ -128,6 +128,18 @@ class TestPicard:
         np.testing.assert_array_equal(via_rule[0], direct)
         assert np.all(np.abs(via_rule) <= m.f_sup)  # clamp safety
 
+    def test_initial_policy(self, tanh_model):
+        cfg = PicardConfig(n_paths=100, n_particles=16, n_steps=10, seed=33,
+                           max_iters=3)
+        default = picard_solve(tanh_model, cfg)
+        explicit = picard_solve(tanh_model, cfg, initial_policy=zero_policy())
+        assert explicit.iterations == default.iterations
+        assert explicit.final_policy.digest() == default.final_policy.digest()
+        up = picard_solve(tanh_model, cfg, initial_policy=constant_policy(0.25))
+        assert up.iterations[0].J != default.iterations[0].J
+        with pytest.raises(InvalidArgumentError, match="radius"):
+            picard_solve(tanh_model, cfg, initial_policy=constant_policy(0.5))
+
     def test_final_j_vs_brute_force_at_final_control(self, tanh_model, picard_25):
         # the converged adversary is a state-feedback sign policy; it must
         # dominate every piecewise-constant-in-time pattern at the final

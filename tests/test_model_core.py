@@ -1,3 +1,6 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,8 +8,9 @@ from hypothesis import given, strategies as st
 from ambifilter import bsde, minimax, model, oracles
 from ambifilter.errors import InvalidArgumentError, MissingFeatureError, ShapeError
 from ambifilter.features import FrozenRegression, RegressionBasis, fit_ridge
-from ambifilter.model import (ModelSpec, NoiseBundle, build_time_grid,
-                              sample_noise, simulate_bundle)
+from ambifilter.model import (ROLE_B, ROLE_W, ModelSpec, NoiseBundle,
+                              build_time_grid, sample_noise, simulate_bundle,
+                              substream, substream_keys)
 from ambifilter.policies import (constant_policy, mixture_policy,
                                  sign_of_regression_policy, time_table_policy,
                                  zero_policy)
@@ -20,6 +24,13 @@ def model_of(b, sigma, h, f, x0=0.0, T=1.0, k=0.0):
 
 
 CONST = make_coef("constant", 0.0)
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 def paths_on(model, noise, grid, measure="P", policy=None):
@@ -60,6 +71,22 @@ class TestSampleNoise:
         np.testing.assert_array_equal(part.dW[0], full.dW[5])
         np.testing.assert_array_equal(part.dB[1], full.dB[17])
 
+    def test_rows_are_substreams(self):
+        g = build_time_grid(0.7, 9)
+        ids = np.array([3, -5, 2**33 + 1, 0])
+        nb = sample_noise(g, 4, seed=2**70 + 11, path_ids=ids)
+        for i, pid in enumerate(ids):
+            for out, role in ((nb.dW, ROLE_W), (nb.dB, ROLE_B)):
+                row = substream(2**70 + 11, role, pid).standard_normal(9) * np.sqrt(g.dt)
+                assert out[i].tobytes() == row.tobytes()
+
+    def test_golden_digest(self):
+        # any change to the noise streams changes these bytes
+        nb = sample_noise(build_time_grid(1.0, 6), 4, 2024,
+                          path_ids=np.array([0, 7, -3, 2**33]))
+        assert digest(nb.dW, nb.dB) == (
+            "46f16d27250370515d9d1ce190d088ba366afa3745627730bdad05e15c3afb1c")
+
     def test_moments(self):
         g = build_time_grid(1.0, 100)
         nb = sample_noise(g, 1000, seed=11)   # 1e5 increments per channel
@@ -77,6 +104,58 @@ class TestSampleNoise:
         roles = {name: v for name, v in vars(model).items() if name.startswith("ROLE_")}
         assert "ROLE_PROBE" in roles
         assert len(set(roles.values())) == len(roles), roles
+
+
+def seed_sequence_key(seed, role, index, extra):
+    """The Philox key numpy derives for substream(seed, role, index, extra)."""
+    index = int(index)
+    spawn = (role, index & 0xFFFFFFFF, (index >> 32) & 0xFFFFFFFF, int(extra))
+    return np.random.SeedSequence(entropy=seed, spawn_key=spawn).generate_state(
+        2, np.uint64)
+
+
+INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+class TestSubstreamKeys:
+    @given(seed=st.one_of(st.integers(0, 2**200),
+                          st.sampled_from([0, 2**32 - 1, 2**32, 2**128, 2**200])),
+           role=st.integers(0, 9),
+           index=st.lists(st.one_of(INT64, st.sampled_from([-1, 2**32, 2**32 - 1])),
+                          min_size=1, max_size=4),
+           extra=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
+    def test_match_seed_sequence(self, seed, role, index, extra):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            keys = substream_keys(seed, role, np.array(index)[:, None], np.array(extra))
+            scalar = substream_keys(seed, role, index[0], extra[0])
+        assert keys.shape == (len(index), len(extra), 2) and keys.dtype == np.uint64
+        for i, ix in enumerate(index):
+            for e, ex in enumerate(extra):
+                np.testing.assert_array_equal(keys[i, e],
+                                              seed_sequence_key(seed, role, ix, ex))
+        np.testing.assert_array_equal(scalar, keys[0, 0])
+
+    @pytest.mark.parametrize("extra", [-1, 2**32, 0.5, [0, 2**40]])
+    def test_extra_out_of_range(self, extra):
+        with pytest.raises(InvalidArgumentError, match="extra"):
+            substream_keys(1, 2, 0, extra)
+
+    @pytest.mark.parametrize("seed", [-1, -2**70, 1.5, 3.0, float("nan"),
+                                      float("inf"), "7", None])
+    def test_bad_seed(self, seed):
+        g = build_time_grid(1.0, 4)
+        for call in (lambda: substream_keys(seed, 0, 0),
+                     lambda: substream(seed, 0),
+                     lambda: sample_noise(g, 3, seed)):
+            with pytest.raises(InvalidArgumentError, match="seed"):
+                call()
+
+    def test_numpy_integer_seed(self):
+        g = build_time_grid(1.0, 4)
+        a, b = sample_noise(g, 3, np.uint64(7)), sample_noise(g, 3, 7)
+        assert a.seed == 7 and type(a.seed) is int
+        np.testing.assert_array_equal(a.dW, b.dW)
 
 
 class TestSharedNoise:
