@@ -53,7 +53,6 @@ NESTED_FILTER_SALT = 104729
 @dataclass(frozen=True)
 class BsdeSolution:
     y0: float
-    y_mean_path: np.ndarray                  # E[y_t] per grid time, diagnostics
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,6 @@ def solve_worst_value(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
     k = model.k
 
     y = np.zeros(n)
-    y_mean = np.zeros(steps + 1)
     for j in range(steps - 1, -1, -1):
         F = basis.design({"x": paths.X[:, j], "u": u_vals[:, j],
                           "m": paths.M[:, j]})
@@ -118,10 +116,9 @@ def solve_worst_value(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
         z = proj.fit((y - cont) * dW[:, j] / dt).predict(F)
         err = model.f.value(paths.X[:, j]) - u_vals[:, j]
         y = cont + (err * err + k * np.abs(z)) * dt
-        y_mean[j] = y.mean()
     if not np.isfinite(y).all():
         raise NumericalError("worst-case value is not finite (the k|z| driver overflowed)")
-    return BsdeSolution(y0=float(y.mean()), y_mean_path=y_mean)
+    return BsdeSolution(y0=float(y.mean()))
 
 
 def _adjoint_driver(variant: str, bprime, sprime, hprime, fprime, hval, fval,

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (DataError, DegenerateCloudError, InvalidArgumentError,
                      ShapeError)
 from .model import (ModelSpec, TimeGrid, ROLE_CLOUD_NORMAL, ROLE_CLOUD_UNIFORM,
-                    ROLE_MARKOV, rekey, substream, substream_keys)
+                    ROLE_MARKOV, rekey, substream_keys)
 from .policies import DriftPolicy
 
 
@@ -175,8 +175,7 @@ def run_filter_bank(model: ModelSpec, policy: DriftPolicy, dY: np.ndarray,
 
 
 def run_filter(model: ModelSpec, policy: DriftPolicy, Y: np.ndarray,
-               n_particles: int, seed: int, salt: int = 0,
-               ess_threshold: float = 0.5) -> BankResult:
+               n_particles: int, seed: int, ess_threshold: float = 0.5) -> BankResult:
     """Filter one observation path on the model grid implied by len(Y);
     every field of the result has shape (n_steps + 1,)."""
     Y = np.asarray(Y, dtype=float)
@@ -184,7 +183,7 @@ def run_filter(model: ModelSpec, policy: DriftPolicy, Y: np.ndarray,
         raise ShapeError("Y must be a path of at least two grid values")
     n_steps = Y.size - 1
     return run_filter_bank(model, policy, np.diff(Y).reshape(1, n_steps),
-                           model.T / n_steps, n_particles, seed, salt=salt,
+                           model.T / n_steps, n_particles, seed,
                            ess_threshold=ess_threshold).row(0)
 
 
@@ -216,10 +215,11 @@ def run_filter_finite(states: np.ndarray, transition: np.ndarray,
     if Y.size != grid.n_steps + 1:
         raise ShapeError("Y and grid are not aligned")
     start = int(np.argmin(np.abs(np.asarray(states, dtype=float) - x0)))
+    keys = substream_keys(seed, ROLE_MARKOV, 0, np.arange(grid.n_steps))
+    gen = np.random.Generator(np.random.Philox())
 
     def mutate(j, idx, _logm):
-        gen = substream(seed, ROLE_MARKOV, 0, j)
-        draw = gen.random(n_particles)
+        draw = rekey(gen, keys[j]).random(n_particles)
         moved = (cum[idx[0]] <= draw[:, None]).sum(axis=1)
         idx[0] = np.minimum(moved, len(states) - 1)
         return h_values[idx], f_values[idx], gen.random(1)

@@ -71,7 +71,6 @@ class FilterRule(ControlRule):
 class CostReport:
     J: float
     se: float
-    n_paths: int
     per_path: np.ndarray = field(repr=False)
 
 
@@ -94,7 +93,7 @@ def _cost_report(model: ModelSpec, bundle: PathBundle, u: np.ndarray) -> CostRep
     n_paths = bundle.n_paths
     J = float(per_path.mean())
     se = float(per_path.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("nan")
-    return CostReport(J=J, se=se, n_paths=n_paths, per_path=per_path)
+    return CostReport(J=J, se=se, per_path=per_path)
 
 
 def sign_policy(adjoint: AdjointSolution, k: float) -> DriftPolicy:

@@ -22,10 +22,11 @@ one-step solution exp(h dY - h^2 dt / 2), which keeps M strictly positive
 where a naive Euler step would not.
 
 Randomness is counter-based: every path's increments come from a dedicated
-Philox substream keyed by (seed, role, path_id), so a path is reproducible
-from its key alone and parallel schedules cannot reorder draws. The key is
-numpy's SeedSequence hash, computed for a whole bundle at once
-(`substream_keys`); the streams are those of `substream`.
+Philox substream keyed by (seed, role, path), so a path is reproducible
+from its key alone and parallel schedules cannot reorder draws. There is one
+key derivation, `substream_keys`, which keys a whole bundle or a filter's
+steps at once; `rekey` starts one generator on each key, and `substream` is
+the stream of a single key.
 
 `simulate_bundle` draws fresh noise unless it is handed a `NoiseBundle`.
 Every estimator that compares costs on common random numbers (Picard,
@@ -66,17 +67,8 @@ def _check_seed(seed) -> int:
     raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def substream(seed: int, role: int, index: int = 0,
-              extra: int = 0) -> np.random.Generator:
-    """Philox generator for the (seed, role, index[, extra]) substream."""
-    idx = int(index)
-    key = (int(role), idx & _M32, (idx >> 32) & _M32, int(extra))
-    ss = np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def _hasher(init: int, mult: int):
-    """SeedSequence's `hashmix`, with its running constant."""
+    """numpy's seed-sequence `hashmix`, with its running constant."""
     const = init
 
     def hashmix(value):
@@ -93,15 +85,18 @@ def _mix(x, y):
 
 
 def substream_keys(seed: int, role: int, index, extra=0) -> np.ndarray:
-    """The (..., 2) uint64 Philox keys of `substream(seed, role, index, extra)`
-    for int64 arrays of index broadcast against arrays of extra: numpy's
-    SeedSequence hash (`mix_entropy`, then `generate_state(2, np.uint64)`) on
-    uint64 arrays of 32-bit words, whose constants do not depend on the words."""
+    """The (..., 2) uint64 Philox keys of the (seed, role, index, extra)
+    substreams, int64 arrays of index broadcast against arrays of extra:
+    numpy's seed-sequence hash (`mix_entropy`, then `generate_state(2,
+    np.uint64)`) of entropy seed and spawn key (role, index's two 32-bit
+    words, extra), on uint64 word arrays; its constants ignore the words."""
     seed = _check_seed(seed)
-    idx = np.asarray(index, dtype=np.int64)
-    extra = np.asarray(extra)
+    idx, extra = np.asarray(index), np.asarray(extra)
+    if idx.dtype.kind not in "iub":
+        raise InvalidArgumentError("substream index must be an integer")
     if extra.dtype.kind not in "iub" or np.any((extra < 0) | (extra > _M32)):
         raise InvalidArgumentError("substream extra must be an integer in [0, 2^32)")
+    idx = idx.astype(np.int64)
     # the seed's 32-bit words, zero-padded to the pool size, then the key
     words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (4 - len(words)) + [
@@ -122,11 +117,18 @@ _ZEROS4 = np.zeros(4, dtype=np.uint64)
 
 
 def rekey(gen: np.random.Generator, key: np.ndarray) -> np.random.Generator:
-    """gen (Philox) at the start of the stream with this key, as `substream` builds it."""
+    """gen (Philox) reset to the start of the stream with this key."""
     gen.bit_generator.state = {
         "bit_generator": "Philox", "state": {"counter": _ZEROS4, "key": key},
         "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return gen
+
+
+def substream(seed: int, role: int, index: int = 0,
+              extra: int = 0) -> np.random.Generator:
+    """Philox generator at the start of the (seed, role, index, extra) substream."""
+    return rekey(np.random.Generator(np.random.Philox()),
+                 substream_keys(seed, role, index, extra))
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,6 @@ class NoiseBundle:
     dW: np.ndarray            # (n_paths, n_steps), variance dt per step
     dB: np.ndarray
     seed: int
-    path_ids: np.ndarray
     dt: float
 
     @property
@@ -196,27 +197,20 @@ class NoiseBundle:
         return self.dW.shape[1]
 
 
-def sample_noise(grid: TimeGrid, n_paths: int, seed: int,
-                 path_ids: Optional[np.ndarray] = None) -> NoiseBundle:
+def sample_noise(grid: TimeGrid, n_paths: int, seed: int) -> NoiseBundle:
     """Independent Gaussian increments for the W and B channels, one Philox
-    substream per (seed, role, path_id)."""
+    substream per (seed, role, path)."""
     if n_paths < 1:
         raise InvalidArgumentError("n_paths must be >= 1")
-    if path_ids is None:
-        path_ids = np.arange(n_paths, dtype=np.int64)
-    else:
-        path_ids = np.asarray(path_ids, dtype=np.int64)
-        if path_ids.shape != (n_paths,):
-            raise ShapeError("path_ids must have shape (n_paths,)")
     seed = _check_seed(seed)
     gen = np.random.Generator(np.random.Philox())
     dW = np.empty((n_paths, grid.n_steps))
     dB = np.empty((n_paths, grid.n_steps))
     for out, role in ((dW, ROLE_W), (dB, ROLE_B)):
-        for row, key in zip(out, substream_keys(seed, role, path_ids)):
+        for row, key in zip(out, substream_keys(seed, role, np.arange(n_paths))):
             rekey(gen, key).standard_normal(out=row)
         out *= np.sqrt(grid.dt)
-    return NoiseBundle(dW=dW, dB=dB, seed=seed, path_ids=path_ids, dt=grid.dt)
+    return NoiseBundle(dW=dW, dB=dB, seed=seed, dt=grid.dt)
 
 
 @dataclass(frozen=True)
@@ -254,8 +248,9 @@ def simulate_bundle(model: ModelSpec, policy: DriftPolicy, grid: TimeGrid,
         )
     if noise is None:
         noise = sample_noise(grid, n_paths, seed)
-    elif (noise.n_paths, noise.n_steps, noise.dt) != (n_paths, grid.n_steps, grid.dt):
-        raise ShapeError("supplied noise does not match (n_paths, grid)")
+    elif (noise.n_paths, noise.n_steps, noise.dt, noise.seed) != (
+            n_paths, grid.n_steps, grid.dt, seed):
+        raise ShapeError("supplied noise does not match (n_paths, grid, seed)")
     n = n_paths
     dt = grid.dt
     X = np.empty((n, grid.n_steps + 1))

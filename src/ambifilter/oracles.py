@@ -210,13 +210,8 @@ def particle_filter_on_surrogate(spec: FiniteSignalSpec, Y: np.ndarray,
 @dataclass(frozen=True)
 class GridSupReport:
     J_worst: float
-    argmax_policy: DriftPolicy
+    se_worst: float
     reports: tuple[CostReport, ...]
-
-    @property
-    def se_worst(self) -> float:
-        i = int(np.argmax([r.J for r in self.reports]))
-        return self.reports[i].se
 
 
 def sign_pattern_family(k: float, n_buckets: int, horizon: float) -> list[DriftPolicy]:
@@ -243,7 +238,5 @@ def grid_sup_cost(model: ModelSpec, u_rule: ControlRule,
     noise = sample_noise(grid, n_paths, seed)
     reports = [evaluate_cost(model, u_rule, pol, n_paths, seed, grid, noise=noise)
                for pol in theta_family]
-    js = [r.J for r in reports]
-    best = int(np.argmax(js))
-    return GridSupReport(J_worst=float(js[best]), argmax_policy=theta_family[best],
-                         reports=tuple(reports))
+    worst = reports[int(np.argmax([r.J for r in reports]))]
+    return GridSupReport(J_worst=worst.J, se_worst=worst.se, reports=tuple(reports))

@@ -140,9 +140,13 @@ def sign_of_regression_policy(tables: Sequence[FrozenRegression], basis: Regress
         raise InvalidArgumentError(
             f"feature map {basis.feature_map_id!r} reads the control u; a drift "
             "policy may only read X and M")
+    if not (tables := list(tables)):
+        raise InvalidArgumentError("a sign policy needs at least one regression table")
+    if not (math.isfinite(dt) and dt > 0):
+        raise InvalidArgumentError(f"sign policy dt must be finite and > 0, got {dt}")
     return DriftPolicy(
         kind="sign_of_regression",
-        payload={"tables": list(tables), "basis": basis, "k": float(k), "dt": float(dt)},
+        payload={"tables": tables, "basis": basis, "k": float(k), "dt": float(dt)},
         radius=float(k),
     )
 
@@ -162,7 +166,9 @@ def mixture_policy(members: Sequence[tuple[float, DriftPolicy]], radius: float,
         total = sum(w for w, _ in flat)
         kept = [(w, p) for w, p in flat if abs(w) >= prune_below]
         if kept and total != 0.0:
-            scale = total / sum(w for w, _ in kept)
+            if (kept_total := sum(w for w, _ in kept)) == 0.0:
+                raise InvalidArgumentError("pruned mixture weights sum to 0")
+            scale = total / kept_total
             flat = [(w * scale, p) for w, p in kept]
     if not flat:
         return time_table_policy([0.0], math.inf, radius)

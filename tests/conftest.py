@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ambifilter.model import ModelSpec, build_time_grid
+from ambifilter.model import (ROLE_B, ROLE_W, ModelSpec, build_time_grid, rekey,
+                              sample_noise, substream_keys)
 from ambifilter.presets import make_coef
 
 settings.register_profile("suite", max_examples=25, deadline=None)
@@ -34,3 +35,19 @@ def grid50():
 def mc_se(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float).ravel()
     return float(x.std(ddof=1) / np.sqrt(x.size))
+
+
+def golden_noise():
+    """(dW, dB) rows of paths 0, 7, -3 and 2^33 for seed 2024 on a 6-step grid
+    of [0, 1]: paths 0 and 7 from `sample_noise`, and -3 and 2^33, which it
+    never draws, from `substream_keys` directly. Both golden digests are
+    taken over these rows."""
+    grid, seed = build_time_grid(1.0, 6), 2024
+    nb = sample_noise(grid, 8, seed)
+    gen = np.random.Generator(np.random.Philox())
+    out = []
+    for drawn, role in ((nb.dW, ROLE_W), (nb.dB, ROLE_B)):
+        odd = [rekey(gen, key).standard_normal(grid.n_steps) * np.sqrt(grid.dt)
+               for key in substream_keys(seed, role, np.array([-3, 2**33]))]
+        out.append(np.stack([drawn[0], drawn[7], *odd]))
+    return tuple(out)

@@ -9,12 +9,12 @@ from ambifilter.errors import (DataError, DegenerateCloudError,
 from ambifilter.filtering import (_reduce_and_resample, innovation_path,
                                   run_filter, run_filter_bank,
                                   run_filter_finite, systematic_indices)
-from ambifilter.model import (ModelSpec, build_time_grid, sample_noise,
-                              simulate_bundle)
+from ambifilter.model import ModelSpec, build_time_grid, simulate_bundle
 from ambifilter.oracles import LinearGaussianSpec, kalman_bucy
 from ambifilter.policies import constant_policy, zero_policy
 from ambifilter.presets import make_coef
 
+from conftest import golden_noise
 
 CONST0 = make_coef("constant", 0.0)
 DY3 = np.array([[0.1, -0.2, 0.05]])
@@ -178,8 +178,7 @@ class TestRunFilter:
         bundle = simulate_bundle(tanh_model, zero_policy(), grid50, 3, 19,
                                  measure="P")
         for i in range(3):
-            fp = run_filter(tanh_model, zero_policy(), bundle.Y[i], 128,
-                            seed=20, salt=i)
+            fp = run_filter(tanh_model, zero_policy(), bundle.Y[i], 128, seed=20 + i)
             assert np.all(np.abs(fp.u) <= tanh_model.f_sup)
 
     def test_causality_under_truncation(self, tanh_model, grid50):
@@ -216,7 +215,7 @@ class TestRunFilter:
         # every step resamples (ess_threshold 1), so both per-step streams
         # reach the output; any change to them changes these bytes
         g = build_time_grid(1.0, 6)
-        dY = sample_noise(g, 4, 2024, path_ids=np.array([0, 7, -3, 2**33])).dB
+        dY = golden_noise()[1]
         r = run_filter_bank(tanh_model, constant_policy(0.25), dY, g.dt, 16,
                             seed=2024, salt=3, ess_threshold=1.0)
         assert r.flags[:, 1:].all()

@@ -1,5 +1,8 @@
+import dataclasses
 import hashlib
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from ambifilter.policies import (constant_policy, mixture_policy,
                                  zero_policy)
 from ambifilter.presets import make_coef
 
-from conftest import mc_se
+from conftest import golden_noise, mc_se
 
 
 def model_of(b, sigma, h, f, x0=0.0, T=1.0, k=0.0):
@@ -65,26 +68,25 @@ class TestSampleNoise:
         assert np.array_equal(a.dW, b.dW) and np.array_equal(a.dB, b.dB)
 
     def test_per_path_keying(self):
+        # a path's noise does not depend on how many paths are drawn with it
         g = build_time_grid(1.0, 10)
         full = sample_noise(g, 20, seed=3)
-        part = sample_noise(g, 2, seed=3, path_ids=np.array([5, 17]))
-        np.testing.assert_array_equal(part.dW[0], full.dW[5])
-        np.testing.assert_array_equal(part.dB[1], full.dB[17])
+        part = sample_noise(g, 6, seed=3)
+        np.testing.assert_array_equal(part.dW, full.dW[:6])
+        np.testing.assert_array_equal(part.dB, full.dB[:6])
 
     def test_rows_are_substreams(self):
         g = build_time_grid(0.7, 9)
-        ids = np.array([3, -5, 2**33 + 1, 0])
-        nb = sample_noise(g, 4, seed=2**70 + 11, path_ids=ids)
-        for i, pid in enumerate(ids):
+        nb = sample_noise(g, 4, seed=2**70 + 11)
+        for i in range(4):
             for out, role in ((nb.dW, ROLE_W), (nb.dB, ROLE_B)):
-                row = substream(2**70 + 11, role, pid).standard_normal(9) * np.sqrt(g.dt)
+                ref = np.random.Generator(np.random.Philox(seed_sequence(2**70 + 11, role, i)))
+                row = ref.standard_normal(9) * np.sqrt(g.dt)
                 assert out[i].tobytes() == row.tobytes()
 
     def test_golden_digest(self):
         # any change to the noise streams changes these bytes
-        nb = sample_noise(build_time_grid(1.0, 6), 4, 2024,
-                          path_ids=np.array([0, 7, -3, 2**33]))
-        assert digest(nb.dW, nb.dB) == (
+        assert digest(*golden_noise()) == (
             "46f16d27250370515d9d1ce190d088ba366afa3745627730bdad05e15c3afb1c")
 
     def test_moments(self):
@@ -106,12 +108,17 @@ class TestSampleNoise:
         assert len(set(roles.values())) == len(roles), roles
 
 
-def seed_sequence_key(seed, role, index, extra):
-    """The Philox key numpy derives for substream(seed, role, index, extra)."""
+def seed_sequence(seed, role, index, extra=0):
+    """numpy's SeedSequence for the (seed, role, index, extra) substream: the
+    reference whose hash `substream_keys` reproduces."""
     index = int(index)
     spawn = (role, index & 0xFFFFFFFF, (index >> 32) & 0xFFFFFFFF, int(extra))
-    return np.random.SeedSequence(entropy=seed, spawn_key=spawn).generate_state(
-        2, np.uint64)
+    return np.random.SeedSequence(entropy=seed, spawn_key=spawn)
+
+
+def seed_sequence_key(seed, role, index, extra):
+    """The Philox key numpy derives for the (seed, role, index, extra) substream."""
+    return seed_sequence(seed, role, index, extra).generate_state(2, np.uint64)
 
 
 INT64 = st.integers(-2**63, 2**63 - 1)
@@ -129,17 +136,34 @@ class TestSubstreamKeys:
             warnings.simplefilter("error")
             keys = substream_keys(seed, role, np.array(index)[:, None], np.array(extra))
             scalar = substream_keys(seed, role, index[0], extra[0])
+            draws = substream(seed, role, index[0], extra[0]).random(5)
         assert keys.shape == (len(index), len(extra), 2) and keys.dtype == np.uint64
         for i, ix in enumerate(index):
             for e, ex in enumerate(extra):
                 np.testing.assert_array_equal(keys[i, e],
                                               seed_sequence_key(seed, role, ix, ex))
         np.testing.assert_array_equal(scalar, keys[0, 0])
+        ref = np.random.Generator(np.random.Philox(
+            seed_sequence(seed, role, index[0], extra[0])))
+        np.testing.assert_array_equal(draws, ref.random(5))
 
-    @pytest.mark.parametrize("extra", [-1, 2**32, 0.5, [0, 2**40]])
-    def test_extra_out_of_range(self, extra):
-        with pytest.raises(InvalidArgumentError, match="extra"):
-            substream_keys(1, 2, 0, extra)
+    @pytest.mark.parametrize("index,extra", [
+        pytest.param(0, -1, id="-1"), pytest.param(0, 2**32, id="4294967296"),
+        pytest.param(0, 0.5, id="0.5"), pytest.param(0, [0, 2**40], id="extra3"),
+        pytest.param(2.5, 0, id="index2.5"), pytest.param(3.0, 0, id="index3.0"),
+        pytest.param([1, 0.5], 0, id="index_array"),
+    ])
+    def test_extra_out_of_range(self, index, extra):
+        # a float index is refused, not truncated to another path's stream
+        for call in (substream_keys, substream):
+            with pytest.raises(InvalidArgumentError, match="index" if extra == 0 else "extra"):
+                call(1, 2, index, extra)
+
+    def test_one_key_derivation(self):
+        # every stream is keyed by substream_keys; no second derivation in src/
+        banned = re.compile(r"SeedSequence|default_rng|(np|numpy)\.random\.seed")
+        for path in sorted(Path(model.__file__).parent.glob("*.py")):
+            assert not banned.search(path.read_text(encoding="utf-8")), path.name
 
     @pytest.mark.parametrize("seed", [-1, -2**70, 1.5, 3.0, float("nan"),
                                       float("inf"), "7", None])
@@ -180,15 +204,14 @@ class TestSharedNoise:
         first = simulate_bundle(tanh_model, zero_policy(), g, 4, 7).noise
         again = simulate_bundle(tanh_model, zero_policy(), g, 4, 7).noise
         assert again is not first
-        for a, b in ((first.dW, again.dW), (first.dB, again.dB),
-                     (first.path_ids, again.path_ids)):
+        for a, b in ((first.dW, again.dW), (first.dB, again.dB)):
             assert a is not b
             np.testing.assert_array_equal(a, b)
 
     def test_supplied_noise_used_as_given(self, tanh_model):
         g = build_time_grid(1.0, 10)
         zeros = NoiseBundle(dW=np.zeros((4, 10)), dB=np.zeros((4, 10)), seed=7,
-                            path_ids=np.arange(4), dt=g.dt)
+                            dt=g.dt)
         bundle = paths_on(tanh_model, zeros, g, "Q_tilde")
         assert bundle.noise is zeros
         np.testing.assert_array_equal(bundle.Y, 0.0)
@@ -199,19 +222,24 @@ class TestSharedNoise:
         noise = sample_noise(build_time_grid(1.0, 50), 4, 7)
         with pytest.raises(ShapeError):
             paths_on(tanh_model, noise, build_time_grid(2.0, 50))
+        # the right grid, but another seed's paths
+        with pytest.raises(ShapeError, match="seed"):
+            simulate_bundle(tanh_model, zero_policy(), build_time_grid(1.0, 50), 4, 5,
+                            noise=noise)
 
     @pytest.mark.parametrize("family", ["picard_solve", "grid_sup_cost", "minimax_gap",
                                         "saddle_probes", "gateaux_fd"])
     def test_crn_family_draws_once(self, tanh_model, monkeypatch, family):
-        grid, n_paths, families = crn_families(tanh_model)
+        grid, n_paths, seed, families = crn_families(tanh_model)
         run, by_hand = families[family]
         # a draw no seed of the family gives, so every simulation it runs must
-        # have received this one bundle for the results to match by hand
-        hand = sample_noise(grid, n_paths, seed=999)
+        # have received this one bundle for the results to match by hand; it
+        # carries the family's seed, which simulate_bundle checks
+        hand = dataclasses.replace(sample_noise(grid, n_paths, seed=999), seed=seed)
         draws = []
 
         def counting(name):
-            def draw(grid_, n, seed, path_ids=None):
+            def draw(grid_, n, seed_):
                 assert (grid_.n_steps, grid_.dt, n) == (grid.n_steps, grid.dt, n_paths)
                 draws.append(name)
                 return hand
@@ -230,7 +258,7 @@ class TestSharedNoise:
 
 
 def crn_families(m):
-    """The common grid and path count, and for each common-random-number
+    """The common grid, path count and seed, and for each common-random-number
     family a pair (run, by_hand), where by_hand(noise) recomputes run()'s
     outputs with the noise passed to every simulation explicitly."""
     k, T, seed, n, steps, particles = m.k, m.T, 5, 80, 10, 16
@@ -309,11 +337,11 @@ def crn_families(m):
             slopes.append(float(((jp - jm) / (2.0 * e)).mean()))
         return tuple(slopes)
 
-    return grid, n, {"picard_solve": (picard, picard_by_hand),
-                     "grid_sup_cost": (sup, sup_by_hand),
-                     "minimax_gap": (gap, gap_by_hand),
-                     "saddle_probes": (probes, probes_by_hand),
-                     "gateaux_fd": (fd, fd_by_hand)}
+    return grid, n, seed, {"picard_solve": (picard, picard_by_hand),
+                           "grid_sup_cost": (sup, sup_by_hand),
+                           "minimax_gap": (gap, gap_by_hand),
+                           "saddle_probes": (probes, probes_by_hand),
+                           "gateaux_fd": (fd, fd_by_hand)}
 
 
 class TestEvolveSignal:
@@ -393,8 +421,7 @@ class TestEvolveWeight:
         m = model_of(CONST, make_coef("constant", 0.0),
                      make_coef("constant", 1.0), CONST, x0=0.0, T=0.04)
         g = build_time_grid(0.04, 1)
-        nb = NoiseBundle(dW=np.zeros((1, 1)), dB=np.array([[0.1]]), seed=0,
-                         path_ids=np.zeros(1, dtype=np.int64), dt=g.dt)
+        nb = NoiseBundle(dW=np.zeros((1, 1)), dB=np.array([[0.1]]), seed=0, dt=g.dt)
         M = paths_on(m, nb, g, "Q_tilde").M
         assert M[0, 1] == pytest.approx(np.exp(0.1 - 0.02), rel=1e-14)
 
@@ -463,7 +490,7 @@ class TestStrongConvergence:
         g_c = build_time_grid(1.0, 50)
         nb_c = NoiseBundle(dW=nb_f.dW.reshape(10_000, 50, 2).sum(axis=2),
                            dB=nb_f.dB.reshape(10_000, 50, 2).sum(axis=2),
-                           seed=6, path_ids=nb_f.path_ids, dt=g_c.dt)
+                           seed=6, dt=g_c.dt)
         Xf = paths_on(m, nb_f, g_f).X
         Xc = paths_on(m, nb_c, g_c).X
         assert abs(Xf[:, -1].mean() - Xc[:, -1].mean()) < mc_se(Xf[:, -1])
@@ -548,6 +575,24 @@ class TestPolicyValidation:
         tab = FrozenRegression(np.zeros(basis.n_features))
         with pytest.raises(InvalidArgumentError):
             sign_of_regression_policy([tab] * 3, basis, 0.25, 0.5)
+
+    @pytest.mark.parametrize("n_tables, dt", [
+        (0, 0.5), (3, 0.0), (3, np.nan), (3, -0.1), (3, np.inf),
+    ])
+    def test_sign_policy_rejects_bad_schedule(self, n_tables, dt):
+        # each failed only at evaluate (ZeroDivisionError, ValueError,
+        # IndexError), or used table 0 for every t when dt < 0
+        basis = RegressionBasis("poly_xm", 1)
+        tab = FrozenRegression(np.zeros(basis.n_features))
+        with pytest.raises(InvalidArgumentError):
+            sign_of_regression_policy([tab] * n_tables, basis, 0.25, dt)
+
+    def test_mixture_pruned_to_zero_sum_rejected(self):
+        # was a ZeroDivisionError in the renormalization
+        members = [(0.5, constant_policy(0.1)), (-0.5, constant_policy(0.2)),
+                   (0.01, constant_policy(0.3))]
+        with pytest.raises(InvalidArgumentError, match="sum to 0"):
+            mixture_policy(members, 1.0, prune_below=0.02)
 
     @pytest.mark.parametrize("values, horizon", [
         ([], 1.0), ([0.1, np.nan], 1.0), ([np.inf], 1.0), ([0.1], 0.0),

@@ -4,7 +4,8 @@ import pytest
 from ambifilter.errors import InvalidArgumentError
 from ambifilter import filtering, oracles
 from ambifilter.minimax import ConstantRule, evaluate_cost
-from ambifilter.model import ModelSpec, build_time_grid, substream
+from ambifilter.model import (ModelSpec, build_time_grid, rekey, substream,
+                              substream_keys)
 from ambifilter.oracles import (FiniteSignalSpec, LinearGaussianSpec,
                                 finite_signal_estimates, finite_signal_filter,
                                 grid_sup_cost, kalman_bucy,
@@ -94,20 +95,23 @@ class TestFiniteSignal:
 
     def test_chain_and_filter_draw_distinct_streams(self, monkeypatch):
         # the oracle-check path feeds one seed to both the chain and the filter
-        keys = {}
-        for module in (oracles, filtering):
-            def spy(*args, _real=module.substream, _name=module.__name__, **kw):
-                keys.setdefault(_name, []).append((args, kw))
+        # the chain draws one substream; the filter keys all its steps at once
+        calls = {}
+        for module, name in ((oracles, "substream"), (filtering, "substream_keys")):
+            def spy(*args, _real=getattr(module, name), _name=name, **kw):
+                calls.setdefault(_name, []).append((args, kw))
                 return _real(*args, **kw)
-            monkeypatch.setattr(module, "substream", spy)
+            monkeypatch.setattr(module, name, spy)
         spec = self._spec()
         grid = build_time_grid(1.0, 10)
         _, Y = simulate_finite_signal(spec, grid, seed=777, x0=0.8)
         particle_filter_on_surrogate(spec, Y, grid, 50, seed=777, x0=0.8)
-        (chain_args, chain_kw), = keys["ambifilter.oracles"]
-        filter_args, filter_kw = keys["ambifilter.filtering"][1]  # step j = 1
-        assert not np.array_equal(substream(*chain_args, **chain_kw).random(8),
-                                  substream(*filter_args, **filter_kw).random(8))
+        (chain_args, chain_kw), = calls["substream"]
+        (filter_args, filter_kw), = calls["substream_keys"]
+        step1 = substream_keys(*filter_args, **filter_kw)[1]   # step j = 1
+        assert not np.array_equal(
+            substream(*chain_args, **chain_kw).random(8),
+            rekey(np.random.Generator(np.random.Philox()), step1).random(8))
 
     def test_bad_rate_matrix_rejected(self):
         states = np.linspace(0, 1, 3)
