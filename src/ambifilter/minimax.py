@@ -163,9 +163,14 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
 
     Convergence is declared when the sign-agreement fraction stays above
     1 - tol on two consecutive iterations and the cost moves by less than
-    REL_J_TOL relatively. Non-convergence is reported, not raised. The
-    damping factor halves whenever the agreement drops between iterations.
-    Every iteration and the final cost run on one noise draw.
+    REL_J_TOL relatively. A converged run returns the last target
+    k sgn(P_hat), the sign rule the stopping rule compared, so the final
+    cost and filter rule run under that one bang-bang policy. A run that
+    does not converge returns its last damped iterate; non-convergence is
+    reported, not raised. The damping factor halves whenever the agreement
+    drops between iterations, and then the iterate is a mixture of the
+    previous iterate and the target. Every iteration and the final cost run
+    on one noise draw.
     """
     k = model.k
     grid = build_time_grid(model.T, config.n_steps)
@@ -210,6 +215,7 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
             abs(J_it - prev_j) <= REL_J_TOL * max(abs(prev_j), 1e-12)
         if agree >= 1.0 - config.tol and prev_agree >= 1.0 - config.tol and j_settled:
             converged = True
+            theta = target
             break
 
         theta = mixture_policy([(1.0 - gamma, theta), (gamma, target)],

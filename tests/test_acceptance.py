@@ -208,10 +208,6 @@ def test_criterion_7_saddle_point_probes(picard_ladder):
               f"violations={bad or 'none'}")
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "from theta = -k Picard stops after 4 iterations with the start still "
-    "weighted 0.125 in the final mixture, whose sign field then agrees with "
-    "the theta = 0 run on about 97% of the points, below 98%"))
 def test_fixed_point_independent_of_start(picard_ladder):
     """The paper's uniqueness theorem: Picard started from theta = 0 (the
     ladder's run), +k and -k reaches one fixed point. The final costs agree

@@ -183,12 +183,38 @@ class TestPicard:
         for it in rep.iterations:
             assert it.J == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("damping", [None, 0.5])
+    def test_converged_returns_sign_rule(self, tanh_model, picard_25, damping):
+        # the fixed point is the last target k sgn(P_hat) the stopping rule
+        # compared, not a damped mixture that still carries earlier iterates
+        if damping is None:
+            rep = picard_25
+        else:
+            rep = picard_solve(tanh_model, PicardConfig(
+                n_paths=300, n_particles=32, n_steps=20, seed=35, max_iters=10,
+                damping=damping))
+            assert {it.damping for it in rep.iterations} == {damping}
+        assert rep.converged
+        assert rep.final_policy.kind == "sign_of_regression"
+        assert rep.final_rule.policy is rep.final_policy
+        k = tanh_model.k
+        grid = build_time_grid(tanh_model.T, 20)
+        bundle = simulate_bundle(tanh_model, zero_policy(), grid, 50, 7,
+                                 measure="Q_tilde")
+        values = np.concatenate([
+            rep.final_policy.evaluate(t, bundle.X[:, j], bundle.M[:, j])
+            for j, t in enumerate(grid.times)])
+        assert set(np.unique(values)) <= {-k, 0.0, k}
+
     def test_nonconvergence_reported_not_raised(self, tanh_model):
         cfg = PicardConfig(n_paths=120, n_particles=50, n_steps=15, seed=34,
                            max_iters=1)
         rep = picard_solve(tanh_model, cfg)
         assert not rep.converged
         assert len(rep.iterations) == 1
+        # without convergence the damped iterate is returned, as a mixture
+        assert rep.final_policy.kind == "mixture"
+        assert rep.final_rule.policy is rep.final_policy
 
     def test_bad_config(self):
         with pytest.raises(InvalidArgumentError):
