@@ -58,9 +58,9 @@ class ExperimentConfig:
     ess_threshold: float = 0.5
     bsde_degree: int = 3
     ridge_lambda: Optional[float] = None
-    picard_max_iters: int = 20
-    picard_damping: float = 0.5
-    picard_tol: float = 0.02
+    picard_max_iters: int = PicardConfig.max_iters
+    picard_damping: float = PicardConfig.damping
+    picard_tol: float = PicardConfig.tol
     k_grid: tuple[float, ...] = (0.0, 0.1, 0.25, 0.5)
     rule_particles: int = 250
     out_dir: str = "runs"

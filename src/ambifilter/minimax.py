@@ -119,7 +119,7 @@ class PicardConfig:
     n_steps: int = 50
     seed: int = 0
     max_iters: int = 20
-    damping: float = 0.5
+    damping: float = 1.0
     tol: float = 0.02            # sign-agreement tolerance
     ess_threshold: float = 0.5
     mixture_prune: float = 0.02
@@ -163,14 +163,10 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
 
     Convergence is declared when the sign-agreement fraction stays above
     1 - tol on two consecutive iterations and the cost moves by less than
-    REL_J_TOL relatively. A converged run returns the last target
-    k sgn(P_hat), the sign rule the stopping rule compared, so the final
-    cost and filter rule run under that one bang-bang policy. A run that
-    does not converge returns its last damped iterate; non-convergence is
-    reported, not raised. The damping factor halves whenever the agreement
-    drops between iterations, and then the iterate is a mixture of the
-    previous iterate and the target. Every iteration and the final cost run
-    on one noise draw.
+    REL_J_TOL relatively; the run returns the last target k sgn(P_hat) that
+    check compared, or else its last iterate (reported, not raised). A step
+    goes config.damping of the way to the target, a fraction halved whenever
+    the agreement drops. All iterations and the final cost share one noise draw.
     """
     k = model.k
     grid = build_time_grid(model.T, config.n_steps)

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from ambifilter import cli
 from ambifilter.cli import apply_overrides, load_config, main, run_subcommand
 from ambifilter.errors import ConfigError
+from ambifilter.minimax import PicardConfig
 from ambifilter.model import build_time_grid
 from ambifilter.oracles import LinearGaussianSpec, kalman_bucy
 
@@ -69,8 +70,9 @@ class TestLoadConfig:
         assert cfg.model.T == 1.0 and cfg.n_steps == 50
         assert cfg.n_paths == 2000 and cfg.n_particles == 500
         assert cfg.bsde_degree == 3 and cfg.ess_threshold == 0.5
-        assert cfg.picard_damping == 0.5 and cfg.picard_max_iters == 20
-        assert cfg.picard_tol == 0.02
+        pc = PicardConfig()
+        assert (cfg.picard_damping, cfg.picard_max_iters, cfg.picard_tol) == \
+            (pc.damping, pc.max_iters, pc.tol)
 
     def test_negative_k_names_key(self, tmp_path):
         p = tmp_path / "bad.conf"

@@ -206,6 +206,18 @@ class TestPicard:
             for j, t in enumerate(grid.times)])
         assert set(np.unique(values)) <= {-k, 0.0, k}
 
+    @pytest.mark.parametrize("k", [0.1, 0.25, 0.5])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_undamped_converges_fast(self, tanh_model, seed, k):
+        # the picard benchmark workload's shape; its solve time rests on
+        # undamped Picard converging here in 3-4 iterations
+        cfg = PicardConfig(n_paths=2000, n_particles=10, n_steps=25, seed=seed,
+                           max_iters=10, mixture_prune=0.05)
+        rep = picard_solve(replace(tanh_model, k=k), cfg)
+        assert rep.converged
+        assert len(rep.iterations) <= 5
+        assert all(it.damping == 1.0 for it in rep.iterations)
+
     def test_nonconvergence_reported_not_raised(self, tanh_model):
         cfg = PicardConfig(n_paths=120, n_particles=50, n_steps=15, seed=34,
                            max_iters=1)
