@@ -129,6 +129,10 @@ class PicardConfig:
             raise InvalidArgumentError("damping must be in (0, 1]")
         if self.max_iters < 1:
             raise InvalidArgumentError("max_iters must be >= 1")
+        if not 0.0 <= self.tol <= 1.0:
+            raise InvalidArgumentError("tol must be in [0, 1]")
+        if not 0.0 <= self.mixture_prune < np.inf:
+            raise InvalidArgumentError("mixture_prune must be finite and >= 0")
 
 
 @dataclass(frozen=True)

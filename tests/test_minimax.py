@@ -233,6 +233,14 @@ class TestPicard:
             PicardConfig(damping=0.0)
         with pytest.raises(InvalidArgumentError):
             PicardConfig(max_iters=0)
+        for tol in (float("nan"), -0.01, 2.0, float("inf")):
+            with pytest.raises(InvalidArgumentError, match="tol"):
+                PicardConfig(tol=tol)
+        for prune in (float("nan"), -1.0, float("inf")):
+            with pytest.raises(InvalidArgumentError, match="mixture_prune"):
+                PicardConfig(mixture_prune=prune)
+        PicardConfig(tol=0.0, mixture_prune=0.0)
+        PicardConfig(tol=1.0)
 
 
 class TestMinimaxGap:
