@@ -36,7 +36,7 @@ from .features import FrozenRegression, RegressionBasis, check_basis_size, fit_r
 from .filtering import run_filter_bank
 from .model import (ModelSpec, NoiseBundle, PathBundle, TimeGrid, build_time_grid,
                     sample_noise, simulate_bundle)
-from .policies import DriftPolicy, perturbed_policy
+from .policies import DriftPolicy, mixture_policy
 
 # The duality test (gateaux_fd vs gateaux_adjoint) selects "derived", the
 # default and the driver the fixed point uses: the printed main variant is
@@ -238,8 +238,8 @@ def gateaux_fd(model: ModelSpec, policy: DriftPolicy, v: DriftPolicy,
     noise = sample_noise(build_time_grid(model.T, n_steps), n_paths, seed)
     slopes_pp = []
     for e in eps:
-        plus = perturbed_policy(policy, v, +e, radius=model.k)
-        minus = perturbed_policy(policy, v, -e, radius=model.k)
+        plus = mixture_policy([(1.0, policy), (+e, v)], radius=model.k)
+        minus = mixture_policy([(1.0, policy), (-e, v)], radius=model.k)
         jp, _, _ = weighted_cost_qtilde(model, plus, n_paths, n_particles, seed, n_steps,
                                         noise=noise)
         jm, _, _ = weighted_cost_qtilde(model, minus, n_paths, n_particles, seed, n_steps,

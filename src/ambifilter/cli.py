@@ -59,7 +59,6 @@ class ExperimentConfig:
     bsde_degree: int = 3
     ridge_lambda: Optional[float] = None
     picard_max_iters: int = PicardConfig.max_iters
-    picard_damping: float = PicardConfig.damping
     picard_tol: float = PicardConfig.tol
     k_grid: tuple[float, ...] = (0.0, 0.1, 0.25, 0.5)
     rule_particles: int = 250
@@ -149,7 +148,6 @@ _SETTINGS = {
     "bsde.degree": ("bsde_degree", _int_at_least("bsde.degree")),
     "bsde.ridge_lambda": ("ridge_lambda", _ridge_lambda),
     "picard.max_iters": ("picard_max_iters", _int_at_least("picard.max_iters")),
-    "picard.damping": ("picard_damping", _float_in("picard.damping", 1e-9, 1.0)),
     "picard.tol": ("picard_tol", _float_in("picard.tol", 0.0, 1.0)),
     "worst_case.k_grid": ("k_grid", _radius_list),
     "worst_case.rule_particles": ("rule_particles",
@@ -344,8 +342,7 @@ def _cmd_picard(config: ExperimentConfig, run_dir: Path):
         _require_bounded(config.model, "picard with model.k > 0")
     pc = PicardConfig(n_paths=config.n_paths, n_particles=config.n_particles,
                       n_steps=config.n_steps, seed=config.seed,
-                      max_iters=config.picard_max_iters,
-                      damping=config.picard_damping, tol=config.picard_tol,
+                      max_iters=config.picard_max_iters, tol=config.picard_tol,
                       ess_threshold=config.ess_threshold)
     report = picard_solve(config.model, pc)
     arts = [write_csv(run_dir / "picard.csv",

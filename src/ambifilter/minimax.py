@@ -119,14 +119,11 @@ class PicardConfig:
     n_steps: int = 50
     seed: int = 0
     max_iters: int = 20
-    damping: float = 1.0
     tol: float = 0.02            # sign-agreement tolerance
     ess_threshold: float = 0.5
     mixture_prune: float = 0.02
 
     def __post_init__(self):
-        if not 0.0 < self.damping <= 1.0:
-            raise InvalidArgumentError("damping must be in (0, 1]")
         if self.max_iters < 1:
             raise InvalidArgumentError("max_iters must be >= 1")
         if not 0.0 <= self.tol <= 1.0:
@@ -168,9 +165,11 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
     Convergence is declared when the sign-agreement fraction stays above
     1 - tol on two consecutive iterations and the cost moves by less than
     REL_J_TOL relatively; the run returns the last target k sgn(P_hat) that
-    check compared, or else its last iterate (reported, not raised). A step
-    goes config.damping of the way to the target, a fraction halved whenever
-    the agreement drops. All iterations and the final cost share one noise draw.
+    check compared, or else its last iterate (reported, not raised). Each
+    iterate is the target itself until the agreement drops; from then on the
+    step to the target is halved at every drop, and the iterate is a mixture
+    of the previous one and the target. All iterations and the final cost
+    share one noise draw.
     """
     k = model.k
     grid = build_time_grid(model.T, config.n_steps)
@@ -186,11 +185,11 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
         cost = evaluate_cost(model, rule, pol, config.n_paths, config.seed, grid,
                              noise=noise)
         return PicardReport(
-            iterations=(PicardIteration(1, cost.J, 1.0, config.damping),),
+            iterations=(PicardIteration(1, cost.J, 1.0, 1.0),),
             converged=True, final_policy=pol, final_rule=rule, final_cost=cost)
 
     theta = prev_target = zero_policy() if initial_policy is None else initial_policy
-    gamma = config.damping
+    gamma = 1.0
     iters: list[PicardIteration] = []
     converged = False
     prev_agree = -1.0
@@ -218,8 +217,9 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
             theta = target
             break
 
-        theta = mixture_policy([(1.0 - gamma, theta), (gamma, target)],
-                               radius=k, prune_below=config.mixture_prune)
+        theta = target if gamma == 1.0 else mixture_policy(
+            [(1.0 - gamma, theta), (gamma, target)], radius=k,
+            prune_below=config.mixture_prune)
         prev_target = target
         prev_agree = agree
         prev_j = J_it

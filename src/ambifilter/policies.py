@@ -6,17 +6,15 @@ Kinds:
                          over an infinite horizon
     sign_of_regression   theta = k * sgn(P_hat(t, X, M)) from per-step
                          regression tables of the adjoint surface
-    mixture              linear combination of the two leaf kinds (damped
-                         fixed-point iterates, perturbation directions
-                         theta + eps*v); nested mixtures are flattened
+    mixture              linear combination of the two leaf kinds (Picard's
+                         halving fallback, perturbations theta + eps*v);
+                         nested mixtures are flattened
 
 `evaluate(t, x, m)` clamps to [-radius, radius]; sgn(0) = 0 so the value set
 of a sign policy is exactly {-k, 0, +k}. A time table does not read the
 state, so a policy made only of tables returns one float that callers
-broadcast over the cloud. Sign members of one call share one design matrix
-per distinct basis; each is still predicted with its own weights and added
-in member order, so the sum is the same float as member-by-member
-evaluation. `needs_m` says whether the weight feature M must be supplied.
+broadcast over the cloud. A mixture adds its members' values in member
+order. `needs_m` says whether the weight feature M must be supplied.
 """
 
 from __future__ import annotations
@@ -63,27 +61,24 @@ class DriftPolicy:
                 f"policy kind {self.kind!r} needs the weight feature m; "
                 "simulate the weight process alongside the signal to supply it"
             )
-        designs: dict[RegressionBasis, np.ndarray] = {}
         if self.kind == "mixture":
             raw = 0.0
             for w, member in self.payload["members"]:
-                raw = raw + w * member._leaf(t, x, m, designs)
+                raw = raw + w * member._leaf(t, x, m)
         else:
-            raw = self._leaf(t, x, m, designs)
+            raw = self._leaf(t, x, m)
         if math.isinf(self.radius):
             return raw
         return np.clip(raw, -self.radius, self.radius)
 
-    def _leaf(self, t: float, x, m, designs: dict):
+    def _leaf(self, t: float, x, m):
         p = self.payload
         if self.kind == "piecewise_table":
             vals = p["values"]
             return vals[min(max(int(t / p["horizon"] * vals.size), 0), vals.size - 1)]
         j = int(np.clip(round(t / p["dt"]), 0, len(p["tables"]) - 1))
-        basis: RegressionBasis = p["basis"]
-        if basis not in designs:
-            designs[basis] = basis.design({"x": x, "m": m})
-        surface = p["tables"][j].predict(designs[basis]).reshape(np.shape(x))
+        design = p["basis"].design({"x": x, "m": m})
+        surface = p["tables"][j].predict(design).reshape(np.shape(x))
         return p["k"] * np.sign(surface)
 
     def digest(self) -> str:
@@ -173,9 +168,3 @@ def mixture_policy(members: Sequence[tuple[float, DriftPolicy]], radius: float,
     if not flat:
         return time_table_policy([0.0], math.inf, radius)
     return DriftPolicy(kind="mixture", payload={"members": flat}, radius=radius)
-
-
-def perturbed_policy(base: DriftPolicy, direction: DriftPolicy, eps: float,
-                     radius: float) -> DriftPolicy:
-    """theta + eps * v, clamped to the ambiguity radius."""
-    return mixture_policy([(1.0, base), (float(eps), direction)], radius=radius)

@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,8 +73,32 @@ class TestLoadConfig:
         assert cfg.n_paths == 2000 and cfg.n_particles == 500
         assert cfg.bsde_degree == 3 and cfg.ess_threshold == 0.5
         pc = PicardConfig()
-        assert (cfg.picard_damping, cfg.picard_max_iters, cfg.picard_tol) == \
-            (pc.damping, pc.max_iters, pc.tol)
+        assert (cfg.picard_max_iters, cfg.picard_tol) == (pc.max_iters, pc.tol)
+
+    def test_readme_sample_matches_settings(self, tmp_path):
+        # the README's sample names every config key once, each at its
+        # default except the example values the README says it changes
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        keys = [line.split("=")[0].strip() for line in block.splitlines()
+                if line.split("#")[0].strip()]
+        assert sorted(keys) == sorted(cli._SETTINGS)
+        sample = tmp_path / "sample.conf"
+        sample.write_text(block, encoding="utf-8")
+        required = tmp_path / "required.conf"
+        required.write_text("".join(line + "\n" for line in block.splitlines()
+                                    if line.startswith(cli._REQUIRED)))
+        cfg, dflt = load_config(sample), load_config(required)
+
+        def value(c, key):
+            name = cli._SETTINGS[key][0]
+            return getattr(c.model if key.startswith("model.") else c, name)
+
+        changed = {key for key in cli._SETTINGS if value(cfg, key) != value(dflt, key)}
+        examples = {"model.x0", "model.k", "output.label"}
+        assert changed - set(cli._REQUIRED) == examples
+        note = readme[readme.index(block) + len(block):].split("\n\n")[1]
+        assert all(f"`{key} = " in note for key in examples)
 
     def test_negative_k_names_key(self, tmp_path):
         p = tmp_path / "bad.conf"
@@ -87,6 +113,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(p)
         assert any("model.kk" in m and "model.k" in m for m in err.value.problems)
+        # a removed key is an unknown key like any other; its hint is only
+        # the closest spelling
+        p.write_text(TANH_CONF + "picard.damping = 0.5\n")
+        lineno = len(TANH_CONF.splitlines()) + 1
+        r = run_cli("simulate", "--config", str(p), "--out-dir", str(tmp_path / "o"))
+        assert r.returncode == 1 and "Traceback" not in r.stderr
+        assert r.stderr.splitlines() == [
+            f"config error: line {lineno}: unknown key 'picard.damping' "
+            "(did you mean 'picard.max_iters'?)"]
 
     def test_all_errors_collected(self, tmp_path):
         p = tmp_path / "bad.conf"

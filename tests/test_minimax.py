@@ -183,17 +183,10 @@ class TestPicard:
         for it in rep.iterations:
             assert it.J == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("damping", [None, 0.5])
-    def test_converged_returns_sign_rule(self, tanh_model, picard_25, damping):
+    def test_converged_returns_sign_rule(self, tanh_model, picard_25):
         # the fixed point is the last target k sgn(P_hat) the stopping rule
         # compared, not a damped mixture that still carries earlier iterates
-        if damping is None:
-            rep = picard_25
-        else:
-            rep = picard_solve(tanh_model, PicardConfig(
-                n_paths=300, n_particles=32, n_steps=20, seed=35, max_iters=10,
-                damping=damping))
-            assert {it.damping for it in rep.iterations} == {damping}
+        rep = picard_25
         assert rep.converged
         assert rep.final_policy.kind == "sign_of_regression"
         assert rep.final_rule.policy is rep.final_policy
@@ -224,13 +217,43 @@ class TestPicard:
         rep = picard_solve(tanh_model, cfg)
         assert not rep.converged
         assert len(rep.iterations) == 1
-        # without convergence the damped iterate is returned, as a mixture
+        # without convergence the last iterate is returned: undamped, that
+        # is the last target k sgn(P_hat) itself
+        assert rep.final_policy.kind == "sign_of_regression"
+        assert rep.final_rule.policy is rep.final_policy
+
+    def test_halving_when_agreement_drops(self, tanh_model, monkeypatch):
+        # the only damping left: a drop in sign agreement halves the step,
+        # and the iterate becomes a mixture of the last iterate and the target
+        from ambifilter import minimax
+        k = tanh_model.k
+        t1 = time_table_policy([k] * 4, tanh_model.T, k)
+        t2 = time_table_policy([k, k, -k, -k], tanh_model.T, k)
+        targets = iter([t1, t1, t2])
+        monkeypatch.setattr(minimax, "sign_policy", lambda adj, kk: next(targets))
+        rep = picard_solve(tanh_model, PicardConfig(
+            n_paths=100, n_particles=8, n_steps=8, seed=5, max_iters=3))
+        traj = [(it.sign_agreement, it.damping) for it in rep.iterations]
+        # t2 agrees with t1 on the 4 of 9 grid times before t = 0.5
+        assert traj == [(0.0, 1.0), (1.0, 1.0), (pytest.approx(4 / 9), 0.5)]
+        assert not rep.converged
         assert rep.final_policy.kind == "mixture"
+        (w1, p1), (w2, p2) = rep.final_policy.payload["members"]
+        assert (w1, w2) == (0.5, 0.5) and p1 is t1 and p2 is t2
+        assert rep.final_rule.policy is rep.final_policy
+
+    def test_zero_prune_returns_sign_rule(self, tanh_model):
+        # an undamped step takes the target itself, so no earlier iterate
+        # lingers at weight 0 when mixture_prune = 0 prunes nothing
+        rep = picard_solve(tanh_model, PicardConfig(
+            n_paths=300, n_particles=32, n_steps=20, seed=34, max_iters=4,
+            tol=0.0, mixture_prune=0.0))
+        assert not rep.converged
+        assert all(it.damping == 1.0 for it in rep.iterations)
+        assert rep.final_policy.kind == "sign_of_regression"
         assert rep.final_rule.policy is rep.final_policy
 
     def test_bad_config(self):
-        with pytest.raises(InvalidArgumentError):
-            PicardConfig(damping=0.0)
         with pytest.raises(InvalidArgumentError):
             PicardConfig(max_iters=0)
         for tol in (float("nan"), -0.01, 2.0, float("inf")):
