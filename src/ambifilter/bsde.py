@@ -45,9 +45,10 @@ from .policies import DriftPolicy, mixture_policy
 # suite, which re-runs the adjudication and records the winner.
 ADJOINT_VARIANTS = ("eq_main", "eq_alt", "derived")
 
-# Salt for the nested filter clouds inside cost evaluations; anything fixed
-# works, it only has to be distinct from caller-level salts.
+# Salt of the nested filter clouds inside cost evaluations: any fixed value
+# but 0, the salt of every FilterRule's bank, so their draws stay distinct.
 NESTED_FILTER_SALT = 104729
+RIDGE_PER_PATH = 1e-8   # every regression step's ridge penalty is this * n_paths
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ def solve_worst_value(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
     if u_vals.shape != paths.X.shape:
         raise ShapeError("u_vals must align with the path arrays")
     check_basis_size(basis, n)
-    lam = basis.effective_lambda(n)
+    lam = RIDGE_PER_PATH * n
     dt = grid.dt
     dW = paths.noise.dW
     k = model.k
@@ -159,7 +160,7 @@ def solve_adjoint(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
     grid = paths.grid
     n, steps = paths.X.shape[0], grid.n_steps
     check_basis_size(basis, n)
-    lam = basis.effective_lambda(n)
+    lam = RIDGE_PER_PATH * n
     dt = grid.dt
     dW = paths.noise.dW                       # W~ increments under Q_tilde
     dY = np.diff(paths.Y, axis=1)

@@ -57,7 +57,6 @@ class ExperimentConfig:
     seed: int = 12345
     ess_threshold: float = 0.5
     bsde_degree: int = 3
-    ridge_lambda: Optional[float] = None
     picard_max_iters: int = PicardConfig.max_iters
     picard_tol: float = PicardConfig.tol
     k_grid: tuple[float, ...] = (0.0, 0.1, 0.25, 0.5)
@@ -126,10 +125,6 @@ def _radius_list(s):
     return ks
 
 
-def _ridge_lambda(s):
-    return None if s == "auto" else _float_in("bsde.ridge_lambda", 0.0, math.inf)(s)
-
-
 # config key -> (field, converter). model.* keys fill ModelSpec fields, the
 # rest ExperimentConfig fields; an absent key keeps the field's default.
 _SETTINGS = {
@@ -146,7 +141,6 @@ _SETTINGS = {
     "mc.seed": ("seed", _int_at_least("mc.seed", lo=0)),
     "mc.ess_threshold": ("ess_threshold", _float_in("mc.ess_threshold", 0.0, 1.0)),
     "bsde.degree": ("bsde_degree", _int_at_least("bsde.degree")),
-    "bsde.ridge_lambda": ("ridge_lambda", _ridge_lambda),
     "picard.max_iters": ("picard_max_iters", _int_at_least("picard.max_iters")),
     "picard.tol": ("picard_tol", _float_in("picard.tol", 0.0, 1.0)),
     "worst_case.k_grid": ("k_grid", _radius_list),
@@ -161,6 +155,9 @@ _FLAGS = {"--seed": "mc.seed", "--k": "model.k", "--n-paths": "mc.n_paths",
           "--n-particles": "mc.n_particles", "--out-dir": "output.dir"}
 _MODEL_DEFAULTS = {"x0": 0.0, "T": 1.0, "k": 0.0}
 _REQUIRED = ("model.b", "model.sigma", "model.h", "model.f")
+# similarity an unknown key needs for a did-you-mean hint; at difflib's 0.6 a
+# removed key such as picard.damping would be sent to picard.max_iters
+_HINT_CUTOFF = 0.7
 
 
 def _convert(values: dict, where, problems: list[str]) -> tuple[dict, dict]:
@@ -204,7 +201,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         key, _, val = stripped.partition("=")
         key, val = key.strip(), val.strip()
         if key not in _SETTINGS:
-            hint = difflib.get_close_matches(key, _SETTINGS, n=1)
+            hint = difflib.get_close_matches(key, _SETTINGS, n=1, cutoff=_HINT_CUTOFF)
             suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
             problems.append(f"line {lineno}: unknown key {key!r}{suffix}")
             continue
@@ -254,8 +251,6 @@ def apply_overrides(config: ExperimentConfig, /, **overrides) -> ExperimentConfi
 
 
 def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
@@ -315,7 +310,7 @@ def _require_bounded(model: ModelSpec, what: str) -> None:
 def _cmd_worst_case(config: ExperimentConfig, run_dir: Path):
     _require_bounded(config.model, "worst-case")
     grid = build_time_grid(config.model.T, config.n_steps)
-    basis = RegressionBasis("poly_xu", config.bsde_degree, config.ridge_lambda)
+    basis = RegressionBasis("poly_xu", config.bsde_degree)
     rule = FilterRule(zero_policy(), config.rule_particles, config.seed,
                       ess_threshold=config.ess_threshold)
     # neither the P paths nor the zero-policy filter read the ambiguity radius

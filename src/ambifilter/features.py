@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Optional
 
 import numpy as np
 
@@ -77,7 +76,6 @@ class RegressionBasis:
 
     feature_map_id: str = "poly_xu"
     degree: int = 3
-    ridge_lambda: Optional[float] = None  # None -> 1e-8 * n_paths
 
     def __post_init__(self):
         if self.feature_map_id not in FEATURE_MAPS:
@@ -86,8 +84,6 @@ class RegressionBasis:
             )
         if self.degree < 0:
             raise InvalidArgumentError("degree must be >= 0")
-        if self.ridge_lambda is not None and self.ridge_lambda < 0:
-            raise InvalidArgumentError("ridge_lambda must be >= 0")
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -105,9 +101,9 @@ class RegressionBasis:
                 raise InvalidArgumentError(f"feature map needs variable {v!r}")
             cols.append(np.asarray(values[v], dtype=float).ravel())
         exps = monomial_exponents(len(cols), self.degree)
-        # each power c**p is computed once; a column multiplies its powers in
-        # variable order, the same float products as building it factor by factor
-        powers = [[None] + [c**p for p in range(1, self.degree + 1)] for c in cols]
+        # each power c**p is computed once (c itself at p = 1); a column multiplies
+        # its powers in variable order, the same float products as factor by factor
+        powers = [[None, c] + [c**p for p in range(2, self.degree + 1)] for c in cols]
         F = np.empty((cols[0].size, len(exps)))
         for j, e in enumerate(exps):
             col = None
@@ -116,9 +112,6 @@ class RegressionBasis:
                     col = pw[p] if col is None else col * pw[p]
             F[:, j] = 1.0 if col is None else col
         return F
-
-    def effective_lambda(self, n_paths: int) -> float:
-        return 1e-8 * n_paths if self.ridge_lambda is None else self.ridge_lambda
 
 
 @dataclass(frozen=True)
@@ -205,10 +198,9 @@ def _triangular_r(D: np.ndarray) -> np.ndarray:
 
 
 def check_basis_size(basis: RegressionBasis, n_paths: int) -> None:
-    """Well-posedness guard: 1 <= n_features <= n_paths / 10."""
+    """Well-posedness guard: n_features <= n_paths / 10 (n_features >= 1, as
+    every basis has the constant monomial)."""
     k = basis.n_features
-    if k < 1:
-        raise IllConditionedBasisError("basis has no features")
     if k > n_paths / 10:
         raise IllConditionedBasisError(
             f"basis has {k} features for {n_paths} paths; need n_paths >= 10 * n_features"

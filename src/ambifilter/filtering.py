@@ -70,24 +70,21 @@ def _reduce_and_resample(pos, logw, logm, w, hv, fv, mx, resample_u, ess_frac):
     """Per-cloud filter estimates plus systematic resampling.
 
     Inputs per cloud (row): post-mutation positions, absolute log-weights
-    with their row maximum mx and shifted weights w = exp(logw - mx), sensor
-    and target values at the positions. Estimates are taken before any
-    resampling; rows whose mass underflowed report -inf mass and are left
-    alone. pos/logw/logm are mutated in place; returns
+    with their finite row maximum mx and shifted weights w = exp(logw - mx),
+    sensor and target values at the positions. Estimates are taken before
+    any resampling. pos/logw/logm are mutated in place; returns
     (u, pi_h, ess, logmass, flags).
     """
     m, n = pos.shape
-    finite = np.isfinite(mx)
-    sw = w.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        logmass = np.where(finite, mx + np.log(sw), -np.inf)
-        u = np.where(finite, (w * fv).sum(axis=1) / sw, 0.0)
-        pih = u if hv is fv else np.where(finite, (w * hv).sum(axis=1) / sw, 0.0)
-        ess = np.where(finite, sw * sw / (w * w).sum(axis=1), 0.0)
+    sw = w.sum(axis=1)   # >= 1: the row maximum contributes exp(0)
+    logmass = mx + np.log(sw)
+    u = (w * fv).sum(axis=1) / sw
+    pih = u if hv is fv else (w * hv).sum(axis=1) / sw
+    ess = sw * sw / (w * w).sum(axis=1)
 
     flags = np.zeros(m, dtype=np.uint8)
     logn = np.log(n)
-    for r in np.nonzero(finite & (ess < ess_frac * n))[0]:
+    for r in np.nonzero(ess < ess_frac * n)[0]:
         idx = systematic_indices(w[r] / sw[r], resample_u[r])
         pos[r] = pos[r, idx]
         logm[r] = logm[r, idx]
@@ -102,7 +99,8 @@ def _run_clouds(mutate, pos: np.ndarray, dY: np.ndarray, dt: float,
     calls mutate(j, pos, logm), which moves the (n_paths, n_particles) states
     pos in place and returns h and f at the new states and one resampling
     offset per cloud. The loop applies the exact exponential weight update
-    with h at the new states, then the fused estimate/resample pass."""
+    with h at the new states, then the fused estimate/resample pass; a cloud
+    whose maximum log-weight is not finite has no estimate and raises first."""
     m, n = pos.shape
     n_steps = dY.shape[1]
     dY_cols = np.ascontiguousarray(dY.T)
@@ -125,14 +123,13 @@ def _run_clouds(mutate, pos: np.ndarray, dY: np.ndarray, dt: float,
         logw += incr
         logm += incr
         mx = logw.max(axis=1)
-        w = np.exp(logw - np.where(np.isfinite(mx), mx, 0.0)[:, None])
+        if not np.all(np.isfinite(mx)):
+            raise DegenerateCloudError(
+                "total particle mass underflowed; all log-weights are -inf")
+        w = np.exp(logw - mx[:, None])
         (u[:, j + 1], pih[:, j + 1], ess[:, j + 1], log_mass[:, j + 1],
          flags[:, j + 1]) = _reduce_and_resample(pos, logw, logm, w, hv, fv, mx,
                                                  resample_u, ess_frac)
-        if not np.all(np.isfinite(log_mass[:, j + 1])):
-            raise DegenerateCloudError(
-                "total particle mass underflowed; all log-weights are -inf"
-            )
     return BankResult(u=u, pi_h=pih, ess=ess, flags=flags, log_mass=log_mass)
 
 

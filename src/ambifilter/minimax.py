@@ -50,21 +50,20 @@ class FilterRule(ControlRule):
     """The particle-filter estimate of f(X_t) under an assumed drift policy."""
 
     def __init__(self, policy: DriftPolicy, n_particles: int, seed: int,
-                 ess_threshold: float = 0.5, salt: int = 0):
+                 ess_threshold: float = 0.5):
         self.policy = policy
         self.n_particles = n_particles
         self.ess_threshold = ess_threshold
         self.seed = seed
-        self.salt = salt
 
     def evaluate(self, model, grid, Y):
         Y = np.atleast_2d(Y)
         return run_filter_bank(
             model, self.policy, np.diff(Y, axis=1), grid.dt, self.n_particles,
-            self.seed, salt=self.salt, ess_threshold=self.ess_threshold).u
+            self.seed, ess_threshold=self.ess_threshold).u
 
-    def digest(self) -> str:
-        return f"filter({self.policy.digest()},n={self.n_particles},salt={self.salt})"
+    def digest(self) -> str:   # the assumed policy and the particle count
+        return f"filter({self.policy.digest()},n={self.n_particles})"
 
 
 @dataclass(frozen=True)

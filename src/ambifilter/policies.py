@@ -10,11 +10,12 @@ Kinds:
                          halving fallback, perturbations theta + eps*v);
                          nested mixtures are flattened
 
-`evaluate(t, x, m)` clamps to [-radius, radius]; sgn(0) = 0 so the value set
-of a sign policy is exactly {-k, 0, +k}. A time table does not read the
-state, so a policy made only of tables returns one float that callers
-broadcast over the cloud. A mixture adds its members' values in member
-order. `needs_m` says whether the weight feature M must be supplied.
+A leaf is in [-radius, radius] as built: a time table stores its values
+clipped, and a sign leaf is k sgn(P_hat) with radius k and sgn(0) = 0 (values
+exactly {-k, 0, +k}). `evaluate(t, x, m)` clips only a mixture, which adds its
+members' values in member order. A time table does not read the state, so a
+policy made only of tables returns one float that callers broadcast over the
+cloud. `needs_m` says whether the weight feature M must be supplied.
 """
 
 from __future__ import annotations
@@ -54,21 +55,18 @@ class DriftPolicy:
                    for _, p in members)
 
     def evaluate(self, t: float, x: np.ndarray, m: Optional[np.ndarray] = None):
-        """Clamped policy value at time t on arrays of X (and M when
-        `needs_m`); a float when the policy does not read the state."""
+        """Policy value in [-radius, radius] at time t on arrays of X (and M
+        when `needs_m`); a float when the policy does not read the state."""
         if m is None and self.needs_m:
             raise MissingFeatureError(
                 f"policy kind {self.kind!r} needs the weight feature m; "
                 "simulate the weight process alongside the signal to supply it"
             )
-        if self.kind == "mixture":
-            raw = 0.0
-            for w, member in self.payload["members"]:
-                raw = raw + w * member._leaf(t, x, m)
-        else:
-            raw = self._leaf(t, x, m)
-        if math.isinf(self.radius):
-            return raw
+        if self.kind != "mixture":
+            return self._leaf(t, x, m)
+        raw = 0.0
+        for w, member in self.payload["members"]:
+            raw = raw + w * member._leaf(t, x, m)
         return np.clip(raw, -self.radius, self.radius)
 
     def _leaf(self, t: float, x, m):
@@ -76,7 +74,7 @@ class DriftPolicy:
         if self.kind == "piecewise_table":
             vals = p["values"]
             return vals[min(max(int(t / p["horizon"] * vals.size), 0), vals.size - 1)]
-        j = int(np.clip(round(t / p["dt"]), 0, len(p["tables"]) - 1))
+        j = min(max(int(round(t / p["dt"])), 0), len(p["tables"]) - 1)
         design = p["basis"].design({"x": x, "m": m})
         surface = p["tables"][j].predict(design).reshape(np.shape(x))
         return p["k"] * np.sign(surface)
@@ -98,7 +96,7 @@ class DriftPolicy:
             if isinstance(obj, FrozenRegression):
                 return enc(obj.w)
             if isinstance(obj, RegressionBasis):
-                return [obj.feature_map_id, obj.degree, repr(obj.ridge_lambda)]
+                return [obj.feature_map_id, obj.degree]
             if isinstance(obj, float):
                 return repr(obj)
             return obj
@@ -108,7 +106,8 @@ class DriftPolicy:
 
 def time_table_policy(values: Sequence[float], horizon: float,
                       radius: float) -> DriftPolicy:
-    """Piecewise-constant-in-time policy over equal buckets of [0, horizon]."""
+    """Piecewise-constant-in-time policy over equal buckets of [0, horizon];
+    the values are stored clipped to [-radius, radius]."""
     vals = np.asarray(values, dtype=float).ravel()
     if vals.size == 0:
         raise InvalidArgumentError("time table needs at least one value")
@@ -117,7 +116,8 @@ def time_table_policy(values: Sequence[float], horizon: float,
     if not horizon > 0:
         raise InvalidArgumentError("time table horizon must be > 0")
     return DriftPolicy(kind="piecewise_table",
-                       payload={"horizon": float(horizon), "values": vals},
+                       payload={"horizon": float(horizon),
+                                "values": np.clip(vals, -radius, radius)},
                        radius=radius)
 
 

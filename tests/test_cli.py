@@ -113,15 +113,34 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(p)
         assert any("model.kk" in m and "model.k" in m for m in err.value.problems)
-        # a removed key is an unknown key like any other; its hint is only
-        # the closest spelling
+        # a removed key is an unknown key like any other, and no current key
+        # is spelled close enough to it for a hint
         p.write_text(TANH_CONF + "picard.damping = 0.5\n")
         lineno = len(TANH_CONF.splitlines()) + 1
         r = run_cli("simulate", "--config", str(p), "--out-dir", str(tmp_path / "o"))
         assert r.returncode == 1 and "Traceback" not in r.stderr
         assert r.stderr.splitlines() == [
-            f"config error: line {lineno}: unknown key 'picard.damping' "
-            "(did you mean 'picard.max_iters'?)"]
+            f"config error: line {lineno}: unknown key 'picard.damping'"]
+
+    @pytest.mark.parametrize("key, hint", [
+        # removed keys, and a prefix whose closest spelling is the wrong key
+        ("picard.damping", None), ("bsde.ridge_lambda", None), ("mc.ess", None),
+        ("model.kk", "model.k"), ("pcard.max_iters", "picard.max_iters"),
+        ("seed", "mc.seed"), ("n_paths", "mc.n_paths"), ("mc.seeed", "mc.seed"),
+        ("picard.tolerance", "picard.tol"), ("output.directory", "output.dir"),
+        ("grid.nsteps", "grid.n_steps"), ("model.x_0", "model.x0"),
+        ("picard.iters", "picard.max_iters"),
+        ("worst_case.particles", "worst_case.rule_particles"),
+    ])
+    def test_unknown_key_hint_table(self, tmp_path, capsys, key, hint):
+        p = tmp_path / "bad.conf"
+        p.write_text(TANH_CONF + f"{key} = 1\n")
+        lineno = len(TANH_CONF.splitlines()) + 1
+        assert main(["simulate", "--config", str(p),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        suffix = f" (did you mean {hint!r}?)" if hint else ""
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: line {lineno}: unknown key {key!r}{suffix}"]
 
     def test_all_errors_collected(self, tmp_path):
         p = tmp_path / "bad.conf"

@@ -531,6 +531,15 @@ class TestDeterminismAndClamping:
         vals = mix.evaluate(0.1, np.linspace(-2, 2, 9))
         assert np.all(np.abs(vals) <= k + 1e-15)
 
+    def test_table_clipped_when_built(self):
+        pol = time_table_policy([0.5, -0.7], 1.0, 0.25)
+        np.testing.assert_array_equal(pol.payload["values"], [0.25, -0.25])
+        assert pol.digest() == time_table_policy([0.25, -0.25], 1.0, 0.25).digest()
+        # a mixture clips only its sum, so its members' values must be in range
+        mix = mixture_policy([(1.0, pol)], radius=1.0)
+        assert mix.evaluate(0.2, np.zeros(3)) == 0.25
+        assert mix.evaluate(0.7, np.zeros(3)) == -0.25
+
 
 def _sign_member(const):
     basis = RegressionBasis("poly_xm", 1)
