@@ -204,7 +204,6 @@ def solve_adjoint(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
 
 def weighted_cost_qtilde(model: ModelSpec, policy: DriftPolicy, n_paths: int,
                          n_particles: int, seed: int, n_steps: int,
-                         ess_threshold: float = 0.5,
                          noise: Optional[NoiseBundle] = None
                          ) -> tuple[np.ndarray, PathBundle, np.ndarray]:
     """Per-path weighted mean-field cost under the reference measure:
@@ -218,8 +217,7 @@ def weighted_cost_qtilde(model: ModelSpec, policy: DriftPolicy, n_paths: int,
     bundle = simulate_bundle(model, policy, grid, n_paths, seed, measure="Q_tilde",
                              noise=noise)
     u = run_filter_bank(model, policy, np.diff(bundle.Y, axis=1), grid.dt,
-                        n_particles, seed, salt=NESTED_FILTER_SALT,
-                        ess_threshold=ess_threshold).u
+                        n_particles, seed, salt=NESTED_FILTER_SALT).u
     err = model.f.value(bundle.X[:, :-1]) - u[:, :-1]
     per_path = -0.5 * (err * err * bundle.M[:, :-1]).sum(axis=1) * grid.dt
     return per_path, bundle, u

@@ -55,7 +55,6 @@ class ExperimentConfig:
     n_paths: int = 2000
     n_particles: int = 500
     seed: int = 12345
-    ess_threshold: float = 0.5
     bsde_degree: int = 3
     picard_max_iters: int = PicardConfig.max_iters
     picard_tol: float = PicardConfig.tol
@@ -139,7 +138,6 @@ _SETTINGS = {
     "mc.n_paths": ("n_paths", _int_at_least("mc.n_paths")),
     "mc.n_particles": ("n_particles", _int_at_least("mc.n_particles", lo=2)),
     "mc.seed": ("seed", _int_at_least("mc.seed", lo=0)),
-    "mc.ess_threshold": ("ess_threshold", _float_in("mc.ess_threshold", 0.0, 1.0)),
     "bsde.degree": ("bsde_degree", _int_at_least("bsde.degree")),
     "picard.max_iters": ("picard_max_iters", _int_at_least("picard.max_iters")),
     "picard.tol": ("picard_tol", _float_in("picard.tol", 0.0, 1.0)),
@@ -286,7 +284,7 @@ def _filter_one_path(config: ExperimentConfig, grid):
     bundle = simulate_bundle(config.model, zero_policy(), grid, 1, config.seed,
                              measure="P")
     fp = run_filter(config.model, zero_policy(), bundle.Y[0], config.n_particles,
-                    config.seed, ess_threshold=config.ess_threshold)
+                    config.seed)
     return bundle, fp
 
 
@@ -311,8 +309,7 @@ def _cmd_worst_case(config: ExperimentConfig, run_dir: Path):
     _require_bounded(config.model, "worst-case")
     grid = build_time_grid(config.model.T, config.n_steps)
     basis = RegressionBasis("poly_xu", config.bsde_degree)
-    rule = FilterRule(zero_policy(), config.rule_particles, config.seed,
-                      ess_threshold=config.ess_threshold)
+    rule = FilterRule(zero_policy(), config.rule_particles, config.seed)
     # neither the P paths nor the zero-policy filter read the ambiguity radius
     bundle = simulate_bundle(config.model, zero_policy(), grid, config.n_paths,
                              config.seed, measure="P")
@@ -337,8 +334,7 @@ def _cmd_picard(config: ExperimentConfig, run_dir: Path):
         _require_bounded(config.model, "picard with model.k > 0")
     pc = PicardConfig(n_paths=config.n_paths, n_particles=config.n_particles,
                       n_steps=config.n_steps, seed=config.seed,
-                      max_iters=config.picard_max_iters, tol=config.picard_tol,
-                      ess_threshold=config.ess_threshold)
+                      max_iters=config.picard_max_iters, tol=config.picard_tol)
     report = picard_solve(config.model, pc)
     arts = [write_csv(run_dir / "picard.csv",
                       ["iter", "J", "sign_agreement", "damping"],
@@ -367,9 +363,7 @@ def _default_grids(config: ExperimentConfig):
                      time_table_policy([-k], T, k),
                      time_table_policy([k, -k], T, k),
                      time_table_policy([-k, k], T, k)]
-    rules = [FilterRule(p, config.rule_particles, config.seed,
-                        ess_threshold=config.ess_threshold)
-             for p in policies]
+    rules = [FilterRule(p, config.rule_particles, config.seed) for p in policies]
     return rules, policies
 
 
@@ -421,8 +415,7 @@ def _cmd_oracle_check(config: ExperimentConfig, run_dir: Path):
         masses = finite_signal_filter(fspec, Y, grid, model.x0)
         u_oracle = finite_signal_estimates(fspec, masses)
         fp = particle_filter_on_surrogate(fspec, Y, grid, config.n_particles,
-                                          config.seed, model.x0,
-                                          ess_threshold=config.ess_threshold)
+                                          config.seed, model.x0)
         u_part = fp.u
         extras = {"oracle": "finite_signal",
                   "time_avg_abs_err": float(np.mean(np.abs(u_part - u_oracle)))}

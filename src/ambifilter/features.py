@@ -5,10 +5,8 @@ Conditional expectations E[. | F_t] are approximated by projecting on
 monomials of the per-path state available at t. Feature maps are named so
 regression tables can be evaluated later (sign policies re-use them):
 
-    poly_x    monomials in X
-    poly_xm   monomials in (X, M)
-    poly_xu   monomials in (X, u)
-    poly_xmu  monomials in (X, M, u)
+    poly_xm   monomials in (X, M): the adjoint surface that sign rules read
+    poly_xu   monomials in (X, u): the worst-case value
 
 The design always contains the constant monomial. Columns are standardized
 before the ridge solve; zero-variance columns are dropped (at t=0 every path
@@ -44,10 +42,8 @@ import numpy as np
 from .errors import IllConditionedBasisError, InvalidArgumentError
 
 FEATURE_MAPS = {
-    "poly_x": ("x",),
     "poly_xm": ("x", "m"),
     "poly_xu": ("x", "u"),
-    "poly_xmu": ("x", "m", "u"),
 }
 
 COND_LIMIT = 1e12

@@ -18,6 +18,9 @@ One loop (`_run_clouds`) weights, estimates and resamples for every signal,
 which supplies only its mutation: an Euler step for the diffusion bank, a
 transition-matrix draw for the finite-state filter. So the exact finite-state
 recursion in `oracles` checks the step the diffusion filter runs.
+
+A cloud resamples after a step whose effective sample size is below
+ESS_THRESHOLD * n_particles: a fixed part of the approximation, set by no caller.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ from .errors import (DataError, DegenerateCloudError, InvalidArgumentError,
 from .model import (ModelSpec, TimeGrid, ROLE_CLOUD_NORMAL, ROLE_CLOUD_UNIFORM,
                     ROLE_MARKOV, rekey, substream_keys)
 from .policies import DriftPolicy
+
+# Resample a cloud after a step whose ESS is below this fraction of its size.
+ESS_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -50,11 +56,9 @@ class BankResult:
                           self.log_mass[i])
 
 
-def _check_filter_args(n_particles: int, ess_threshold: float) -> None:
+def _check_filter_args(n_particles: int) -> None:
     if n_particles < 2:
         raise InvalidArgumentError("n_particles must be >= 2")
-    if not 0.0 <= ess_threshold <= 1.0:
-        raise InvalidArgumentError("ess_threshold must be in [0, 1]")
 
 
 def systematic_indices(wn: np.ndarray, u0: float) -> np.ndarray:
@@ -94,7 +98,7 @@ def _reduce_and_resample(pos, logw, logm, w, hv, fv, mx, resample_u, ess_frac):
 
 
 def _run_clouds(mutate, pos: np.ndarray, dY: np.ndarray, dt: float,
-                u0: float, pih0: float, ess_frac: float) -> BankResult:
+                u0: float, pih0: float) -> BankResult:
     """The filter loop shared by every signal, over a bank of clouds. Step j
     calls mutate(j, pos, logm), which moves the (n_paths, n_particles) states
     pos in place and returns h and f at the new states and one resampling
@@ -129,21 +133,22 @@ def _run_clouds(mutate, pos: np.ndarray, dY: np.ndarray, dt: float,
         w = np.exp(logw - mx[:, None])
         (u[:, j + 1], pih[:, j + 1], ess[:, j + 1], log_mass[:, j + 1],
          flags[:, j + 1]) = _reduce_and_resample(pos, logw, logm, w, hv, fv, mx,
-                                                 resample_u, ess_frac)
+                                                 resample_u, ESS_THRESHOLD)
     return BankResult(u=u, pi_h=pih, ess=ess, flags=flags, log_mass=log_mass)
 
 
 def run_filter_bank(model: ModelSpec, policy: DriftPolicy, dY: np.ndarray,
-                    dt: float, n_particles: int, seed: int, salt: int = 0,
-                    ess_threshold: float = 0.5) -> BankResult:
+                    dt: float, n_particles: int, seed: int,
+                    salt: int = 0) -> BankResult:
     """Independent filters over a bank of observation paths.
 
     dY has shape (n_paths, n_steps). Mutation noise and resampling offsets
     are drawn per step from substreams keyed by (seed, role, salt, step), so
     the output at time t never depends on observations after t. The mutation
-    is an Euler step under the theta-perturbed drift.
+    is an Euler step under the theta-perturbed drift, and a cloud resamples
+    after a step whose ESS is below ESS_THRESHOLD * n_particles.
     """
-    _check_filter_args(n_particles, ess_threshold)
+    _check_filter_args(n_particles)
     dY = np.asarray(dY, dtype=float)
     if dY.ndim != 2:
         raise ShapeError("dY must have shape (n_paths, n_steps)")
@@ -168,11 +173,11 @@ def run_filter_bank(model: ModelSpec, policy: DriftPolicy, dY: np.ndarray,
 
     return _run_clouds(mutate, np.full((m, n), float(model.x0)), dY, dt,
                        float(model.f.value(model.x0)),
-                       float(model.h.value(model.x0)), ess_threshold)
+                       float(model.h.value(model.x0)))
 
 
 def run_filter(model: ModelSpec, policy: DriftPolicy, Y: np.ndarray,
-               n_particles: int, seed: int, ess_threshold: float = 0.5) -> BankResult:
+               n_particles: int, seed: int) -> BankResult:
     """Filter one observation path on the model grid implied by len(Y);
     every field of the result has shape (n_steps + 1,)."""
     Y = np.asarray(Y, dtype=float)
@@ -180,8 +185,7 @@ def run_filter(model: ModelSpec, policy: DriftPolicy, Y: np.ndarray,
         raise ShapeError("Y must be a path of at least two grid values")
     n_steps = Y.size - 1
     return run_filter_bank(model, policy, np.diff(Y).reshape(1, n_steps),
-                           model.T / n_steps, n_particles, seed,
-                           ess_threshold=ess_threshold).row(0)
+                           model.T / n_steps, n_particles, seed).row(0)
 
 
 def innovation_path(Y: np.ndarray, pi_h: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -199,14 +203,13 @@ def innovation_path(Y: np.ndarray, pi_h: np.ndarray, grid: TimeGrid) -> np.ndarr
 def run_filter_finite(states: np.ndarray, transition: np.ndarray,
                       h_values: np.ndarray, f_values: np.ndarray,
                       Y: np.ndarray, grid: TimeGrid, n_particles: int,
-                      seed: int, x0: float,
-                      ess_threshold: float = 0.5) -> BankResult:
+                      seed: int, x0: float) -> BankResult:
     """Particle filter for a finite-state signal: the diffusion filter's loop
     with a mutation that samples the one-step transition matrix. This is the
     Monte Carlo counterpart of the exact matrix recursion in the oracles
     module; every field of the result has shape (n_steps + 1,).
     """
-    _check_filter_args(n_particles, ess_threshold)
+    _check_filter_args(n_particles)
     cum = np.cumsum(np.asarray(transition, dtype=float), axis=1)
     Y = np.asarray(Y, dtype=float)
     if Y.size != grid.n_steps + 1:
@@ -223,4 +226,4 @@ def run_filter_finite(states: np.ndarray, transition: np.ndarray,
 
     return _run_clouds(mutate, np.full((1, n_particles), start, dtype=np.intp),
                        np.diff(Y).reshape(1, grid.n_steps), grid.dt,
-                       f_values[start], h_values[start], ess_threshold).row(0)
+                       f_values[start], h_values[start]).row(0)

@@ -47,20 +47,19 @@ class ConstantRule(ControlRule):
 
 
 class FilterRule(ControlRule):
-    """The particle-filter estimate of f(X_t) under an assumed drift policy."""
+    """The particle-filter estimate of f(X_t) under an assumed drift policy.
+    Resampling is fixed in `filtering`, so policy and particle count identify it."""
 
-    def __init__(self, policy: DriftPolicy, n_particles: int, seed: int,
-                 ess_threshold: float = 0.5):
+    def __init__(self, policy: DriftPolicy, n_particles: int, seed: int):
         self.policy = policy
         self.n_particles = n_particles
-        self.ess_threshold = ess_threshold
         self.seed = seed
 
     def evaluate(self, model, grid, Y):
         Y = np.atleast_2d(Y)
         return run_filter_bank(
             model, self.policy, np.diff(Y, axis=1), grid.dt, self.n_particles,
-            self.seed, ess_threshold=self.ess_threshold).u
+            self.seed).u
 
     def digest(self) -> str:   # the assumed policy and the particle count
         return f"filter({self.policy.digest()},n={self.n_particles})"
@@ -119,7 +118,6 @@ class PicardConfig:
     seed: int = 0
     max_iters: int = 20
     tol: float = 0.02            # sign-agreement tolerance
-    ess_threshold: float = 0.5
     mixture_prune: float = 0.02
 
     def __post_init__(self):
@@ -175,8 +173,7 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
     noise = sample_noise(grid, config.n_paths, config.seed)
 
     def make_rule(policy: DriftPolicy) -> FilterRule:
-        return FilterRule(policy, config.n_particles, config.seed,
-                          ess_threshold=config.ess_threshold)
+        return FilterRule(policy, config.n_particles, config.seed)
 
     if k == 0.0:
         pol = zero_policy()
@@ -197,7 +194,7 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
     for it in range(1, config.max_iters + 1):
         per_path, bundle, u = weighted_cost_qtilde(
             model, theta, config.n_paths, config.n_particles, config.seed,
-            config.n_steps, ess_threshold=config.ess_threshold, noise=noise)
+            config.n_steps, noise=noise)
         J_it = float(-2.0 * per_path.mean())
         adjoint = solve_adjoint(bundle, u, model, theta)
         target = sign_policy(adjoint, k)

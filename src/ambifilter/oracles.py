@@ -197,14 +197,12 @@ def simulate_finite_signal(spec: FiniteSignalSpec, grid: TimeGrid, seed: int,
 
 def particle_filter_on_surrogate(spec: FiniteSignalSpec, Y: np.ndarray,
                                  grid: TimeGrid, n_particles: int, seed: int,
-                                 x0: float,
-                                 ess_threshold: float = 0.5) -> BankResult:
+                                 x0: float) -> BankResult:
     """The diffusion filter's loop run on the chain itself (a transition-matrix
     mutation), so it converges to the exact recursion as particles grow."""
     trans = _transition_matrix(spec, grid)
     return run_filter_finite(spec.states, trans, spec.h_values, spec.f_values,
-                             Y, grid, n_particles, seed, x0,
-                             ess_threshold=ess_threshold)
+                             Y, grid, n_particles, seed, x0)
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,10 @@ class TestFeatures:
         assert len(monomial_exponents(2, 2)) == 6
         assert monomial_exponents(2, 2)[0] == (0, 0)
 
-    def test_unknown_map_rejected(self):
+    @pytest.mark.parametrize("feature_map", ["poly_q", "poly_x", "poly_xmu"])
+    def test_unknown_map_rejected(self, feature_map):
         with pytest.raises(InvalidArgumentError):
-            RegressionBasis("poly_q", 2)
+            RegressionBasis(feature_map, 2)
 
     def test_basis_size_guard(self, tanh_model, grid50):
         bundle = p_paths(tanh_model, grid50, 60, 1)
@@ -236,8 +237,9 @@ class TestWorstValue:
                       h=make_coef("tanh", 1.0), f=make_coef("constant", c),
                       x0=0.0, T=1.0, k=0.0)
         bundle = p_paths(m, grid50, 400, 3)
+        # u = 0 gives the u columns zero variance, so the fit drops them
         sol = solve_worst_value(bundle, np.zeros_like(bundle.X), m,
-                                RegressionBasis("poly_x", 2))
+                                RegressionBasis("poly_xu", 2))
         assert sol.y0 == pytest.approx(c * c * 1.0, rel=1e-10)
 
     def test_k0_collapse_to_direct_mc(self, tanh_model, grid50):

@@ -71,7 +71,7 @@ class TestLoadConfig:
         cfg = load_config(p)
         assert cfg.model.T == 1.0 and cfg.n_steps == 50
         assert cfg.n_paths == 2000 and cfg.n_particles == 500
-        assert cfg.bsde_degree == 3 and cfg.ess_threshold == 0.5
+        assert cfg.bsde_degree == 3
         pc = PicardConfig()
         assert (cfg.picard_max_iters, cfg.picard_tol) == (pc.max_iters, pc.tol)
 
@@ -125,6 +125,7 @@ class TestLoadConfig:
     @pytest.mark.parametrize("key, hint", [
         # removed keys, and a prefix whose closest spelling is the wrong key
         ("picard.damping", None), ("bsde.ridge_lambda", None), ("mc.ess", None),
+        ("mc.ess_threshold", None),
         ("model.kk", "model.k"), ("pcard.max_iters", "picard.max_iters"),
         ("seed", "mc.seed"), ("n_paths", "mc.n_paths"), ("mc.seeed", "mc.seed"),
         ("picard.tolerance", "picard.tol"), ("output.directory", "output.dir"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ambifilter import filtering
 from ambifilter.errors import (DataError, DegenerateCloudError,
                                InvalidArgumentError, ShapeError)
 from ambifilter.filtering import (_reduce_and_resample, innovation_path,
@@ -156,14 +157,20 @@ class TestResampling:
         w = np.exp(logw_r - logw_r.max())
         assert w.sum() ** 2 / (w * w).sum() == pytest.approx(n)
 
-    def test_threshold_validation(self, tanh_model, grid50):
-        with pytest.raises(InvalidArgumentError):
-            run_filter_bank(tanh_model, zero_policy(), np.zeros((1, 1)), 0.02,
-                            8, seed=9, ess_threshold=1.5)
-        with pytest.raises(InvalidArgumentError):
-            run_filter_finite(np.array([0.0, 1.0]), np.eye(2), np.zeros(2),
-                              np.zeros(2), np.zeros(grid50.n_steps + 1), grid50,
-                              8, seed=9, x0=0.0, ess_threshold=-0.1)
+    def test_resamples_below_threshold(self, tanh_model):
+        # a sharp sensor (h = tanh(10 x)) drops the ESS below the threshold on
+        # some steps and not on others, so both branches of the rule run
+        m = model_of(tanh_model.b, make_coef("constant", 1.0),
+                     make_coef("tanh", 10.0), tanh_model.f, x0=tanh_model.x0)
+        g = build_time_grid(1.0, 50)
+        bundle = simulate_bundle(m, zero_policy(), g, 200, 3, measure="P")
+        n = 64
+        bank = run_filter_bank(m, zero_policy(), np.diff(bundle.Y, axis=1), g.dt,
+                               n, seed=3)
+        resampled = bank.flags[:, 1:] == 1
+        assert 0 < resampled.mean() < 1
+        np.testing.assert_array_equal(resampled,
+                                      bank.ess[:, 1:] < filtering.ESS_THRESHOLD * n)
 
 
 class TestRunFilter:
@@ -211,13 +218,14 @@ class TestRunFilter:
         single = run_filter(tanh_model, zero_policy(), bundle.Y[0], 64, seed=26)
         np.testing.assert_array_equal(bank.u[0], single.u)
 
-    def test_golden_digest(self, tanh_model):
-        # every step resamples (ess_threshold 1), so both per-step streams
-        # reach the output; any change to them changes these bytes
+    def test_golden_digest(self, tanh_model, monkeypatch):
+        # every step resamples (threshold 1), so both per-step streams reach
+        # the output; any change to them changes these bytes
+        monkeypatch.setattr(filtering, "ESS_THRESHOLD", 1.0)
         g = build_time_grid(1.0, 6)
         dY = golden_noise()[1]
         r = run_filter_bank(tanh_model, constant_policy(0.25), dY, g.dt, 16,
-                            seed=2024, salt=3, ess_threshold=1.0)
+                            seed=2024, salt=3)
         assert r.flags[:, 1:].all()
         h = hashlib.sha256()
         for a in (r.u, r.pi_h, r.ess, r.flags, r.log_mass):

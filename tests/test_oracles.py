@@ -75,17 +75,17 @@ class TestFiniteSignal:
         expect[np.argmin(np.abs(states - 0.4))] = 1.0
         np.testing.assert_allclose(masses[-1], expect, atol=1e-12)
 
-    def test_particle_filter_converges_to_recursion(self):
+    def test_particle_filter_converges_to_recursion(self, monkeypatch):
         spec = self._spec()
         grid = build_time_grid(1.0, 100)
         _, Y = simulate_finite_signal(spec, grid, seed=101, x0=0.8)
         masses = finite_signal_filter(spec, Y, grid, x0=0.8)
         u_exact = finite_signal_estimates(spec, masses)
         rho1_exact = masses.sum(axis=1)
-        # ess_threshold 1.0 resamples at every step
+        # a threshold of 1.0 resamples at every step
         for ess_threshold in (0.5, 1.0):
-            fp = particle_filter_on_surrogate(spec, Y, grid, 5000, seed=102,
-                                              x0=0.8, ess_threshold=ess_threshold)
+            monkeypatch.setattr(filtering, "ESS_THRESHOLD", ess_threshold)
+            fp = particle_filter_on_surrogate(spec, Y, grid, 5000, seed=102, x0=0.8)
             if ess_threshold == 1.0:
                 assert fp.flags[1:].all()
             assert np.mean(np.abs(fp.u - u_exact)) <= 0.02
