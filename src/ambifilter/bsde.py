@@ -17,7 +17,9 @@ expectations projected on per-step polynomial features:
   problem, solved under the reference measure where the observation is a free
   Brownian motion. The P-driver is implemented in three variants that differ
   in the (p, q) coupling terms; a finite-difference Gateaux check against the
-  simulated cost adjudicates between them (see gateaux_fd / gateaux_adjoint).
+  simulated cost (gateaux_fd: central differences at one eps and eps / 2,
+  Richardson-extrapolated, on common random numbers) adjudicates between
+  them through the duality identity (gateaux_adjoint).
 
 Explicit scheme throughout: martingale coefficients are regressed first, the
 drivers are then evaluated at the regressed values. Each step factors its
@@ -27,7 +29,7 @@ design once and projects every right-hand side on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -58,7 +60,7 @@ class BsdeSolution:
 
 @dataclass(frozen=True)
 class AdjointSolution:
-    P_tables: tuple[FrozenRegression, ...]   # per step; read by sign_policy
+    P_tables: tuple[FrozenRegression, ...]   # per step; Picard's sign rule reads them
     grid: TimeGrid
     basis: RegressionBasis
     p_vals: np.ndarray                       # (n_paths, n_steps + 1) path values
@@ -72,7 +74,7 @@ class GateauxEstimate:
     value: float
     se: float
     per_path: np.ndarray
-    slopes: tuple[float, ...]        # central-difference slope per epsilon
+    slopes: tuple[float, ...]        # gateaux_fd: the slopes at eps and eps / 2
 
 
 def _require_h1(model: ModelSpec, what: str) -> None:
@@ -224,19 +226,19 @@ def weighted_cost_qtilde(model: ModelSpec, policy: DriftPolicy, n_paths: int,
 
 
 def gateaux_fd(model: ModelSpec, policy: DriftPolicy, v: DriftPolicy,
-               epsilons: Sequence[float], n_paths: int, n_particles: int,
+               eps: float, n_paths: int, n_particles: int,
                seed: int, n_steps: int = 50) -> GateauxEstimate:
     """Finite-difference derivative of the weighted mean-field cost in the
-    direction v at the given policy, by central differences on a descending
-    epsilon ladder with Richardson extrapolation and common random numbers.
-    The caller keeps theta + eps*v inside the ambiguity radius; values at the
-    clamp boundary measure the clamped perturbation instead."""
-    eps = [float(e) for e in epsilons]
-    if not eps or any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
-        raise InvalidArgumentError("epsilons must be a strictly decreasing positive ladder")
+    direction v at the given policy: central differences at eps and eps / 2
+    on common random numbers, Richardson-extrapolated to cancel their eps^2
+    error. The caller keeps theta + eps*v inside the ambiguity radius; values
+    at the clamp boundary measure the clamped perturbation instead."""
+    if not 0.0 < eps < np.inf:
+        raise InvalidArgumentError(f"eps must be finite and > 0, got {eps}")
     noise = sample_noise(build_time_grid(model.T, n_steps), n_paths, seed)
+    e0, e1 = eps, eps / 2
     slopes_pp = []
-    for e in eps:
+    for e in (e0, e1):
         plus = mixture_policy([(1.0, policy), (+e, v)], radius=model.k)
         minus = mixture_policy([(1.0, policy), (-e, v)], radius=model.k)
         jp, _, _ = weighted_cost_qtilde(model, plus, n_paths, n_particles, seed, n_steps,
@@ -244,17 +246,12 @@ def gateaux_fd(model: ModelSpec, policy: DriftPolicy, v: DriftPolicy,
         jm, _, _ = weighted_cost_qtilde(model, minus, n_paths, n_particles, seed, n_steps,
                                         noise=noise)
         slopes_pp.append((jp - jm) / (2.0 * e))
-    slopes = [float(s.mean()) for s in slopes_pp]
-    if len(eps) == 1:
-        per_path = slopes_pp[0]
-    else:
-        e0, e1 = eps[-2], eps[-1]
-        w = e0 * e0 / (e0 * e0 - e1 * e1)
-        per_path = w * slopes_pp[-1] + (1.0 - w) * slopes_pp[-2]
+    w = e0 * e0 / (e0 * e0 - e1 * e1)
+    per_path = w * slopes_pp[1] + (1.0 - w) * slopes_pp[0]
     value = float(per_path.mean())
     se = float(per_path.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("nan")
     return GateauxEstimate(value=value, se=se, per_path=per_path,
-                           slopes=tuple(slopes))
+                           slopes=tuple(float(s.mean()) for s in slopes_pp))
 
 
 def gateaux_adjoint(adjoint: AdjointSolution, paths: PathBundle,

@@ -164,9 +164,8 @@ def run_filter_bank(model: ModelSpec, policy: DriftPolicy, dY: np.ndarray,
         normals = rekey(gen, normal_keys[j]).standard_normal((m, n))
         unif = rekey(gen, uniform_keys[j]).random(m)
         theta = policy.evaluate(j * dt, pos, np.exp(logm) if policy.needs_m else None)
-        sig = model.sigma.params[0] if model.sigma.name == "constant" else model.sigma.value(pos)
-        bv = model.b.params[0] if model.b.name == "constant" else model.b.value(pos)
-        pos += (bv + sig * theta) * dt + (sig * np.sqrt(dt)) * normals
+        sig = model.sigma.value(pos)
+        pos += (model.b.value(pos) + sig * theta) * dt + (sig * np.sqrt(dt)) * normals
         hv = model.h.value(pos)
         fv = hv if model.f == model.h else model.f.value(pos)
         return hv, fv, unif

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bsde import AdjointSolution, solve_adjoint, weighted_cost_qtilde
+from .bsde import solve_adjoint, weighted_cost_qtilde
 from .errors import InvalidArgumentError, ShapeError
 from .filtering import run_filter_bank
 from .model import (ROLE_PROBE, ModelSpec, NoiseBundle, PathBundle, TimeGrid,
@@ -94,17 +94,6 @@ def _cost_report(model: ModelSpec, bundle: PathBundle, u: np.ndarray) -> CostRep
     return CostReport(J=J, se=se, per_path=per_path)
 
 
-def sign_policy(adjoint: AdjointSolution, k: float) -> DriftPolicy:
-    """theta = k * sgn(P_hat) from the regressed adjoint surface, with
-    sgn(0) = 0 so the value set is exactly {-k, 0, +k}."""
-    if k < 0:
-        raise InvalidArgumentError("k must be >= 0")
-    if k == 0.0:
-        return zero_policy()
-    return sign_of_regression_policy(adjoint.P_tables, adjoint.basis, k,
-                                     adjoint.grid.dt)
-
-
 # Picard stops only once the cost moves by less than this fraction between
 # iterations, on top of the sign-agreement tolerance.
 REL_J_TOL = 0.01
@@ -157,7 +146,8 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
                  initial_policy: Optional[DriftPolicy] = None) -> PicardReport:
     """Alternate simulate -> filter -> adjoint -> sign update until the sign
     field of theta stabilizes, starting from initial_policy (theta = 0 by
-    default; ignored at k = 0, where theta = 0 is the only policy).
+    default; ignored at k = 0, where theta = 0 is the only policy, hence the
+    fixed point: nothing is iterated and one iteration reports the final cost).
 
     Convergence is declared when the sign-agreement fraction stays above
     1 - tol on two consecutive iterations and the cost moves by less than
@@ -171,33 +161,23 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
     k = model.k
     grid = build_time_grid(model.T, config.n_steps)
     noise = sample_noise(grid, config.n_paths, config.seed)
+    n_iters = config.max_iters if k > 0.0 else 0
 
-    def make_rule(policy: DriftPolicy) -> FilterRule:
-        return FilterRule(policy, config.n_particles, config.seed)
-
-    if k == 0.0:
-        pol = zero_policy()
-        rule = make_rule(pol)
-        cost = evaluate_cost(model, rule, pol, config.n_paths, config.seed, grid,
-                             noise=noise)
-        return PicardReport(
-            iterations=(PicardIteration(1, cost.J, 1.0, 1.0),),
-            converged=True, final_policy=pol, final_rule=rule, final_cost=cost)
-
-    theta = prev_target = zero_policy() if initial_policy is None else initial_policy
+    theta = prev_target = (initial_policy if initial_policy is not None and n_iters
+                           else zero_policy())
     gamma = 1.0
     iters: list[PicardIteration] = []
-    converged = False
+    converged = n_iters == 0
     prev_agree = -1.0
     prev_j = None
 
-    for it in range(1, config.max_iters + 1):
+    for it in range(1, n_iters + 1):
         per_path, bundle, u = weighted_cost_qtilde(
             model, theta, config.n_paths, config.n_particles, config.seed,
             config.n_steps, noise=noise)
         J_it = float(-2.0 * per_path.mean())
         adjoint = solve_adjoint(bundle, u, model, theta)
-        target = sign_policy(adjoint, k)
+        target = sign_of_regression_policy(adjoint.P_tables, adjoint.basis, k, grid.dt)
 
         s_new = _sign_field(target, bundle, grid.times)
         s_prev = _sign_field(prev_target, bundle, grid.times)
@@ -220,9 +200,11 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
         prev_agree = agree
         prev_j = J_it
 
-    rule = make_rule(theta)
+    rule = FilterRule(theta, config.n_particles, config.seed)
     cost = evaluate_cost(model, rule, theta, config.n_paths, config.seed, grid,
                          noise=noise)
+    if n_iters == 0:
+        iters.append(PicardIteration(1, cost.J, 1.0, 1.0))
     return PicardReport(iterations=tuple(iters), converged=converged,
                         final_policy=theta, final_rule=rule, final_cost=cost)
 

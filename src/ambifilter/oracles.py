@@ -61,9 +61,10 @@ def riccati_path(spec: LinearGaussianSpec, grid: TimeGrid,
 def kalman_bucy(spec: LinearGaussianSpec, Y: np.ndarray,
                 grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     """Conditional mean and variance paths for one (or a bank of) observation
-    paths, from the known initial state (zero initial variance). The mean
-    uses an exponential one-step integrator with the mid-step Riccati gain,
-    exact for frozen coefficients within a step."""
+    paths, from the known initial state (zero initial variance); the mean has
+    the shape of Y. It uses an exponential one-step integrator with the
+    mid-step Riccati gain, exact for frozen coefficients within a step."""
+    shape = np.shape(Y)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if Y.shape[1] != grid.n_steps + 1:
         raise ShapeError("Y and grid are not aligned")
@@ -77,20 +78,7 @@ def kalman_bucy(spec: LinearGaussianSpec, Y: np.ndarray,
         growth = np.exp(lam * dt)
         gain = spec.c * Rm * (growth - 1.0) / (lam * dt) if lam * dt != 0.0 else spec.c * Rm
         mean[:, j + 1] = growth * mean[:, j] + gain * (Y[:, j + 1] - Y[:, j])
-    if mean.shape[0] == 1:
-        return mean[0], R
-    return mean, R
-
-
-class KalmanControlRule(ControlRule):
-    """Causal control rule given by the Kalman-Bucy conditional mean."""
-
-    def __init__(self, spec: LinearGaussianSpec):
-        self.spec = spec
-
-    def evaluate(self, model: ModelSpec, grid: TimeGrid, Y: np.ndarray) -> np.ndarray:
-        mean, _ = kalman_bucy(self.spec, Y, grid)
-        return np.atleast_2d(mean)
+    return mean.reshape(shape), R
 
 
 @dataclass(frozen=True)
@@ -129,8 +117,10 @@ def make_finite_surrogate(model: ModelSpec, n_states: int, x_lo: float,
     xs = np.linspace(x_lo, x_hi, n_states)
     dx = xs[1] - xs[0]
     Q = np.zeros((n_states, n_states))
-    adv = model.b.value(xs)
-    dif = 0.5 * np.asarray(model.sigma.value(xs)) ** 2
+    # a constant coefficient is a number: give every state its value
+    adv, sig, h_vals, f_vals = (np.broadcast_to(c.value(xs), xs.shape).astype(float)
+                                for c in (model.b, model.sigma, model.h, model.f))
+    dif = 0.5 * sig ** 2
     for i in range(n_states):
         right = dif[i] / dx**2 + adv[i] / (2 * dx)
         left = dif[i] / dx**2 - adv[i] / (2 * dx)
@@ -142,9 +132,7 @@ def make_finite_surrogate(model: ModelSpec, n_states: int, x_lo: float,
         if i - 1 >= 0:
             Q[i, i - 1] = left
         Q[i, i] = -Q[i].sum()
-    return FiniteSignalSpec(states=xs, rate_matrix=Q,
-                            h_values=np.asarray(model.h.value(xs), dtype=float),
-                            f_values=np.asarray(model.f.value(xs), dtype=float))
+    return FiniteSignalSpec(states=xs, rate_matrix=Q, h_values=h_vals, f_values=f_vals)
 
 
 def _transition_matrix(spec: FiniteSignalSpec, grid: TimeGrid) -> np.ndarray:

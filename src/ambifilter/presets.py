@@ -11,7 +11,9 @@ numeric parameters rather than arbitrary callables:
 
 Each preset knows its derivative, a sup-norm bound, its exact infimum over R
 (which the model checks sigma against), and whether it satisfies the
-boundedness requirements needed by the solver modules. Unbounded presets
+boundedness requirements needed by the solver modules. A constant value or
+derivative is returned as a number, which broadcasts against any x array, so
+callers never ask which preset they hold. Unbounded presets
 (linear sensor, identity target) are permitted only for validation against
 closed-form references.
 """
@@ -34,22 +36,24 @@ class CoefPreset:
     params: tuple[float, ...]
 
     def value(self, x):
+        """f(x) on x; a constant preset returns its number, which broadcasts."""
         p = self.params
         if self.name == "constant":
-            return np.full_like(np.asarray(x, dtype=float), p[0]) if np.ndim(x) else p[0]
+            return p[0]
         if self.name == "linear":
-            return p[0] + p[1] * np.asarray(x, dtype=float) if np.ndim(x) else p[0] + p[1] * x
+            return p[0] + p[1] * np.asarray(x, dtype=float)
         if self.name == "tanh":
             return p[0] * np.tanh(p[1] * np.asarray(x) + p[2]) + p[3]
         return p[0] * np.sin(p[1] * np.asarray(x) + p[2]) + p[3]
 
     def deriv(self, x):
+        """f'(x) on x; a constant or linear preset's slope is a number."""
         p = self.params
-        x = np.asarray(x, dtype=float)
         if self.name == "constant":
-            return np.zeros_like(x)
+            return 0.0
         if self.name == "linear":
-            return np.full_like(x, p[1])
+            return p[1]
+        x = np.asarray(x, dtype=float)
         if self.name == "tanh":
             t = np.tanh(p[1] * x + p[2])
             return p[0] * p[1] * (1.0 - t * t)

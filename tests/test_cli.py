@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -283,6 +284,17 @@ class TestSubcommands:
         m = run_subcommand("oracle-check", cfg, run_dir=tmp_path / "ocf")
         assert m.extras["oracle"] == "finite_signal"
 
+    def test_oracle_check_constant_drift_and_target(self, tmp_path):
+        # constant b and f reach the finite-state surrogate as numbers
+        conf = tmp_path / "const.conf"
+        conf.write_text(TANH_CONF.replace("model.b = tanh(0.2)", "model.b = constant(0.3)")
+                        .replace("model.f = tanh(1.0)", "model.f = constant(1.4)"))
+        m = run_subcommand("oracle-check", load_config(conf), run_dir=tmp_path / "occ")
+        assert m.status == "ok" and m.extras["oracle"] == "finite_signal"
+        rows = np.genfromtxt(tmp_path / "occ" / "oracle_check.csv", delimiter=",",
+                             skip_header=1)
+        assert rows.shape == (21, 4) and np.isfinite(rows).all()
+
     def test_filter_csv_matches_kalman_oracle(self, linear_conf, tmp_path):
         cfg = load_config(linear_conf)
         run_subcommand("filter", cfg, run_dir=tmp_path / "fk")
@@ -485,6 +497,106 @@ class TestDeterminism:
                 bodies.append([next(out.glob(f"*/{name}")).read_bytes()
                                for name in names])
             assert bodies[0] == bodies[1], cmd
+
+
+# sha256 of every CSV body and of the manifest extras (sorted-key JSON) that
+# each subcommand writes for TANH_CONF and LINEAR_CONF. A change that moves an
+# output on purpose updates its entry and names the artifact in CHANGES.md.
+# worst-case refuses the unbounded linear model, so that run writes no CSV
+# and its extras are empty.
+PINNED_OUTPUTS = {
+    ("tanh", "simulate"): {
+        "paths.csv":
+            "b41895b2cc2966ec83ce7d9115b94bb46bd6e4cc9f1cc60b29f12e585635b9b7",
+        "extras":
+            "f012237e692969a6ffff370a6435ff2dd7b23c71e748b9d463e5a268c7fc10fe",
+    },
+    ("tanh", "filter"): {
+        "filter_path.csv":
+            "9e7ebf41e4f2247a47e2c73b25217ebc2bfd1821ecbcff7b9876f3acd3d09465",
+        "extras":
+            "c96ff6faaea65e1701011cab8ad59c66562ccc2549c0f3f48e7f60f2ac31dcde",
+    },
+    ("tanh", "worst-case"): {
+        "worst_case.csv":
+            "b8be4c77aff8e2ac6eb7597176e2fb12d8f9ad6e17f213a29584db80a9e75808",
+        "extras":
+            "255d20478330dde98fd4283017e198d68c8f3c0922e5e338d537d126b85d4839",
+    },
+    ("tanh", "picard"): {
+        "picard.csv":
+            "66f090efc571f0ac848c298248609723882f4e2da376a06c09397a951015293c",
+        "saddle.csv":
+            "6c48b4225488a00196cb7a91ef58e66993e3157b7847458cac98f4682885b361",
+        "extras":
+            "4768e298c8b6572edccce696ae283a94742a1068b588e6af7d49a2bb7eb9ccaf",
+    },
+    ("tanh", "minimax-gap"): {
+        "saddle.csv":
+            "1a14101424e72d023a4174c4779d8fc798bad43fecd6932612a65ec78b737376",
+        "extras":
+            "4bb761a80566a730f80b5b32f677584fbb6bb6462adc7d03e3df1ee5b07d1469",
+    },
+    ("tanh", "oracle-check"): {
+        "oracle_check.csv":
+            "66a251f49d6a78f560c4b63b4c55c93b51b2ee6aae60f8a4245db7b76f95a01f",
+        "extras":
+            "c721d478ec9b82619fcf89698ef17c3c75e31c516a56f79fdba1de2258ca01a6",
+    },
+    ("linear", "simulate"): {
+        "paths.csv":
+            "96edfe79fc5bd7259ccf3e6a123d69bcf37f707a17bf6ff12416e74c540b393d",
+        "extras":
+            "b3d56da152ab874d4242fe578309212d091ffc76a6637ebd4bdedc94edd93a85",
+    },
+    ("linear", "filter"): {
+        "filter_path.csv":
+            "1e99b87517f455b2247cb3f8f4412d889e20c344507a6f753231eb267f248664",
+        "extras":
+            "3e1f619c52c072e180c55db2db8556ecfc1f8d2b7fe397abadf61a2f2dc57e3e",
+    },
+    ("linear", "worst-case"): {
+        "extras":
+            "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
+    },
+    ("linear", "picard"): {
+        "picard.csv":
+            "71c2c749c2465d1edefb085644c828cfb97e766bbd3305178c11ab85b7ba31f2",
+        "saddle.csv":
+            "182421c2f0695b707c55647dd605b93ce02fae9d3e565af8b11d327a7574f9d2",
+        "extras":
+            "c83cb5640073b80db163c6b0092426046171c7a7053d83943370645a6258b103",
+    },
+    ("linear", "minimax-gap"): {
+        "saddle.csv":
+            "3a5552401abaf7e7c29d59bd6a5eb46c8405cefef3beb04512b0a5af88fe9f70",
+        "extras":
+            "6f067e4bd191d75871bbab592bd75cf39c9410b90f43ab91daa4477839325340",
+    },
+    ("linear", "oracle-check"): {
+        "oracle_check.csv":
+            "c0212d065092fbe8d086e55e0e7c01a7bcee5c1eb15a8345aac0bd61781aae03",
+        "extras":
+            "7abf0210d72310bc273bd58b5b7b73052b2a98fdc0eadb5519254c0d754897af",
+    },
+}
+
+
+@pytest.mark.parametrize("name,cmd", list(PINNED_OUTPUTS))
+def test_outputs_match_pinned_digests(tmp_path, name, cmd):
+    conf = tmp_path / f"{name}.conf"
+    conf.write_text({"tanh": TANH_CONF, "linear": LINEAR_CONF}[name], encoding="utf-8")
+    run_dir = tmp_path / cmd
+    try:
+        run_subcommand(cmd, load_config(conf), run_dir=run_dir)
+    except ConfigError:
+        assert (name, cmd) == ("linear", "worst-case")
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(run_dir.glob("*.csv"))}
+    got["extras"] = hashlib.sha256(
+        json.dumps(manifest["extras"], sort_keys=True).encode()).hexdigest()
+    assert got == PINNED_OUTPUTS[name, cmd]
 
 
 EDGE_CONF = """

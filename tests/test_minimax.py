@@ -4,14 +4,15 @@ from dataclasses import replace
 
 from ambifilter.errors import InvalidArgumentError
 from ambifilter.features import RegressionBasis, fit_ridge
-from ambifilter.minimax import (ConstantRule, FilterRule, PicardConfig,
-                                PicardReport, clamp_control, evaluate_cost,
-                                minimax_gap, picard_solve, saddle_probes,
-                                sign_policy)
+from ambifilter.minimax import (ConstantRule, ControlRule, FilterRule,
+                                PicardConfig, PicardIteration, PicardReport,
+                                clamp_control, evaluate_cost, minimax_gap,
+                                picard_solve, saddle_probes)
 from ambifilter.model import ModelSpec, build_time_grid, simulate_bundle
 from ambifilter.filtering import run_filter
-from ambifilter.oracles import KalmanControlRule, LinearGaussianSpec
-from ambifilter.policies import constant_policy, time_table_policy, zero_policy
+from ambifilter.oracles import LinearGaussianSpec, kalman_bucy
+from ambifilter.policies import (constant_policy, sign_of_regression_policy,
+                                 time_table_policy, zero_policy)
 from ambifilter.presets import make_coef
 
 
@@ -54,8 +55,12 @@ class TestEvaluateCost:
     def test_kalman_rule_matches_riccati_integral(self, linear_model):
         grid = build_time_grid(1.0, 100)
         spec = LinearGaussianSpec(a=0.0, sigma=1.0, c=1.0, x0=0.0, T=1.0)
-        rep = evaluate_cost(linear_model, KalmanControlRule(spec),
-                            zero_policy(), 2000, 6, grid)
+
+        class KalmanRule(ControlRule):   # the Kalman-Bucy conditional mean
+            def evaluate(self, model, grid, Y):
+                return kalman_bucy(spec, Y, grid)[0]
+
+        rep = evaluate_cost(linear_model, KalmanRule(), zero_policy(), 2000, 6, grid)
         target = float(np.log(np.cosh(1.0)))  # integral of tanh(t) on [0,1]
         assert rep.J == pytest.approx(target, rel=0.05)
 
@@ -73,30 +78,21 @@ class TestEvaluateCost:
 
 
 class TestSignPolicy:
-    def _adjoint_like(self, const: float, grid):
+    def _sign_rule(self, const: float, grid, k: float):
+        # k sgn(P_hat) on a regressed adjoint surface that is const everywhere
         basis = RegressionBasis("poly_xm", 1)
         n = 50
         F = basis.design({"x": np.linspace(-1, 1, n), "m": np.ones(n)})
         tab = fit_ridge(F, 1e-6).fit(np.full(n, const))
-        from ambifilter.bsde import AdjointSolution
-        tabs = tuple([tab] * (grid.n_steps + 1))
-        return AdjointSolution(P_tables=tabs, grid=grid, basis=basis,
-                               p_vals=np.zeros((1, grid.n_steps + 1)),
-                               q_vals=np.zeros((1, grid.n_steps + 1)),
-                               P_vals=np.zeros((1, grid.n_steps + 1)),
-                               Q_vals=np.zeros((1, grid.n_steps + 1)))
+        return sign_of_regression_policy([tab] * (grid.n_steps + 1), basis, k, grid.dt)
 
     def test_positive_surface(self, grid50):
-        pol = sign_policy(self._adjoint_like(2.5, grid50), 0.25)
+        pol = self._sign_rule(2.5, grid50, 0.25)
         vals = pol.evaluate(0.4, np.linspace(-1, 1, 7), np.ones(7))
         np.testing.assert_array_equal(vals, 0.25)
 
-    def test_zero_radius(self, grid50):
-        pol = sign_policy(self._adjoint_like(1.0, grid50), 0.0)
-        assert pol.digest() == zero_policy().digest()
-
     def test_zero_surface_gives_zero(self, grid50):
-        pol = sign_policy(self._adjoint_like(0.0, grid50), 0.25)
+        pol = self._sign_rule(0.0, grid50, 0.25)
         vals = pol.evaluate(0.4, np.linspace(-1, 1, 7), np.ones(7))
         np.testing.assert_array_equal(vals, 0.0)
 
@@ -211,6 +207,23 @@ class TestPicard:
         assert len(rep.iterations) <= 5
         assert all(it.damping == 1.0 for it in rep.iterations)
 
+    def test_zero_radius_iterates_nothing(self, linear_model):
+        # theta = 0 is the only policy at k = 0: no adjoint is solved (it would
+        # reject the unbounded linear model) and a start policy is ignored
+        cfg = PicardConfig(n_paths=60, n_particles=16, n_steps=10, seed=3)
+        rep = picard_solve(linear_model, cfg)
+        started = picard_solve(linear_model, cfg, initial_policy=constant_policy(0.3))
+        assert rep.converged
+        assert rep.iterations == (PicardIteration(1, rep.final_cost.J, 1.0, 1.0),)
+        assert rep.final_policy.digest() == zero_policy().digest()
+        for a, b in ((rep.iterations, started.iterations),
+                     (rep.converged, started.converged),
+                     (rep.final_policy.digest(), started.final_policy.digest()),
+                     (rep.final_rule.digest(), started.final_rule.digest()),
+                     (rep.final_cost.se, started.final_cost.se)):
+            assert a == b
+        np.testing.assert_array_equal(rep.final_cost.per_path, started.final_cost.per_path)
+
     def test_nonconvergence_reported_not_raised(self, tanh_model):
         cfg = PicardConfig(n_paths=120, n_particles=50, n_steps=15, seed=34,
                            max_iters=1)
@@ -230,7 +243,8 @@ class TestPicard:
         t1 = time_table_policy([k] * 4, tanh_model.T, k)
         t2 = time_table_policy([k, k, -k, -k], tanh_model.T, k)
         targets = iter([t1, t1, t2])
-        monkeypatch.setattr(minimax, "sign_policy", lambda adj, kk: next(targets))
+        monkeypatch.setattr(minimax, "sign_of_regression_policy",
+                            lambda tables, basis, kk, dt: next(targets))
         rep = picard_solve(tanh_model, PicardConfig(
             n_paths=100, n_particles=8, n_steps=8, seed=5, max_iters=3))
         traj = [(it.sign_agreement, it.damping) for it in rep.iterations]

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ambifilter import bsde, minimax, model, oracles
 from ambifilter.errors import InvalidArgumentError, MissingFeatureError, ShapeError
@@ -164,6 +165,16 @@ class TestSubstreamKeys:
         banned = re.compile(r"SeedSequence|default_rng|(np|numpy)\.random\.seed")
         for path in sorted(Path(model.__file__).parent.glob("*.py")):
             assert not banned.search(path.read_text(encoding="utf-8")), path.name
+
+    def test_one_path_per_job(self):
+        # presets alone decide what a constant coefficient is, Picard builds
+        # its target with sign_of_regression_policy, and a Kalman control
+        # rule is a test's own
+        src = Path(model.__file__).parent
+        assert ".name ==" not in (src / "filtering.py").read_text(encoding="utf-8")
+        for path in sorted(src.glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            assert not re.search(r"\bsign_policy\b|KalmanControlRule", text), path.name
 
     def test_one_resampling_threshold(self):
         # the filter's resampling threshold is a filtering constant that no
@@ -331,14 +342,12 @@ def crn_families(m):
                 (err * err).sum(axis=1) * grid.dt)
 
     base, v = constant_policy(0.05, radius=k), time_table_policy([1.0, -1.0], T, 1.0)
-    eps = (0.1, 0.05)
-
     def fd():
-        return bsde.gateaux_fd(m, base, v, eps, n, particles, seed, n_steps=steps).slopes
+        return bsde.gateaux_fd(m, base, v, 0.1, n, particles, seed, n_steps=steps).slopes
 
     def fd_by_hand(noise):
         slopes = []
-        for e in eps:
+        for e in (0.1, 0.05):
             jp, jm = (bsde.weighted_cost_qtilde(
                 m, mixture_policy([(1.0, base), (s * e, v)], radius=k), n, particles,
                 seed, steps, noise=noise)[0] for s in (1.0, -1.0))
@@ -628,6 +637,28 @@ class TestPolicyValidation:
             time_table_policy([0.1], 1.0, np.nan)
         with pytest.raises(InvalidArgumentError):
             mixture_policy([(1.0, zero_policy())], radius=np.nan)
+
+
+SMALL_FLOATS = st.floats(-1e100, 1e100)   # no product overflows
+
+
+class TestCoefPresetValues:
+    @given(c=SMALL_FLOATS, slope=SMALL_FLOATS,
+           x=hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=4),
+                        elements=SMALL_FLOATS))
+    def test_constant_slope_broadcasts_bit_for_bit(self, c, slope, x):
+        # a constant value or slope is a number; against any x it gives the
+        # bits of the arrays it used to be built as, -0.0 included
+        const, lin = make_coef("constant", c), make_coef("linear", c, slope)
+        for got, old in ((const.value(x), np.full_like(x, c)),
+                         (const.deriv(x), np.zeros_like(x)),
+                         (lin.deriv(x), np.full_like(x, slope)),
+                         (lin.value(x), c + slope * x)):
+            assert np.broadcast_to(got, x.shape).tobytes() == old.tobytes()
+            assert (x * got).tobytes() == (x * old).tobytes()
+            assert (got + x).tobytes() == (old + x).tobytes()
+        assert isinstance(lin.value(0.5), np.floating)
+        assert lin.value(0.5) == c + slope * 0.5
 
 
 class TestModelSpecValidation:

@@ -38,6 +38,16 @@ class TestKalmanBucy:
         mean, _ = kalman_bucy(spec, Y, grid)
         np.testing.assert_allclose(mean, 2.0 * np.exp(0.7 * grid.times), rtol=1e-9)
 
+    def test_one_row_bank_keeps_its_shape(self):
+        # the mean comes back in the shape of Y, also for a bank of one path
+        spec = LinearGaussianSpec(a=0.0, sigma=1.0, c=1.0, x0=0.0, T=1.0)
+        grid = build_time_grid(1.0, 20)
+        Y = np.cumsum(np.r_[0.0, np.full(20, 0.05)])
+        bank, _ = kalman_bucy(spec, Y[None, :], grid)
+        path, _ = kalman_bucy(spec, Y, grid)
+        assert bank.shape == (1, 21) and path.shape == (21,)
+        np.testing.assert_array_equal(bank[0], path)
+
     def test_riccati_stays_nonnegative(self):
         spec = LinearGaussianSpec(a=-1.2, sigma=0.8, c=2.0, x0=0.0, T=2.0)
         grid = build_time_grid(2.0, 200)
@@ -58,6 +68,24 @@ class TestFiniteSignal:
         assert np.max(np.abs(Q.sum(axis=1))) < 1e-9
         off = Q - np.diag(np.diag(Q))
         assert np.all(off >= 0)
+
+    def test_constant_drift_and_target(self):
+        # a constant preset's value is a number; the surrogate gives every
+        # state its drift, sensor and target value
+        model = ModelSpec(b=make_coef("constant", 0.3), sigma=make_coef("constant", 0.5),
+                          h=make_coef("tanh", 1.0), f=make_coef("constant", 1.4),
+                          x0=0.8, T=1.0, k=0.0)
+        spec = make_finite_surrogate(model, 5, -0.7, 2.3)
+        assert spec.h_values.shape == spec.f_values.shape == (5,)
+        np.testing.assert_array_equal(spec.f_values, 1.4)
+        Q, dx = spec.rate_matrix, 0.75
+        # central rates: the drift is the up-minus-down rate times dx
+        np.testing.assert_allclose((Q[1:4, 2:5].diagonal() - Q[1:4, 0:3].diagonal()) * dx,
+                                   0.3, rtol=1e-12)
+        grid = build_time_grid(1.0, 20)
+        _, Y = simulate_finite_signal(spec, grid, seed=5, x0=0.8)
+        u = finite_signal_estimates(spec, finite_signal_filter(spec, Y, grid, x0=0.8))
+        np.testing.assert_allclose(u, 1.4, rtol=1e-12)
 
     def test_mass_conserved_with_zero_sensor(self):
         spec = self._spec(h_zero=True)
