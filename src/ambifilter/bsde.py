@@ -36,8 +36,8 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericalError, ShapeError
 from .features import FrozenRegression, RegressionBasis, check_basis_size, fit_ridge
 from .filtering import run_filter_bank
-from .model import (ModelSpec, NoiseBundle, PathBundle, TimeGrid, build_time_grid,
-                    sample_noise, simulate_bundle)
+from .model import (ModelSpec, NoiseBundle, PathBundle, build_time_grid, sample_noise,
+                    simulate_bundle)
 from .policies import DriftPolicy, mixture_policy
 
 # The duality test (gateaux_fd vs gateaux_adjoint) selects "derived", the
@@ -61,7 +61,6 @@ class BsdeSolution:
 @dataclass(frozen=True)
 class AdjointSolution:
     P_tables: tuple[FrozenRegression, ...]   # per step; Picard's sign rule reads them
-    grid: TimeGrid
     basis: RegressionBasis
     p_vals: np.ndarray                       # (n_paths, n_steps + 1) path values
     q_vals: np.ndarray
@@ -199,7 +198,7 @@ def solve_adjoint(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
         p_vals[:, j], q_vals[:, j] = p, q
         P_vals[:, j], Q_vals[:, j] = P, Q
 
-    return AdjointSolution(P_tables=tuple(P_tabs), grid=grid, basis=basis,
+    return AdjointSolution(P_tables=tuple(P_tabs), basis=basis,
                            p_vals=p_vals, q_vals=q_vals, P_vals=P_vals,
                            Q_vals=Q_vals)
 

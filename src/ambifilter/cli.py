@@ -158,28 +158,15 @@ _REQUIRED = ("model.b", "model.sigma", "model.h", "model.f")
 _HINT_CUTOFF = 0.7
 
 
-def _convert(values: dict, where, problems: list[str]) -> tuple[dict, dict]:
-    """Run each present key's converter; returns (ModelSpec fields,
-    ExperimentConfig fields) and appends `where(key): message` per failure."""
-    model_kw: dict = {}
-    config_kw: dict = {}
-    for key, (name, conv) in _SETTINGS.items():
-        if key not in values:
-            continue
-        try:
-            (model_kw if key.startswith("model.") else config_kw)[name] = conv(values[key])
-        except (ValueError, InvalidArgumentError) as exc:
-            problems.append(f"{where(key)}: {exc}")
-    return model_kw, config_kw
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and fully validate a config file; raises ConfigError carrying
-    every problem found."""
+def load_config(path: str | Path, flags: Optional[dict] = None) -> ExperimentConfig:
+    """Parse a config file, let each entry of `flags` (a `_FLAGS` flag such
+    as "--seed" -> its value as typed) replace the key it names, and validate
+    the merged settings; raises ConfigError carrying every problem found in
+    the file and the flags."""
     path = Path(path)
     problems: list[str] = []
-    values: dict[str, str] = {}
-    lines: dict[str, int] = {}
+    values: dict = {}
+    where: dict[str, str] = {}   # key -> where its value came from
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
@@ -207,13 +194,23 @@ def load_config(path: str | Path) -> ExperimentConfig:
             problems.append(f"line {lineno}: duplicate key {key!r}")
             continue
         values[key] = val
-        lines[key] = lineno
+        where[key] = f"line {lineno}: {key}"
+    for flag, val in (flags or {}).items():
+        values[_FLAGS[flag]] = val
+        where[_FLAGS[flag]] = flag
 
     for key in _REQUIRED:
         if key not in values:
             problems.append(f"missing required key {key!r}")
-    model_kw, config_kw = _convert(values, lambda key: f"line {lines[key]}: {key}",
-                                   problems)
+    model_kw: dict = {}
+    config_kw: dict = {}
+    for key, (name, conv) in _SETTINGS.items():
+        if key not in values:
+            continue
+        try:
+            (model_kw if key.startswith("model.") else config_kw)[name] = conv(values[key])
+        except (ValueError, InvalidArgumentError) as exc:
+            problems.append(f"{where[key]}: {exc}")
 
     model = None
     if not problems:  # every required preset is present and parsed
@@ -221,31 +218,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
             model = ModelSpec(**{**_MODEL_DEFAULTS, **model_kw})
         except InvalidArgumentError as exc:
             # T and k are range-checked above, so only sigma can fail here
-            problems.append(f"line {lines['model.sigma']}: model.sigma: {exc}")
+            problems.append(f"{where['model.sigma']}: {exc}")
 
     if problems:
         raise ConfigError(problems)
 
-    digest = hashlib.sha256(
-        "\n".join(f"{k2}={v2}" for k2, v2 in sorted(values.items())).encode()
-    ).hexdigest()[:16]
+    # output.* say where the outputs go, not what they are
+    digest = hashlib.sha256("\n".join(
+        f"{k2}={v2}" for k2, v2 in sorted(values.items()) if not k2.startswith("output.")
+    ).encode()).hexdigest()[:16]
     return ExperimentConfig(model=model, digest=digest, **config_kw)
-
-
-def apply_overrides(config: ExperimentConfig, /, **overrides) -> ExperimentConfig:
-    """The `_FLAGS` overrides by flag name (`seed=`, `k=`, `n_paths=`,
-    `n_particles=`, `out_dir=`; None leaves the key alone), each checked by
-    the converter of the config key its flag overrides."""
-    values = {_FLAGS["--" + name.replace("_", "-")]: value
-              for name, value in overrides.items() if value is not None}
-    flag_of = {key: flag for flag, key in _FLAGS.items()}
-    problems: list[str] = []
-    model_kw, config_kw = _convert(values, flag_of.get, problems)
-    if problems:
-        raise ConfigError(problems)
-    if model_kw:
-        config_kw["model"] = replace(config.model, **model_kw)
-    return replace(config, **config_kw)
 
 
 def _fmt(v) -> str:
@@ -382,19 +364,11 @@ def _cmd_minimax_gap(config: ExperimentConfig, run_dir: Path):
 
 
 def _kalman_compatible(model: ModelSpec) -> Optional[LinearGaussianSpec]:
-    def slope(c: CoefPreset) -> Optional[float]:
-        if c.name == "constant" and c.params[0] == 0.0:
-            return 0.0
-        if c.name == "linear" and c.params[0] == 0.0:
-            return c.params[1]
+    b, s, h, f = (c.affine for c in (model.b, model.sigma, model.h, model.f))
+    if model.k != 0.0 or None in (b, s, h, f) or b[0] != 0.0 or s[1] != 0.0 \
+            or h[0] != 0.0 or f != (0.0, 1.0):
         return None
-
-    a, cs, fs = slope(model.b), slope(model.h), slope(model.f)
-    if model.k != 0.0 or a is None or cs is None or fs != 1.0 \
-            or model.sigma.name != "constant":
-        return None
-    return LinearGaussianSpec(a=a, sigma=model.sigma.params[0], c=cs,
-                              x0=model.x0, T=model.T)
+    return LinearGaussianSpec(a=b[1], sigma=s[0], c=h[1], x0=model.x0, T=model.T)
 
 
 def _cmd_oracle_check(config: ExperimentConfig, run_dir: Path):
@@ -421,8 +395,8 @@ def _cmd_oracle_check(config: ExperimentConfig, run_dir: Path):
                   "time_avg_abs_err": float(np.mean(np.abs(u_part - u_oracle)))}
     else:
         raise ConfigError([
-            "oracle-check needs either a k=0 linear-Gaussian model "
-            "(b linear, sigma constant, h linear, f identity) or bounded presets"
+            "oracle-check needs either a k=0 linear-Gaussian model (b and h "
+            "linear with zero intercepts, sigma constant, f identity) or bounded presets"
         ])
     rows = [(grid.times[j], u_part[j], u_oracle[j], abs(u_part[j] - u_oracle[j]))
             for j in range(grid.n_steps + 1)]
@@ -514,9 +488,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.add_argument(flag, help=f"overrides {key}")
 
     try:
-        overrides = vars(parser.parse_args(argv))
-        cmd = overrides.pop("subcommand")
-        config = apply_overrides(load_config(overrides.pop("config")), **overrides)
+        args = vars(parser.parse_args(argv))
+        flags = {flag: args[flag[2:].replace("-", "_")] for flag in _FLAGS}
+        config = load_config(args["config"],
+                             {flag: v for flag, v in flags.items() if v is not None})
+        cmd = args["subcommand"]
         manifest = run_subcommand(cmd, config)
     except AmbiFilterError as exc:
         for line in exc.report_lines():

@@ -94,11 +94,6 @@ def _cost_report(model: ModelSpec, bundle: PathBundle, u: np.ndarray) -> CostRep
     return CostReport(J=J, se=se, per_path=per_path)
 
 
-# Picard stops only once the cost moves by less than this fraction between
-# iterations, on top of the sign-agreement tolerance.
-REL_J_TOL = 0.01
-
-
 @dataclass(frozen=True)
 class PicardConfig:
     n_paths: int = 2000
@@ -150,13 +145,12 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
     fixed point: nothing is iterated and one iteration reports the final cost).
 
     Convergence is declared when the sign-agreement fraction stays above
-    1 - tol on two consecutive iterations and the cost moves by less than
-    REL_J_TOL relatively; the run returns the last target k sgn(P_hat) that
-    check compared, or else its last iterate (reported, not raised). Each
-    iterate is the target itself until the agreement drops; from then on the
-    step to the target is halved at every drop, and the iterate is a mixture
-    of the previous one and the target. All iterations and the final cost
-    share one noise draw.
+    1 - tol on two consecutive iterations; the cost is reported, not tested.
+    The run returns the last target k sgn(P_hat) that check compared, or
+    else its last iterate (reported, not raised). Each iterate is the target
+    itself until the agreement drops; from then on the step to the target is
+    halved at every drop, and the iterate is a mixture of the previous one
+    and the target. All iterations and the final cost share one noise draw.
     """
     k = model.k
     grid = build_time_grid(model.T, config.n_steps)
@@ -169,7 +163,6 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
     iters: list[PicardIteration] = []
     converged = n_iters == 0
     prev_agree = -1.0
-    prev_j = None
 
     for it in range(1, n_iters + 1):
         per_path, bundle, u = weighted_cost_qtilde(
@@ -186,9 +179,7 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
             gamma = max(gamma * 0.5, 1e-3)
         iters.append(PicardIteration(it, J_it, agree, gamma))
 
-        j_settled = prev_j is not None and \
-            abs(J_it - prev_j) <= REL_J_TOL * max(abs(prev_j), 1e-12)
-        if agree >= 1.0 - config.tol and prev_agree >= 1.0 - config.tol and j_settled:
+        if agree >= 1.0 - config.tol and prev_agree >= 1.0 - config.tol:
             converged = True
             theta = target
             break
@@ -198,7 +189,6 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
             prune_below=config.mixture_prune)
         prev_target = target
         prev_agree = agree
-        prev_j = J_it
 
     rule = FilterRule(theta, config.n_particles, config.seed)
     cost = evaluate_cost(model, rule, theta, config.n_paths, config.seed, grid,

@@ -1,9 +1,15 @@
-"""Independent references for the test suite and acceptance criteria.
+"""References for the test suite and acceptance criteria.
 
-Nothing here shares code with the estimators it checks: the Kalman-Bucy
-filter integrates its own Riccati equation, the finite-state filter is an
-exact matrix recursion, and the brute-force worst case is an exhaustive
-maximum of direct cost evaluations over a finite policy family.
+Three share no code with the estimators they check: the Kalman-Bucy filter
+integrates its own Riccati equation, the finite-state filter is an exact
+matrix recursion, and the surrogate chain's generator is a finite-difference
+matrix built here from the model's coefficients. Two reuse the estimators on
+purpose. `particle_filter_on_surrogate` runs the package's own filter loop
+with the chain's transition matrix as its mutation, so that the exact
+recursion checks that loop. `grid_sup_cost`, the brute-force worst case,
+maximizes `minimax.evaluate_cost` over a finite policy family, so it checks
+the backward solver's worst-case value against the forward cost, which
+`evaluate_cost` alone computes.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ numeric parameters rather than arbitrary callables:
     identity()          -> x   (alias of linear(0, 1))
 
 Each preset knows its derivative, a sup-norm bound, its exact infimum over R
-(which the model checks sigma against), and whether it satisfies the
-boundedness requirements needed by the solver modules. A constant value or
+(which the model checks sigma against), its affine form if it has one, and
+whether it satisfies the boundedness requirements needed by the solver
+modules. A constant value or
 derivative is returned as a number, which broadcasts against any x array, so
 callers never ask which preset they hold. Unbounded presets
 (linear sensor, identity target) are permitted only for validation against
@@ -60,19 +61,23 @@ class CoefPreset:
         return p[0] * p[1] * np.cos(p[1] * x + p[2])
 
     @property
+    def affine(self) -> tuple[float, float] | None:
+        """(intercept, slope) of a constant or linear preset; None otherwise."""
+        if self.name == "constant":
+            return self.params[0], 0.0
+        return self.params if self.name == "linear" else None
+
+    @property
     def bounded(self) -> bool:
-        # a linear preset is bounded only with zero slope, as a constant
-        return self.name != "linear" or self.params[1] == 0.0
+        # an affine preset is bounded only with zero slope, as a constant
+        return self.affine is None or self.affine[1] == 0.0
 
     @property
     def sup(self) -> float:
         """Upper bound for sup |f|; infinite for unbounded presets."""
-        p = self.params
-        if self.name == "constant":
-            return abs(p[0])
-        if self.name == "linear":
-            return abs(p[0]) if p[1] == 0.0 else math.inf
-        return abs(p[0]) + abs(p[3])
+        if self.affine is not None:
+            return abs(self.affine[0]) if self.bounded else math.inf
+        return abs(self.params[0]) + abs(self.params[3])
 
     @property
     def inf(self) -> float:
@@ -81,10 +86,8 @@ class CoefPreset:
         p = self.params
         if any(math.isnan(v) for v in p):
             return math.nan
-        if self.name == "constant":
-            return p[0]
-        if self.name == "linear":
-            return p[0] if p[1] == 0.0 else -math.inf
+        if self.affine is not None:
+            return self.affine[0] if self.bounded else -math.inf
         if p[1] == 0.0:  # no dependence on x
             return float(self.value(0.0))
         return p[3] - abs(p[0])

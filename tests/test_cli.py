@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ambifilter import cli
-from ambifilter.cli import apply_overrides, load_config, main, run_subcommand
+from ambifilter.cli import load_config, main, run_subcommand
 from ambifilter.errors import ConfigError
 from ambifilter.minimax import PicardConfig
 from ambifilter.model import build_time_grid
@@ -192,23 +192,54 @@ class TestLoadConfig:
         assert line.startswith("config error: cannot read config file")
 
     def test_overrides(self, tanh_conf):
-        cfg = load_config(tanh_conf)
-        cfg2 = apply_overrides(cfg, seed=1, k=0.5, n_paths=10, n_particles=8,
-                               out_dir="elsewhere")
+        cfg2 = load_config(tanh_conf, {"--seed": 1, "--k": 0.5, "--n-paths": 10,
+                                       "--n-particles": 8, "--out-dir": "elsewhere"})
         assert cfg2.seed == 1 and cfg2.model.k == 0.5
         assert cfg2.n_paths == 10 and cfg2.n_particles == 8
         assert cfg2.out_dir == "elsewhere"
-        cfg3 = apply_overrides(cfg, seed="3", n_paths=np.int64(12))
+        cfg3 = load_config(tanh_conf, {"--seed": "3", "--n-paths": np.int64(12)})
         assert cfg3.seed == 3 and cfg3.n_paths == 12
 
     @pytest.mark.parametrize("name,value", [("seed", 1.5), ("n_paths", 2.9),
                                             ("n_particles", float("inf"))])
     def test_non_integral_override_names_flag(self, tanh_conf, name, value):
         # a number is not truncated to an integer
+        flag = f"--{name.replace('_', '-')}"
         with pytest.raises(ConfigError) as err:
-            apply_overrides(load_config(tanh_conf), **{name: value})
+            load_config(tanh_conf, {flag: value})
         (problem,) = err.value.problems
-        assert problem.startswith(f"--{name.replace('_', '-')}: ")
+        assert problem.startswith(f"{flag}: ")
+
+    def test_file_and_flag_problems_reported_together(self, tmp_path, capsys):
+        text = TANH_CONF.replace("grid.n_steps = 20", "grid.n_steps = 0")
+        lineno = text.splitlines().index("grid.n_steps = 0") + 1
+        p = tmp_path / "bad.conf"
+        p.write_text(text)
+        assert main(["filter", "--config", str(p), "--seed", "-1",
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith(f"config error: line {lineno}: grid.n_steps: ")
+        assert err[1].startswith("config error: --seed: ") and "mc.seed" in err[1]
+        assert not (tmp_path / "o").exists()
+
+    def test_digest_covers_merged_settings_except_output(self, tanh_conf, tmp_path):
+        # the parent digest of TANH_CONF, which has no output.* line
+        assert load_config(tanh_conf).digest == "3524c664ce8dab36"
+        digests = {}
+        for k in ("0.1", "0.4"):
+            out = tmp_path / f"k{k}"
+            assert main(["simulate", "--config", str(tanh_conf), "--k", k,
+                         "--out-dir", str(out)]) == 0
+            manifest = json.loads(next(out.glob("*/manifest.json")).read_text())
+            digests[k] = manifest["config_digest"]
+        assert digests["0.1"] != digests["0.4"]
+        assert digests["0.1"] == load_config(tanh_conf, {"--k": "0.1"}).digest
+        # where the outputs go does not name the run
+        placed = tmp_path / "placed.conf"
+        placed.write_text(TANH_CONF + "output.dir = elsewhere\noutput.label = demo\n")
+        assert load_config(placed, {"--out-dir": str(tmp_path)}).digest == \
+            "3524c664ce8dab36"
 
 
 def run_cli(*args, env=None) -> subprocess.CompletedProcess:
@@ -253,7 +284,7 @@ class TestSubcommands:
         assert len(lines) == 3  # two k values
 
     def test_picard_k0_manifest(self, tanh_conf, tmp_path):
-        cfg = apply_overrides(load_config(tanh_conf), k=0.0)
+        cfg = load_config(tanh_conf, {"--k": 0.0})
         run_subcommand("picard", cfg, run_dir=tmp_path / "pc")
         manifest = json.loads((tmp_path / "pc" / "manifest.json").read_text())
         assert manifest["extras"]["converged"] is True
@@ -294,6 +325,23 @@ class TestSubcommands:
         rows = np.genfromtxt(tmp_path / "occ" / "oracle_check.csv", delimiter=",",
                              skip_header=1)
         assert rows.shape == (21, 4) and np.isfinite(rows).all()
+
+    def test_oracle_check_kalman_reads_affine_forms(self, linear_conf, tmp_path):
+        # a constant sigma spelled linear(1.0, 0.0) is the same Kalman-Bucy model
+        conf = tmp_path / "affine.conf"
+        conf.write_text(LINEAR_CONF.replace("model.sigma = constant(1.0)",
+                                            "model.sigma = linear(1.0, 0.0)"))
+        runs = {}
+        for name, p in (("constant", linear_conf), ("affine", conf)):
+            out = tmp_path / name
+            assert main(["oracle-check", "--config", str(p), "--out-dir", str(out)]) == 0
+            runs[name] = next(out.glob("*/oracle_check.csv")).read_bytes()
+        assert runs["affine"] == runs["constant"]
+        # b and h need zero intercepts
+        conf.write_text(LINEAR_CONF.replace("model.b = constant(0.0)",
+                                            "model.b = linear(0.5, 0.0)"))
+        with pytest.raises(ConfigError, match="zero intercepts"):
+            run_subcommand("oracle-check", load_config(conf), run_dir=tmp_path / "b")
 
     def test_filter_csv_matches_kalman_oracle(self, linear_conf, tmp_path):
         cfg = load_config(linear_conf)

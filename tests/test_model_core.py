@@ -167,11 +167,13 @@ class TestSubstreamKeys:
             assert not banned.search(path.read_text(encoding="utf-8")), path.name
 
     def test_one_path_per_job(self):
-        # presets alone decide what a constant coefficient is, Picard builds
-        # its target with sign_of_regression_policy, and a Kalman control
-        # rule is a test's own
+        # presets alone decide what a constant or affine coefficient is,
+        # Picard builds its target with sign_of_regression_policy, and a
+        # Kalman control rule is a test's own
         src = Path(model.__file__).parent
         assert ".name ==" not in (src / "filtering.py").read_text(encoding="utf-8")
+        assert not re.search(r"\.params\b|\.name\s*[!=]=",
+                             (src / "cli.py").read_text(encoding="utf-8"))
         for path in sorted(src.glob("*.py")):
             text = path.read_text(encoding="utf-8")
             assert not re.search(r"\bsign_policy\b|KalmanControlRule", text), path.name
