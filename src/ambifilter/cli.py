@@ -2,9 +2,10 @@
 
 Configuration format: UTF-8 text, one `section.key = value` per line, `#`
 comments. Coefficients are preset calls like `tanh(0.2)`. Validation reports
-every problem found, not just the first. Each run writes its CSV artifacts
-into a fresh directory and finishes with manifest.json; a directory without a
-manifest is an incomplete run by definition.
+every problem found, not just the first; `load_config` alone checks a config.
+A subcommand returns its tables, which are written as CSV into the run
+directory (a rerun overwrites in place) only once it has succeeded; then
+manifest.json lists them. A directory without a manifest is an incomplete run.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure
 (degenerate cloud, ill-conditioned basis, bad data), 3 fixed-point
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .bsde import solve_worst_value
-from .errors import AmbiFilterError, ConfigError, DataError, InvalidArgumentError
+from .errors import AmbiFilterError, ConfigError, InvalidArgumentError
 from .features import RegressionBasis
 from .filtering import innovation_path, run_filter
 from .minimax import (FilterRule, PicardConfig, minimax_gap, picard_solve,
@@ -62,7 +63,13 @@ class ExperimentConfig:
     rule_particles: int = 250
     out_dir: str = "runs"
     label: str = "run"
-    digest: str = ""
+
+    @property
+    def digest(self) -> str:
+        """Hash of the converted settings, defaults included, naming what a
+        run computes; out_dir and label only say where its outputs go."""
+        named = repr(replace(self, out_dir="", label=""))
+        return hashlib.sha256(named.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -131,11 +138,11 @@ _SETTINGS = {
     "model.sigma": ("sigma", _parse_preset),
     "model.h": ("h", _parse_preset),
     "model.f": ("f", _parse_preset),
-    "model.x0": ("x0", float),
+    "model.x0": ("x0", _float_in("model.x0", -math.inf, math.inf)),
     "model.T": ("T", _float_in("model.T", 1e-9, math.inf)),
     "model.k": ("k", _float_in("model.k", 0.0, math.inf)),
     "grid.n_steps": ("n_steps", _int_at_least("grid.n_steps")),
-    "mc.n_paths": ("n_paths", _int_at_least("mc.n_paths")),
+    "mc.n_paths": ("n_paths", _int_at_least("mc.n_paths", lo=2)),  # se needs 2
     "mc.n_particles": ("n_particles", _int_at_least("mc.n_particles", lo=2)),
     "mc.seed": ("seed", _int_at_least("mc.seed", lo=0)),
     "bsde.degree": ("bsde_degree", _int_at_least("bsde.degree")),
@@ -162,7 +169,7 @@ def load_config(path: str | Path, flags: Optional[dict] = None) -> ExperimentCon
     """Parse a config file, let each entry of `flags` (a `_FLAGS` flag such
     as "--seed" -> its value as typed) replace the key it names, and validate
     the merged settings; raises ConfigError carrying every problem found in
-    the file and the flags."""
+    the file and the flags, unknown flags included; no later stage checks it."""
     path = Path(path)
     problems: list[str] = []
     values: dict = {}
@@ -196,6 +203,9 @@ def load_config(path: str | Path, flags: Optional[dict] = None) -> ExperimentCon
         values[key] = val
         where[key] = f"line {lineno}: {key}"
     for flag, val in (flags or {}).items():
+        if flag not in _FLAGS:
+            problems.append(f"unknown flag {flag!r}")
+            continue
         values[_FLAGS[flag]] = val
         where[_FLAGS[flag]] = flag
 
@@ -217,17 +227,12 @@ def load_config(path: str | Path, flags: Optional[dict] = None) -> ExperimentCon
         try:
             model = ModelSpec(**{**_MODEL_DEFAULTS, **model_kw})
         except InvalidArgumentError as exc:
-            # T and k are range-checked above, so only sigma can fail here
+            # x0, T and k are range-checked above, so only sigma can fail here
             problems.append(f"{where['model.sigma']}: {exc}")
 
     if problems:
         raise ConfigError(problems)
-
-    # output.* say where the outputs go, not what they are
-    digest = hashlib.sha256("\n".join(
-        f"{k2}={v2}" for k2, v2 in sorted(values.items()) if not k2.startswith("output.")
-    ).encode()).hexdigest()[:16]
-    return ExperimentConfig(model=model, digest=digest, **config_kw)
+    return ExperimentConfig(model=model, **config_kw)
 
 
 def _fmt(v) -> str:
@@ -247,7 +252,7 @@ def write_csv(path: Path, header: Sequence[str], rows) -> dict:
             "bytes": len(data)}
 
 
-def _cmd_simulate(config: ExperimentConfig, run_dir: Path):
+def _cmd_simulate(config: ExperimentConfig):
     grid = build_time_grid(config.model.T, config.n_steps)
     bundle = simulate_bundle(config.model, zero_policy(), grid, config.n_paths,
                              config.seed, measure="P")
@@ -256,9 +261,8 @@ def _cmd_simulate(config: ExperimentConfig, run_dir: Path):
         for j, t in enumerate(grid.times):
             rows.append((t, i, bundle.X[i, j], bundle.Y[i, j], bundle.M[i, j],
                          bundle.log_density[i, j]))
-    art = write_csv(run_dir / "paths.csv",
-                    ["t", "path_id", "X", "Y", "M", "log_density"], rows)
-    return [art], {"n_paths": config.n_paths}
+    return ({"paths.csv": (["t", "path_id", "X", "Y", "M", "log_density"], rows)},
+            {"n_paths": config.n_paths})
 
 
 def _filter_one_path(config: ExperimentConfig, grid):
@@ -270,15 +274,14 @@ def _filter_one_path(config: ExperimentConfig, grid):
     return bundle, fp
 
 
-def _cmd_filter(config: ExperimentConfig, run_dir: Path):
+def _cmd_filter(config: ExperimentConfig):
     grid = build_time_grid(config.model.T, config.n_steps)
     bundle, fp = _filter_one_path(config, grid)
     nu = innovation_path(bundle.Y[0], fp.pi_h, grid)
     rows = [(grid.times[j], bundle.X[0, j], bundle.Y[0, j], fp.u[j], fp.pi_h[j],
              nu[j], fp.ess[j]) for j in range(grid.n_steps + 1)]
-    art = write_csv(run_dir / "filter_path.csv",
-                    ["t", "X", "Y", "u", "pi_h", "nu", "ess"], rows)
-    return [art], {"n_particles": config.n_particles}
+    return ({"filter_path.csv": (["t", "X", "Y", "u", "pi_h", "nu", "ess"], rows)},
+            {"n_particles": config.n_particles})
 
 
 def _require_bounded(model: ModelSpec, what: str) -> None:
@@ -287,7 +290,7 @@ def _require_bounded(model: ModelSpec, what: str) -> None:
                            "linear or identity preset is unbounded"])
 
 
-def _cmd_worst_case(config: ExperimentConfig, run_dir: Path):
+def _cmd_worst_case(config: ExperimentConfig):
     _require_bounded(config.model, "worst-case")
     grid = build_time_grid(config.model.T, config.n_steps)
     basis = RegressionBasis("poly_xu", config.bsde_degree)
@@ -297,7 +300,6 @@ def _cmd_worst_case(config: ExperimentConfig, run_dir: Path):
                              config.seed, measure="P")
     u = rule.evaluate(config.model, grid, bundle.Y)
     rows = []
-    extras = {}
     for kv in config.k_grid:
         model_k = replace(config.model, k=float(kv))
         sol = solve_worst_value(bundle, u, model_k, basis)
@@ -305,36 +307,31 @@ def _cmd_worst_case(config: ExperimentConfig, run_dir: Path):
         sup = grid_sup_cost(model_k, rule, family, config.n_paths, config.seed, grid)
         rel = abs(sol.y0 - sup.J_worst) / max(sup.J_worst, 1e-12)
         rows.append((kv, sol.y0, sup.J_worst, sup.se_worst, rel))
-    art = write_csv(run_dir / "worst_case.csv",
-                    ["k", "J_bsde", "J_grid", "se_grid", "rel_diff"], rows)
-    extras["k_grid"] = list(config.k_grid)
-    return [art], extras
+    return ({"worst_case.csv": (["k", "J_bsde", "J_grid", "se_grid", "rel_diff"], rows)},
+            {"k_grid": list(config.k_grid)})
 
 
-def _cmd_picard(config: ExperimentConfig, run_dir: Path):
+def _cmd_picard(config: ExperimentConfig):
     if config.model.k > 0:
         _require_bounded(config.model, "picard with model.k > 0")
     pc = PicardConfig(n_paths=config.n_paths, n_particles=config.n_particles,
                       n_steps=config.n_steps, seed=config.seed,
                       max_iters=config.picard_max_iters, tol=config.picard_tol)
     report = picard_solve(config.model, pc)
-    arts = [write_csv(run_dir / "picard.csv",
-                      ["iter", "J", "sign_agreement", "damping"],
-                      [(it.index, it.J, it.sign_agreement, it.damping)
-                       for it in report.iterations])]
     probes = saddle_probes(config.model, report, n_policy_probes=10,
                            deltas=(0.05, -0.05, 0.1, -0.1),
                            n_paths=config.n_paths, seed=config.seed,
                            n_steps=config.n_steps)
-    arts.append(write_csv(run_dir / "saddle.csv",
-                          ["probe_kind", "probe_id", "J", "se"],
-                          [(p.kind, p.probe_id, p.report.J, p.report.se)
-                           for p in probes]))
-    extras = {"converged": report.converged,
-              "iterations": len(report.iterations),
-              "J_final": report.final_cost.J,
-              "u_digest": report.final_rule.digest()}
-    return arts, extras
+    tables = {"picard.csv": (["iter", "J", "sign_agreement", "damping"],
+                             [(it.index, it.J, it.sign_agreement, it.damping)
+                              for it in report.iterations]),
+              "saddle.csv": (["probe_kind", "probe_id", "J", "se"],
+                             [(p.kind, p.probe_id, p.report.J, p.report.se)
+                              for p in probes])}
+    return tables, {"converged": report.converged,
+                    "iterations": len(report.iterations),
+                    "J_final": report.final_cost.J,
+                    "u_digest": report.final_rule.digest()}
 
 
 def _default_grids(config: ExperimentConfig):
@@ -349,18 +346,15 @@ def _default_grids(config: ExperimentConfig):
     return rules, policies
 
 
-def _cmd_minimax_gap(config: ExperimentConfig, run_dir: Path):
+def _cmd_minimax_gap(config: ExperimentConfig):
     rules, policies = _default_grids(config)
     rep = minimax_gap(config.model, rules, policies, config.n_paths, config.seed,
                       n_steps=config.n_steps)
     rows = [("grid_cell", f"u{i}_th{j}", rep.J[i, j], rep.se[i, j])
             for i in range(rep.J.shape[0]) for j in range(rep.J.shape[1])]
-    art = write_csv(run_dir / "saddle.csv",
-                    ["probe_kind", "probe_id", "J", "se"], rows)
-    extras = {"min_sup": rep.min_sup, "sup_min": rep.sup_min, "gap": rep.gap,
-              "argmin_control": rep.argmin_control,
-              "argmax_policy": rep.argmax_policy}
-    return [art], extras
+    return ({"saddle.csv": (["probe_kind", "probe_id", "J", "se"], rows)},
+            {"min_sup": rep.min_sup, "sup_min": rep.sup_min, "gap": rep.gap,
+             "argmin_control": rep.argmin_control, "argmax_policy": rep.argmax_policy})
 
 
 def _kalman_compatible(model: ModelSpec) -> Optional[LinearGaussianSpec]:
@@ -371,7 +365,7 @@ def _kalman_compatible(model: ModelSpec) -> Optional[LinearGaussianSpec]:
     return LinearGaussianSpec(a=b[1], sigma=s[0], c=h[1], x0=model.x0, T=model.T)
 
 
-def _cmd_oracle_check(config: ExperimentConfig, run_dir: Path):
+def _cmd_oracle_check(config: ExperimentConfig):
     model = config.model
     grid = build_time_grid(model.T, config.n_steps)
     spec = _kalman_compatible(model)
@@ -400,9 +394,8 @@ def _cmd_oracle_check(config: ExperimentConfig, run_dir: Path):
         ])
     rows = [(grid.times[j], u_part[j], u_oracle[j], abs(u_part[j] - u_oracle[j]))
             for j in range(grid.n_steps + 1)]
-    art = write_csv(run_dir / "oracle_check.csv",
-                    ["t", "u_particle", "u_oracle", "abs_err"], rows)
-    return [art], extras
+    return ({"oracle_check.csv": (["t", "u_particle", "u_oracle", "abs_err"], rows)},
+            extras)
 
 
 _DISPATCH = {
@@ -432,8 +425,9 @@ def _fp_warnings(caught: Sequence[warnings.WarningMessage]) -> tuple[dict, ...]:
 
 def run_subcommand(cmd: str, config: ExperimentConfig,
                    run_dir: Optional[Path] = None) -> RunManifest:
-    """Execute one subcommand; always leaves a manifest in the run directory,
-    recording the failure if the computation raised. Floating-point
+    """Execute one subcommand, write its CSV tables into the run directory
+    once it has returned them, and always finish with a manifest, which
+    records the failure if the computation raised. Floating-point
     RuntimeWarnings go into the manifest's `fp_warnings`, not to stderr."""
     if cmd not in _DISPATCH:
         raise ConfigError([f"unknown subcommand {cmd!r}; choose from {SUBCOMMANDS}"])
@@ -451,9 +445,9 @@ def run_subcommand(cmd: str, config: ExperimentConfig,
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            if not math.isfinite(config.model.x0):
-                raise DataError(f"model.x0 must be finite, got {config.model.x0}")
-            artifacts, extras = _DISPATCH[cmd](config, run_dir)
+            tables, extras = _DISPATCH[cmd](config)
+            artifacts = [write_csv(run_dir / name, header, rows)
+                         for name, (header, rows) in tables.items()]
     except Exception as exc:
         status, error = "error", f"{type(exc).__name__}: {exc}"
         raise

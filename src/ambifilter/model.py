@@ -161,6 +161,8 @@ class ModelSpec:
     k: float
 
     def __post_init__(self):
+        if not np.isfinite(self.x0):
+            raise InvalidArgumentError(f"initial state x0 must be finite, got {self.x0}")
         if not (np.isfinite(self.T) and self.T > 0):
             raise InvalidArgumentError(f"horizon T must be finite and > 0, got {self.T}")
         if not (np.isfinite(self.k) and self.k >= 0):

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ambifilter import cli
-from ambifilter.cli import load_config, main, run_subcommand
-from ambifilter.errors import ConfigError
+from ambifilter.cli import ExperimentConfig, load_config, main, run_subcommand
+from ambifilter.errors import ConfigError, DegenerateCloudError
 from ambifilter.minimax import PicardConfig
-from ambifilter.model import build_time_grid
+from ambifilter.model import ModelSpec, build_time_grid
 from ambifilter.oracles import LinearGaussianSpec, kalman_bucy
+from ambifilter.presets import make_coef
 
 TANH_CONF = """
 # bounded test model, sized for fast runs
@@ -223,9 +224,20 @@ class TestLoadConfig:
         assert err[1].startswith("config error: --seed: ") and "mc.seed" in err[1]
         assert not (tmp_path / "o").exists()
 
+    def test_unknown_flag_reported_with_file_problems(self, tmp_path):
+        text = TANH_CONF.replace("grid.n_steps = 20", "grid.n_steps = 0")
+        lineno = text.splitlines().index("grid.n_steps = 0") + 1
+        p = tmp_path / "bad.conf"
+        p.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(p, {"--bogus": 1, "--seed": 3})
+        problems = err.value.problems
+        assert len(problems) == 2 and "unknown flag '--bogus'" in problems
+        assert any(m.startswith(f"line {lineno}: grid.n_steps: ") for m in problems)
+
     def test_digest_covers_merged_settings_except_output(self, tanh_conf, tmp_path):
-        # the parent digest of TANH_CONF, which has no output.* line
-        assert load_config(tanh_conf).digest == "3524c664ce8dab36"
+        plain = load_config(tanh_conf).digest
+        assert plain == "83c42c617a7a5e17"
         digests = {}
         for k in ("0.1", "0.4"):
             out = tmp_path / f"k{k}"
@@ -234,12 +246,26 @@ class TestLoadConfig:
             manifest = json.loads(next(out.glob("*/manifest.json")).read_text())
             digests[k] = manifest["config_digest"]
         assert digests["0.1"] != digests["0.4"]
-        assert digests["0.1"] == load_config(tanh_conf, {"--k": "0.1"}).digest
-        # where the outputs go does not name the run
-        placed = tmp_path / "placed.conf"
-        placed.write_text(TANH_CONF + "output.dir = elsewhere\noutput.label = demo\n")
-        assert load_config(placed, {"--out-dir": str(tmp_path)}).digest == \
-            "3524c664ce8dab36"
+        assert digests["0.1"] == load_config(tanh_conf, {"--k": "0.1"}).digest \
+            == load_config(tanh_conf, {"--k": "0.10"}).digest
+        # the same computation spelled another way, with a key written at its
+        # default, or sent somewhere else is the same run
+        spelled = tmp_path / "spelled.conf"
+        for text in (TANH_CONF.replace("model.k = 0.25", "model.k = 0.250"),
+                     TANH_CONF.replace("tanh(1.0)", "tanh(1)"),
+                     TANH_CONF.replace("tanh(1.0)", "tanh(1.0, 1.0)"),
+                     TANH_CONF + "model.T = 1.0\n",
+                     TANH_CONF + "output.dir = elsewhere\noutput.label = demo\n"):
+            spelled.write_text(text)
+            assert load_config(spelled, {"--out-dir": str(tmp_path)}).digest == plain
+        # a config built in the library is named by the same rule
+        model = ModelSpec(b=make_coef("tanh", 0.2), sigma=make_coef("constant", 0.5),
+                          h=make_coef("tanh", 1.0), f=make_coef("tanh", 1.0),
+                          x0=0.8, T=1.0, k=0.25)
+        built = ExperimentConfig(model=model, n_steps=20, n_paths=120, n_particles=64,
+                                 seed=777, k_grid=(0.0, 0.25), rule_particles=48,
+                                 picard_max_iters=6)
+        assert built.digest == plain
 
 
 def run_cli(*args, env=None) -> subprocess.CompletedProcess:
@@ -367,7 +393,7 @@ class TestSubcommands:
 
     def test_foreign_exception_recorded_in_manifest(self, tanh_conf, tmp_path,
                                                     monkeypatch):
-        def crash(config, run_dir):
+        def crash(config):
             raise ValueError("boom")
         monkeypatch.setitem(cli._DISPATCH, "simulate", crash)
         with pytest.raises(ValueError):
@@ -376,6 +402,20 @@ class TestSubcommands:
         manifest = json.loads((tmp_path / "crash" / "manifest.json").read_text())
         assert manifest["status"] == "error"
         assert manifest["error"] == "ValueError: boom"
+
+    def test_failed_run_leaves_only_manifest(self, tanh_conf, tmp_path, monkeypatch):
+        # picard's own table is done when its saddle probes fail; no CSV is
+        # written until the whole computation has succeeded
+        def degenerate(*args, **kwargs):
+            raise DegenerateCloudError("total particle mass underflowed")
+        monkeypatch.setattr(cli, "saddle_probes", degenerate)
+        run_dir = tmp_path / "pc"
+        with pytest.raises(DegenerateCloudError):
+            run_subcommand("picard", load_config(tanh_conf, {"--k": 0.0}),
+                           run_dir=run_dir)
+        assert [p.name for p in run_dir.iterdir()] == ["manifest.json"]
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "error" and manifest["artifacts"] == []
 
 
 class TestExitCodes:
@@ -414,18 +454,19 @@ class TestExitCodes:
                     str(tmp_path / "o3"))
         assert r.returncode == 3
 
-    def test_bad_data_is_2(self, tanh_conf, tmp_path):
+    def test_non_finite_x0_is_config_error(self, tanh_conf, tmp_path):
         for x0 in ("nan", "inf"):
+            text = TANH_CONF.replace("model.x0 = 0.8", f"model.x0 = {x0}")
+            lineno = text.splitlines().index(f"model.x0 = {x0}") + 1
             p = tanh_conf.parent / f"{x0}.conf"
-            p.write_text(tanh_conf.read_text().replace("model.x0 = 0.8",
-                                                       f"model.x0 = {x0}"))
+            p.write_text(text)
             for cmd in ("filter", "worst-case", "simulate", "oracle-check"):
                 out = tmp_path / f"{cmd}-{x0}"
                 r = run_cli(cmd, "--config", str(p), "--out-dir", str(out))
-                assert r.returncode == 2
-                assert "Traceback" not in r.stderr
-                manifest = json.loads(next(out.glob("*/manifest.json")).read_text())
-                assert manifest["status"] == "error"
+                assert r.returncode == 1 and "Traceback" not in r.stderr
+                (line,) = r.stderr.splitlines()
+                assert line.startswith(f"config error: line {lineno}: model.x0: ")
+                assert not out.exists()
 
     def test_overflowing_features_is_2(self, tanh_conf, tmp_path):
         # x0 = 1e308 is finite, but the cubic regression features overflow
@@ -630,6 +671,15 @@ PINNED_OUTPUTS = {
 }
 
 
+def readme_csv_columns() -> dict:
+    """(subcommand, file) -> header line, from README's "CSV artifacts" table."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### CSV artifacts", 1)[1].split("\n\n")[1]
+    rows = re.findall(r"^\|\s*([\w-]+)\s*\|\s*([\w.]+)\s*\|\s*`([^`]*)`", table,
+                      flags=re.M)
+    return {(cmd, name): columns for cmd, name, columns in rows}
+
+
 @pytest.mark.parametrize("name,cmd", list(PINNED_OUTPUTS))
 def test_outputs_match_pinned_digests(tmp_path, name, cmd):
     conf = tmp_path / f"{name}.conf"
@@ -645,6 +695,11 @@ def test_outputs_match_pinned_digests(tmp_path, name, cmd):
     got["extras"] = hashlib.sha256(
         json.dumps(manifest["extras"], sort_keys=True).encode()).hexdigest()
     assert got == PINNED_OUTPUTS[name, cmd]
+    # each CSV opens with the columns README documents for it
+    headers = {p.name: p.read_text(encoding="utf-8").split("\n", 1)[0]
+               for p in run_dir.glob("*.csv")}
+    documented = {f: cols for (c, f), cols in readme_csv_columns().items() if c == cmd}
+    assert headers == ({} if (name, cmd) == ("linear", "worst-case") else documented)
 
 
 EDGE_CONF = """
@@ -690,7 +745,8 @@ def run_edge(out, cmd, values):
 
 def check_edge_run(out, cmd, values):
     """The exit contract: a documented code, a manifest that says ok exactly
-    when the run succeeded, and finite numbers only in a successful run."""
+    when the run succeeded, and finite numbers only in a successful run;
+    returns the exit code."""
     code = run_edge(out, cmd, values)
     assert code in (0, 1, 2)
     for manifest in out.glob("*/manifest.json"):
@@ -700,6 +756,18 @@ def check_edge_run(out, cmd, values):
         for csv in out.glob("*/*.csv"):
             body = np.genfromtxt(csv, delimiter=",", skip_header=1)
             assert np.isfinite(body).all(), csv.name
+    return code
+
+
+@pytest.mark.parametrize("cmd,values", [
+    ("minimax-gap", {"mc.n_paths": "1"}),
+    ("picard", {"mc.n_paths": "1", "model.k": "0"}),
+    ("simulate", {"mc.n_paths": "1"}),
+])
+def test_single_path_is_config_error(tmp_path, capsys, cmd, values):
+    """One path gives a cost without a standard error, so mc.n_paths >= 2."""
+    assert check_edge_run(tmp_path / "out", cmd, values) == 1
+    assert "mc.n_paths" in capsys.readouterr().err
 
 
 def test_fp_warnings_go_to_manifest(tmp_path, capsys):
@@ -728,11 +796,11 @@ def test_clean_run_records_no_fp_warnings(tanh_conf, tmp_path, cmd):
 
 
 def test_fp_warnings_counted_and_others_reissued(tanh_conf, tmp_path, monkeypatch):
-    def noisy(config, run_dir):
+    def noisy(config):
         for _ in range(3):
             warnings.warn("overflow encountered in exp", RuntimeWarning)
         warnings.warn("old option", DeprecationWarning)
-        return [], {}
+        return {}, {}
     monkeypatch.setitem(cli._DISPATCH, "simulate", noisy)
     with pytest.warns(DeprecationWarning, match="old option") as seen:
         m = run_subcommand("simulate", load_config(tanh_conf), run_dir=tmp_path)

@@ -693,6 +693,7 @@ class TestModelSpecValidation:
         {"k": np.nan}, {"k": np.inf}, {"T": np.nan}, {"T": np.inf},
         {"sigma": make_coef("constant", np.nan)},
         {"sigma": make_coef("tanh", 1.0, 1.0, np.nan, 2.0)},
+        {"x0": np.nan}, {"x0": -np.inf},
     ])
     def test_non_finite_values_rejected(self, kwargs):
         args = {"b": CONST, "sigma": make_coef("constant", 0.5), "h": CONST,
