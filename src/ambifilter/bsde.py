@@ -19,7 +19,8 @@ expectations projected on per-step polynomial features:
   in the (p, q) coupling terms; a finite-difference Gateaux check against the
   simulated cost (gateaux_fd: central differences at one eps and eps / 2,
   Richardson-extrapolated, on common random numbers) adjudicates between
-  them through the duality identity (gateaux_adjoint).
+  them through the duality identity (gateaux_adjoint). Both report a
+  `CostReport`, the package's one Monte Carlo estimate.
 
 Explicit scheme throughout: martingale coefficients are regressed first, the
 drivers are then evaluated at the regressed values. Each step factors its
@@ -28,7 +29,7 @@ design once and projects every right-hand side on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -38,7 +39,7 @@ from .features import FrozenRegression, RegressionBasis, check_basis_size, fit_r
 from .filtering import run_filter_bank
 from .model import (ModelSpec, NoiseBundle, PathBundle, build_time_grid, sample_noise,
                     simulate_bundle)
-from .policies import DriftPolicy, mixture_policy
+from .policies import DriftPolicy, time_table_policy
 
 # The duality test (gateaux_fd vs gateaux_adjoint) selects "derived", the
 # default and the driver the fixed point uses: the printed main variant is
@@ -54,6 +55,22 @@ RIDGE_PER_PATH = 1e-8   # every regression step's ridge penalty is this * n_path
 
 
 @dataclass(frozen=True)
+class CostReport:
+    """A Monte Carlo estimate: the mean J of the per-path values and its
+    standard error."""
+
+    J: float
+    se: float
+    per_path: np.ndarray = field(repr=False)
+
+    @classmethod
+    def of(cls, per_path: np.ndarray) -> CostReport:
+        n = per_path.size
+        se = float(per_path.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
+        return cls(J=float(per_path.mean()), se=se, per_path=per_path)
+
+
+@dataclass(frozen=True)
 class BsdeSolution:
     y0: float
 
@@ -66,14 +83,6 @@ class AdjointSolution:
     q_vals: np.ndarray
     P_vals: np.ndarray
     Q_vals: np.ndarray
-
-
-@dataclass(frozen=True)
-class GateauxEstimate:
-    value: float
-    se: float
-    per_path: np.ndarray
-    slopes: tuple[float, ...]        # gateaux_fd: the slopes at eps and eps / 2
 
 
 def _require_h1(model: ModelSpec, what: str) -> None:
@@ -226,35 +235,35 @@ def weighted_cost_qtilde(model: ModelSpec, policy: DriftPolicy, n_paths: int,
 
 def gateaux_fd(model: ModelSpec, policy: DriftPolicy, v: DriftPolicy,
                eps: float, n_paths: int, n_particles: int,
-               seed: int, n_steps: int = 50) -> GateauxEstimate:
+               seed: int, n_steps: int = 50) -> CostReport:
     """Finite-difference derivative of the weighted mean-field cost in the
     direction v at the given policy: central differences at eps and eps / 2
     on common random numbers, Richardson-extrapolated to cancel their eps^2
-    error. The caller keeps theta + eps*v inside the ambiguity radius; values
-    at the clamp boundary measure the clamped perturbation instead."""
+    error. theta is a one-value time table and v a time table, so theta + s*v
+    is one time table on v's buckets, clipped to k. The caller keeps it inside
+    the radius; at the clamp it measures the clamped perturbation instead."""
     if not 0.0 < eps < np.inf:
         raise InvalidArgumentError(f"eps must be finite and > 0, got {eps}")
+    if not (policy.kind == v.kind == "piecewise_table"
+            and policy.payload["values"].size == 1):
+        raise InvalidArgumentError("gateaux_fd needs a one-value time table "
+                                   "base and a time-table direction")
+    base = policy.payload["values"][0]
+    vals, horizon = v.payload["values"], v.payload["horizon"]
     noise = sample_noise(build_time_grid(model.T, n_steps), n_paths, seed)
     e0, e1 = eps, eps / 2
-    slopes_pp = []
+    slopes = []
     for e in (e0, e1):
-        plus = mixture_policy([(1.0, policy), (+e, v)], radius=model.k)
-        minus = mixture_policy([(1.0, policy), (-e, v)], radius=model.k)
-        jp, _, _ = weighted_cost_qtilde(model, plus, n_paths, n_particles, seed, n_steps,
-                                        noise=noise)
-        jm, _, _ = weighted_cost_qtilde(model, minus, n_paths, n_particles, seed, n_steps,
-                                        noise=noise)
-        slopes_pp.append((jp - jm) / (2.0 * e))
+        jp, jm = (weighted_cost_qtilde(
+            model, time_table_policy(base + s * vals, horizon, radius=model.k),
+            n_paths, n_particles, seed, n_steps, noise=noise)[0] for s in (e, -e))
+        slopes.append((jp - jm) / (2.0 * e))
     w = e0 * e0 / (e0 * e0 - e1 * e1)
-    per_path = w * slopes_pp[1] + (1.0 - w) * slopes_pp[0]
-    value = float(per_path.mean())
-    se = float(per_path.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("nan")
-    return GateauxEstimate(value=value, se=se, per_path=per_path,
-                           slopes=tuple(float(s.mean()) for s in slopes_pp))
+    return CostReport.of(w * slopes[1] + (1.0 - w) * slopes[0])
 
 
 def gateaux_adjoint(adjoint: AdjointSolution, paths: PathBundle,
-                    model: ModelSpec, v: DriftPolicy) -> GateauxEstimate:
+                    model: ModelSpec, v: DriftPolicy) -> CostReport:
     """Adjoint representation of the same derivative: with zero terminal
     adjoints the duality identity gives
 
@@ -269,6 +278,4 @@ def gateaux_adjoint(adjoint: AdjointSolution, paths: PathBundle,
         X, M = paths.X[:, j], paths.M[:, j]
         vv = v.evaluate(grid.times[j], X, M)
         acc -= model.sigma.value(X) * adjoint.P_vals[:, j] * vv * grid.dt
-    value = float(acc.mean())
-    se = float(acc.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
-    return GateauxEstimate(value=value, se=se, per_path=acc, slopes=(value,))
+    return CostReport.of(acc)

@@ -4,7 +4,7 @@ Configuration format: UTF-8 text, one `section.key = value` per line, `#`
 comments. Coefficients are preset calls like `tanh(0.2)`. Validation reports
 every problem found, not just the first; `load_config` alone checks a config.
 A subcommand returns its tables, which are written as CSV into the run
-directory (a rerun overwrites in place) only once it has succeeded; then
+directory (a rerun removes the old ones) only once it has succeeded; then
 manifest.json lists them. A directory without a manifest is an incomplete run.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure
@@ -63,6 +63,17 @@ class ExperimentConfig:
     rule_particles: int = 250
     out_dir: str = "runs"
     label: str = "run"
+
+    def __post_init__(self):
+        # the digest hashes repr: convert once, so 2000 and np.int64(2000),
+        # or a list and a tuple of radii, name one computation
+        for name in ("n_steps", "n_paths", "n_particles", "seed", "bsde_degree",
+                     "picard_max_iters", "rule_particles"):
+            if not isinstance(value := getattr(self, name), numbers.Integral):
+                raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "picard_tol", float(self.picard_tol))
+        object.__setattr__(self, "k_grid", tuple(float(k) for k in self.k_grid))
 
     @property
     def digest(self) -> str:
@@ -261,7 +272,7 @@ def _cmd_simulate(config: ExperimentConfig):
         for j, t in enumerate(grid.times):
             rows.append((t, i, bundle.X[i, j], bundle.Y[i, j], bundle.M[i, j],
                          bundle.log_density[i, j]))
-    return ({"paths.csv": (["t", "path_id", "X", "Y", "M", "log_density"], rows)},
+    return ([(["t", "path_id", "X", "Y", "M", "log_density"], rows)],
             {"n_paths": config.n_paths})
 
 
@@ -280,7 +291,7 @@ def _cmd_filter(config: ExperimentConfig):
     nu = innovation_path(bundle.Y[0], fp.pi_h, grid)
     rows = [(grid.times[j], bundle.X[0, j], bundle.Y[0, j], fp.u[j], fp.pi_h[j],
              nu[j], fp.ess[j]) for j in range(grid.n_steps + 1)]
-    return ({"filter_path.csv": (["t", "X", "Y", "u", "pi_h", "nu", "ess"], rows)},
+    return ([(["t", "X", "Y", "u", "pi_h", "nu", "ess"], rows)],
             {"n_particles": config.n_particles})
 
 
@@ -307,7 +318,7 @@ def _cmd_worst_case(config: ExperimentConfig):
         sup = grid_sup_cost(model_k, rule, family, config.n_paths, config.seed, grid)
         rel = abs(sol.y0 - sup.J_worst) / max(sup.J_worst, 1e-12)
         rows.append((kv, sol.y0, sup.J_worst, sup.se_worst, rel))
-    return ({"worst_case.csv": (["k", "J_bsde", "J_grid", "se_grid", "rel_diff"], rows)},
+    return ([(["k", "J_bsde", "J_grid", "se_grid", "rel_diff"], rows)],
             {"k_grid": list(config.k_grid)})
 
 
@@ -322,12 +333,11 @@ def _cmd_picard(config: ExperimentConfig):
                            deltas=(0.05, -0.05, 0.1, -0.1),
                            n_paths=config.n_paths, seed=config.seed,
                            n_steps=config.n_steps)
-    tables = {"picard.csv": (["iter", "J", "sign_agreement", "damping"],
-                             [(it.index, it.J, it.sign_agreement, it.damping)
-                              for it in report.iterations]),
-              "saddle.csv": (["probe_kind", "probe_id", "J", "se"],
-                             [(p.kind, p.probe_id, p.report.J, p.report.se)
-                              for p in probes])}
+    tables = [(["iter", "J", "sign_agreement", "damping"],
+               [(it.index, it.J, it.sign_agreement, it.damping)
+                for it in report.iterations]),
+              (["probe_kind", "probe_id", "J", "se"],
+               [(p.kind, p.probe_id, p.report.J, p.report.se) for p in probes])]
     return tables, {"converged": report.converged,
                     "iterations": len(report.iterations),
                     "J_final": report.final_cost.J,
@@ -352,7 +362,7 @@ def _cmd_minimax_gap(config: ExperimentConfig):
                       n_steps=config.n_steps)
     rows = [("grid_cell", f"u{i}_th{j}", rep.J[i, j], rep.se[i, j])
             for i in range(rep.J.shape[0]) for j in range(rep.J.shape[1])]
-    return ({"saddle.csv": (["probe_kind", "probe_id", "J", "se"], rows)},
+    return ([(["probe_kind", "probe_id", "J", "se"], rows)],
             {"min_sup": rep.min_sup, "sup_min": rep.sup_min, "gap": rep.gap,
              "argmin_control": rep.argmin_control, "argmax_policy": rep.argmax_policy})
 
@@ -394,17 +404,18 @@ def _cmd_oracle_check(config: ExperimentConfig):
         ])
     rows = [(grid.times[j], u_part[j], u_oracle[j], abs(u_part[j] - u_oracle[j]))
             for j in range(grid.n_steps + 1)]
-    return ({"oracle_check.csv": (["t", "u_particle", "u_oracle", "abs_err"], rows)},
-            extras)
+    return [(["t", "u_particle", "u_oracle", "abs_err"], rows)], extras
 
 
+# subcommand -> (its function, the CSV files it writes). The function returns
+# one (header, rows) table per file, in this order, and its manifest extras.
 _DISPATCH = {
-    "simulate": _cmd_simulate,
-    "filter": _cmd_filter,
-    "worst-case": _cmd_worst_case,
-    "picard": _cmd_picard,
-    "minimax-gap": _cmd_minimax_gap,
-    "oracle-check": _cmd_oracle_check,
+    "simulate": (_cmd_simulate, ("paths.csv",)),
+    "filter": (_cmd_filter, ("filter_path.csv",)),
+    "worst-case": (_cmd_worst_case, ("worst_case.csv",)),
+    "picard": (_cmd_picard, ("picard.csv", "saddle.csv")),
+    "minimax-gap": (_cmd_minimax_gap, ("saddle.csv",)),
+    "oracle-check": (_cmd_oracle_check, ("oracle_check.csv",)),
 }
 SUBCOMMANDS = tuple(_DISPATCH)
 
@@ -427,16 +438,20 @@ def run_subcommand(cmd: str, config: ExperimentConfig,
                    run_dir: Optional[Path] = None) -> RunManifest:
     """Execute one subcommand, write its CSV tables into the run directory
     once it has returned them, and always finish with a manifest, which
-    records the failure if the computation raised. Floating-point
-    RuntimeWarnings go into the manifest's `fp_warnings`, not to stderr."""
+    records the failure if the computation raised; an earlier run's manifest
+    and CSVs go first, and no other file. Floating-point RuntimeWarnings go
+    into the manifest's `fp_warnings`, not to stderr."""
     if cmd not in _DISPATCH:
         raise ConfigError([f"unknown subcommand {cmd!r}; choose from {SUBCOMMANDS}"])
+    compute, names = _DISPATCH[cmd]
     if run_dir is None:
         run_dir = Path(config.out_dir) / f"{config.label}-{cmd}"
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
+        for name in ("manifest.json", *names):
+            (run_dir / name).unlink(missing_ok=True)
     except OSError as exc:   # no manifest can be written without the directory
-        raise ConfigError([f"output.dir: cannot create {run_dir}: {exc.strerror}"])
+        raise ConfigError([f"output.dir: cannot write to {run_dir}: {exc.strerror}"])
     t0, cpu0 = time.monotonic(), time.process_time()
     artifacts: list[dict] = []
     extras: dict = {}
@@ -445,9 +460,9 @@ def run_subcommand(cmd: str, config: ExperimentConfig,
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            tables, extras = _DISPATCH[cmd](config)
+            tables, extras = compute(config)
             artifacts = [write_csv(run_dir / name, header, rows)
-                         for name, (header, rows) in tables.items()]
+                         for name, (header, rows) in zip(names, tables, strict=True)]
     except Exception as exc:
         status, error = "error", f"{type(exc).__name__}: {exc}"
         raise

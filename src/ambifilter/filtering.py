@@ -14,10 +14,10 @@ of the whole package. Everything is vectorized over (cloud, particle) arrays;
 randomness comes from per-step numpy substreams so the output at time t never
 depends on observations after t.
 
-One loop (`_run_clouds`) weights, estimates and resamples for every signal,
-which supplies only its mutation: an Euler step for the diffusion bank, a
-transition-matrix draw for the finite-state filter. So the exact finite-state
-recursion in `oracles` checks the step the diffusion filter runs.
+One loop (`run_clouds`) weights, estimates and resamples for every signal,
+which supplies only its mutation: an Euler step for the diffusion bank here,
+a transition-matrix draw for the finite-state chain in `oracles`. So the
+exact finite-state recursion there checks the step the diffusion filter runs.
 
 A cloud resamples after a step whose effective sample size is below
 ESS_THRESHOLD * n_particles: a fixed part of the approximation, set by no caller.
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (DataError, DegenerateCloudError, InvalidArgumentError,
                      ShapeError)
 from .model import (ModelSpec, TimeGrid, ROLE_CLOUD_NORMAL, ROLE_CLOUD_UNIFORM,
-                    ROLE_MARKOV, rekey, substream_keys)
+                    rekey, substream_keys)
 from .policies import DriftPolicy
 
 # Resample a cloud after a step whose ESS is below this fraction of its size.
@@ -54,11 +54,6 @@ class BankResult:
         """Path i's outputs, each of shape (n_steps + 1,)."""
         return BankResult(self.u[i], self.pi_h[i], self.ess[i], self.flags[i],
                           self.log_mass[i])
-
-
-def _check_filter_args(n_particles: int) -> None:
-    if n_particles < 2:
-        raise InvalidArgumentError("n_particles must be >= 2")
 
 
 def systematic_indices(wn: np.ndarray, u0: float) -> np.ndarray:
@@ -97,16 +92,19 @@ def _reduce_and_resample(pos, logw, logm, w, hv, fv, mx, resample_u, ess_frac):
     return u, pih, ess, logmass, flags
 
 
-def _run_clouds(mutate, pos: np.ndarray, dY: np.ndarray, dt: float,
-                u0: float, pih0: float) -> BankResult:
-    """The filter loop shared by every signal, over a bank of clouds. Step j
-    calls mutate(j, pos, logm), which moves the (n_paths, n_particles) states
-    pos in place and returns h and f at the new states and one resampling
-    offset per cloud. The loop applies the exact exponential weight update
-    with h at the new states, then the fused estimate/resample pass; a cloud
-    whose maximum log-weight is not finite has no estimate and raises first."""
-    m, n = pos.shape
-    n_steps = dY.shape[1]
+def run_clouds(mutate, start, n_particles: int, dY: np.ndarray, dt: float,
+               u0: float, pih0: float) -> BankResult:
+    """The filter loop shared by every signal: one cloud per row of dY, its
+    particles all at `start`, where f and h are u0 and pih0. Step j calls
+    mutate(j, pos, logm), which moves the (n_paths, n_particles) states pos in
+    place and returns h and f at the new states and one resampling offset per
+    cloud. The loop applies the exact exponential weight update with h at the
+    new states, then the fused estimate/resample pass; a cloud whose maximum
+    log-weight is not finite has no estimate and raises first."""
+    if n_particles < 2:
+        raise InvalidArgumentError("n_particles must be >= 2")
+    (m, n_steps), n = dY.shape, n_particles
+    pos = np.full((m, n), start)
     dY_cols = np.ascontiguousarray(dY.T)
     logw = np.full((m, n), -np.log(n))
     logm = np.zeros((m, n))
@@ -148,7 +146,6 @@ def run_filter_bank(model: ModelSpec, policy: DriftPolicy, dY: np.ndarray,
     is an Euler step under the theta-perturbed drift, and a cloud resamples
     after a step whose ESS is below ESS_THRESHOLD * n_particles.
     """
-    _check_filter_args(n_particles)
     dY = np.asarray(dY, dtype=float)
     if dY.ndim != 2:
         raise ShapeError("dY must have shape (n_paths, n_steps)")
@@ -170,9 +167,8 @@ def run_filter_bank(model: ModelSpec, policy: DriftPolicy, dY: np.ndarray,
         fv = hv if model.f == model.h else model.f.value(pos)
         return hv, fv, unif
 
-    return _run_clouds(mutate, np.full((m, n), float(model.x0)), dY, dt,
-                       float(model.f.value(model.x0)),
-                       float(model.h.value(model.x0)))
+    return run_clouds(mutate, float(model.x0), n, dY, dt,
+                      float(model.f.value(model.x0)), float(model.h.value(model.x0)))
 
 
 def run_filter(model: ModelSpec, policy: DriftPolicy, Y: np.ndarray,
@@ -198,31 +194,3 @@ def innovation_path(Y: np.ndarray, pi_h: np.ndarray, grid: TimeGrid) -> np.ndarr
     nu[1:] = Y[1:] - Y[0] - np.cumsum(pi_h[:-1]) * grid.dt
     return nu
 
-
-def run_filter_finite(states: np.ndarray, transition: np.ndarray,
-                      h_values: np.ndarray, f_values: np.ndarray,
-                      Y: np.ndarray, grid: TimeGrid, n_particles: int,
-                      seed: int, x0: float) -> BankResult:
-    """Particle filter for a finite-state signal: the diffusion filter's loop
-    with a mutation that samples the one-step transition matrix. This is the
-    Monte Carlo counterpart of the exact matrix recursion in the oracles
-    module; every field of the result has shape (n_steps + 1,).
-    """
-    _check_filter_args(n_particles)
-    cum = np.cumsum(np.asarray(transition, dtype=float), axis=1)
-    Y = np.asarray(Y, dtype=float)
-    if Y.size != grid.n_steps + 1:
-        raise ShapeError("Y and grid are not aligned")
-    start = int(np.argmin(np.abs(np.asarray(states, dtype=float) - x0)))
-    keys = substream_keys(seed, ROLE_MARKOV, 0, np.arange(grid.n_steps))
-    gen = np.random.Generator(np.random.Philox())
-
-    def mutate(j, idx, _logm):
-        draw = rekey(gen, keys[j]).random(n_particles)
-        moved = (cum[idx[0]] <= draw[:, None]).sum(axis=1)
-        idx[0] = np.minimum(moved, len(states) - 1)
-        return h_values[idx], f_values[idx], gen.random(1)
-
-    return _run_clouds(mutate, np.full((1, n_particles), start, dtype=np.intp),
-                       np.diff(Y).reshape(1, grid.n_steps), grid.dt,
-                       f_values[start], h_values[start]).row(0)

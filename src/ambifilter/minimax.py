@@ -10,12 +10,12 @@ the robustness experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bsde import solve_adjoint, weighted_cost_qtilde
+from .bsde import CostReport, solve_adjoint, weighted_cost_qtilde
 from .errors import InvalidArgumentError, ShapeError
 from .filtering import run_filter_bank
 from .model import (ROLE_PROBE, ModelSpec, NoiseBundle, PathBundle, TimeGrid,
@@ -65,13 +65,6 @@ class FilterRule(ControlRule):
         return f"filter({self.policy.digest()},n={self.n_particles})"
 
 
-@dataclass(frozen=True)
-class CostReport:
-    J: float
-    se: float
-    per_path: np.ndarray = field(repr=False)
-
-
 def evaluate_cost(model: ModelSpec, u_rule: ControlRule, theta: DriftPolicy,
                   n_paths: int, seed: int, grid: TimeGrid,
                   noise: Optional[NoiseBundle] = None) -> CostReport:
@@ -87,11 +80,7 @@ def _cost_report(model: ModelSpec, bundle: PathBundle, u: np.ndarray) -> CostRep
     if u.shape != bundle.X.shape:
         raise ShapeError("control rule returned misaligned paths")
     err = model.f.value(bundle.X[:, :-1]) - u[:, :-1]
-    per_path = (err * err).sum(axis=1) * bundle.grid.dt
-    n_paths = bundle.n_paths
-    J = float(per_path.mean())
-    se = float(per_path.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("nan")
-    return CostReport(J=J, se=se, per_path=per_path)
+    return CostReport.of((err * err).sum(axis=1) * bundle.grid.dt)
 
 
 @dataclass(frozen=True)

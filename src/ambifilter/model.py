@@ -161,6 +161,8 @@ class ModelSpec:
     k: float
 
     def __post_init__(self):
+        for name in ("x0", "T", "k"):   # one repr per value, for config digests
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not np.isfinite(self.x0):
             raise InvalidArgumentError(f"initial state x0 must be finite, got {self.x0}")
         if not (np.isfinite(self.T) and self.T > 0):

@@ -5,11 +5,11 @@ integrates its own Riccati equation, the finite-state filter is an exact
 matrix recursion, and the surrogate chain's generator is a finite-difference
 matrix built here from the model's coefficients. Two reuse the estimators on
 purpose. `particle_filter_on_surrogate` runs the package's own filter loop
-with the chain's transition matrix as its mutation, so that the exact
-recursion checks that loop. `grid_sup_cost`, the brute-force worst case,
-maximizes `minimax.evaluate_cost` over a finite policy family, so it checks
-the backward solver's worst-case value against the forward cost, which
-`evaluate_cost` alone computes.
+(`filtering.run_clouds`) with the chain's transition matrix as its mutation,
+so that the exact recursion checks that loop. `grid_sup_cost`, the
+brute-force worst case, maximizes `minimax.evaluate_cost` over a finite
+policy family, so it checks the backward solver's worst-case value against
+the forward cost, which `evaluate_cost` alone computes.
 """
 
 from __future__ import annotations
@@ -20,9 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError, ShapeError
-from .filtering import BankResult, run_filter_finite
-from .minimax import ControlRule, CostReport, evaluate_cost
-from .model import ModelSpec, TimeGrid, ROLE_CHAIN, sample_noise, substream
+from .bsde import CostReport
+from .filtering import BankResult, run_clouds
+from .minimax import ControlRule, evaluate_cost
+from .model import (ModelSpec, TimeGrid, ROLE_CHAIN, ROLE_MARKOV, rekey, sample_noise,
+                    substream, substream_keys)
 from .policies import DriftPolicy, time_table_policy, zero_policy
 
 
@@ -193,10 +195,24 @@ def particle_filter_on_surrogate(spec: FiniteSignalSpec, Y: np.ndarray,
                                  grid: TimeGrid, n_particles: int, seed: int,
                                  x0: float) -> BankResult:
     """The diffusion filter's loop run on the chain itself (a transition-matrix
-    mutation), so it converges to the exact recursion as particles grow."""
-    trans = _transition_matrix(spec, grid)
-    return run_filter_finite(spec.states, trans, spec.h_values, spec.f_values,
-                             Y, grid, n_particles, seed, x0)
+    mutation), so it converges to the exact recursion as particles grow;
+    every field of the result has shape (n_steps + 1,)."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.size != grid.n_steps + 1:
+        raise ShapeError("Y and grid are not aligned")
+    cum = np.cumsum(_transition_matrix(spec, grid), axis=1)
+    start = int(np.argmin(np.abs(spec.states - x0)))
+    keys = substream_keys(seed, ROLE_MARKOV, 0, np.arange(grid.n_steps))
+    gen = np.random.Generator(np.random.Philox())
+
+    def mutate(j, idx, _logm):
+        draw = rekey(gen, keys[j]).random(n_particles)
+        moved = (cum[idx[0]] <= draw[:, None]).sum(axis=1)
+        idx[0] = np.minimum(moved, spec.n_states - 1)
+        return spec.h_values[idx], spec.f_values[idx], gen.random(1)
+
+    return run_clouds(mutate, start, n_particles, np.diff(Y).reshape(1, grid.n_steps),
+                      grid.dt, spec.f_values[start], spec.h_values[start]).row(0)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ Kinds:
                          over an infinite horizon
     sign_of_regression   theta = k * sgn(P_hat(t, X, M)) from per-step
                          regression tables of the adjoint surface
-    mixture              linear combination of the two leaf kinds (Picard's
-                         halving fallback, perturbations theta + eps*v);
-                         nested mixtures are flattened
+    mixture              linear combination of the two leaf kinds, built
+                         only by Picard's halving fallback; nested mixtures
+                         are flattened
 
 A leaf is in [-radius, radius] as built: a time table stores its values
 clipped, and a sign leaf is k sgn(P_hat) with radius k and sgn(0) = 0 (values

@@ -153,11 +153,11 @@ def test_criterion_5_gateaux_duality():
             ga = gateaux_adjoint(adj, bundle, TANH, v)
             diff = fd.per_path - ga.per_path
             se3 = 3 * diff.std(ddof=1) / np.sqrt(diff.size)
-            gap = abs(fd.value - ga.value)
+            gap = abs(fd.J - ga.J)
             per_variant_gap[variant].append(gap)
-            if gap <= max(0.1 * abs(fd.value), se3):
+            if gap <= max(0.1 * abs(fd.J), se3):
                 per_variant_pass[variant] += 1
-        details.append(f"d{d}: fd={fd.value:+.5f}")
+        details.append(f"d{d}: fd={fd.J:+.5f}")
     winner = min(per_variant_gap,
                  key=lambda kk: float(np.mean(per_variant_gap[kk])))
     print(f"[criterion  5] adjudication: winner={winner}; "

@@ -8,9 +8,12 @@ from ambifilter.bsde import (gateaux_adjoint, gateaux_fd, solve_adjoint,
                              solve_worst_value, weighted_cost_qtilde)
 from ambifilter.errors import (IllConditionedBasisError, InvalidArgumentError)
 from ambifilter import features
-from ambifilter.features import RegressionBasis, fit_ridge, monomial_exponents
+from ambifilter.features import (FrozenRegression, RegressionBasis, fit_ridge,
+                                 monomial_exponents)
 from ambifilter.model import ModelSpec, simulate_bundle
-from ambifilter.policies import constant_policy, time_table_policy, zero_policy
+from ambifilter.policies import (constant_policy, mixture_policy,
+                                 sign_of_regression_policy, time_table_policy,
+                                 zero_policy)
 from ambifilter.presets import make_coef
 
 from conftest import mc_se
@@ -357,15 +360,16 @@ class TestAdjoint:
         for _ in range(5):
             v = time_table_policy(rng.uniform(-1, 1, size=4), 1.0, radius=np.inf)
             est = gateaux_adjoint(adj, bundle, m, v)
-            assert abs(est.value) <= 3 * est.se
+            assert abs(est.J) <= 3 * est.se
 
 
 class TestGateaux:
     def test_fd_zero_direction(self, tanh_model):
         est = gateaux_fd(tanh_model, constant_policy(0.05), zero_policy(),
                          0.1, 200, 50, 18, n_steps=20)
-        assert est.value == 0.0
-        assert all(s == 0.0 for s in est.slopes)
+        assert est.J == 0.0
+        # theta +/- eps*0 is theta, so every path's slope is exactly 0
+        np.testing.assert_array_equal(est.per_path, np.zeros(200))
 
     def test_fd_constant_target(self):
         m = ModelSpec(b=make_coef("tanh", 0.2), sigma=make_coef("constant", 0.5),
@@ -374,7 +378,19 @@ class TestGateaux:
         v = constant_policy(0.5, radius=np.inf)
         est = gateaux_fd(m, constant_policy(0.05), v, 0.1, 200, 50,
                          19, n_steps=20)
-        assert est.value == pytest.approx(0.0, abs=1e-12)
+        assert est.J == pytest.approx(0.0, abs=1e-12)
+
+    def test_fd_needs_table_base_and_direction(self, tanh_model):
+        # theta +/- eps*v is built as one time table, so the base must be a
+        # one-value table and v a table
+        sign = sign_of_regression_policy([FrozenRegression(np.zeros(3))],
+                                         RegressionBasis("poly_xm", 1), 0.25, 0.2)
+        table = time_table_policy([0.5, -0.5], 1.0, radius=np.inf)
+        mixed = mixture_policy([(0.5, constant_policy(0.2)), (0.5, table)], np.inf)
+        for base, v in ((sign, table), (constant_policy(0.05), mixed),
+                        (time_table_policy([0.05, 0.1], 1.0, 0.25), table)):
+            with pytest.raises(InvalidArgumentError, match="time table"):
+                gateaux_fd(tanh_model, base, v, 0.1, 50, 20, 1, n_steps=5)
 
     @pytest.mark.parametrize("bad", [0.0, -0.05, float("nan"), float("inf")])
     def test_fd_bad_eps(self, tanh_model, bad):
@@ -387,7 +403,7 @@ class TestGateaux:
                                               50, 21, grid50.n_steps)
         adj = solve_adjoint(bundle, u, tanh_model, zero_policy(), variant="derived")
         est = gateaux_adjoint(adj, bundle, tanh_model, zero_policy())
-        assert est.value == 0.0
+        assert est.J == 0.0
 
     def test_adjoint_linearity(self, tanh_model, grid50):
         per, bundle, u = weighted_cost_qtilde(tanh_model, constant_policy(0.05),
@@ -398,4 +414,4 @@ class TestGateaux:
         v2 = constant_policy(0.8, radius=np.inf)
         a = gateaux_adjoint(adj, bundle, tanh_model, v1)
         b = gateaux_adjoint(adj, bundle, tanh_model, v2)
-        assert b.value == pytest.approx(2.0 * a.value, rel=1e-12)
+        assert b.J == pytest.approx(2.0 * a.J, rel=1e-12)

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from ambifilter import cli
 from ambifilter.cli import ExperimentConfig, load_config, main, run_subcommand
-from ambifilter.errors import ConfigError, DegenerateCloudError
+from ambifilter.errors import ConfigError, DegenerateCloudError, InvalidArgumentError
 from ambifilter.minimax import PicardConfig
 from ambifilter.model import ModelSpec, build_time_grid
 from ambifilter.oracles import LinearGaussianSpec, kalman_bucy
@@ -258,14 +258,22 @@ class TestLoadConfig:
                      TANH_CONF + "output.dir = elsewhere\noutput.label = demo\n"):
             spelled.write_text(text)
             assert load_config(spelled, {"--out-dir": str(tmp_path)}).digest == plain
-        # a config built in the library is named by the same rule
-        model = ModelSpec(b=make_coef("tanh", 0.2), sigma=make_coef("constant", 0.5),
-                          h=make_coef("tanh", 1.0), f=make_coef("tanh", 1.0),
-                          x0=0.8, T=1.0, k=0.25)
-        built = ExperimentConfig(model=model, n_steps=20, n_paths=120, n_particles=64,
-                                 seed=777, k_grid=(0.0, 0.25), rule_particles=48,
-                                 picard_max_iters=6)
-        assert built.digest == plain
+        # a config built in the library is named by the same rule, whatever
+        # number types spell its values
+        coefs = dict(b=make_coef("tanh", 0.2), sigma=make_coef("constant", 0.5),
+                     h=make_coef("tanh", 1.0), f=make_coef("tanh", 1.0))
+        for model, n_paths, k_grid in (
+                (ModelSpec(**coefs, x0=0.8, T=1.0, k=0.25), 120, (0.0, 0.25)),
+                (ModelSpec(**coefs, x0=np.float64(0.8), T=1, k=0.25), np.int64(120),
+                 [0, 0.25])):
+            built = ExperimentConfig(model=model, n_steps=20, n_paths=n_paths,
+                                     n_particles=64, seed=777, k_grid=k_grid,
+                                     rule_particles=48, picard_max_iters=6,
+                                     picard_tol=np.float64(0.02))
+            assert built.digest == plain
+        # an integer setting is not truncated
+        with pytest.raises(InvalidArgumentError, match="n_paths"):
+            ExperimentConfig(model=model, n_paths=119.5)
 
 
 def run_cli(*args, env=None) -> subprocess.CompletedProcess:
@@ -395,7 +403,7 @@ class TestSubcommands:
                                                     monkeypatch):
         def crash(config):
             raise ValueError("boom")
-        monkeypatch.setitem(cli._DISPATCH, "simulate", crash)
+        monkeypatch.setitem(cli._DISPATCH, "simulate", (crash, ("paths.csv",)))
         with pytest.raises(ValueError):
             run_subcommand("simulate", load_config(tanh_conf),
                            run_dir=tmp_path / "crash")
@@ -405,15 +413,21 @@ class TestSubcommands:
 
     def test_failed_run_leaves_only_manifest(self, tanh_conf, tmp_path, monkeypatch):
         # picard's own table is done when its saddle probes fail; no CSV is
-        # written until the whole computation has succeeded
+        # written until the whole computation has succeeded, and a rerun
+        # first removes an earlier run's manifest and CSVs, but no other file
+        config = load_config(tanh_conf, {"--k": 0.0})
+        run_dir = tmp_path / "pc"
+        run_subcommand("picard", config, run_dir=run_dir)
+        (run_dir / "notes.txt").write_text("the user's own file")
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "manifest.json", "notes.txt", "picard.csv", "saddle.csv"]
+
         def degenerate(*args, **kwargs):
             raise DegenerateCloudError("total particle mass underflowed")
         monkeypatch.setattr(cli, "saddle_probes", degenerate)
-        run_dir = tmp_path / "pc"
         with pytest.raises(DegenerateCloudError):
-            run_subcommand("picard", load_config(tanh_conf, {"--k": 0.0}),
-                           run_dir=run_dir)
-        assert [p.name for p in run_dir.iterdir()] == ["manifest.json"]
+            run_subcommand("picard", config, run_dir=run_dir)
+        assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json", "notes.txt"]
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["status"] == "error" and manifest["artifacts"] == []
 
@@ -680,11 +694,12 @@ def readme_csv_columns() -> dict:
     return {(cmd, name): columns for cmd, name, columns in rows}
 
 
-@pytest.mark.parametrize("name,cmd", list(PINNED_OUTPUTS))
-def test_outputs_match_pinned_digests(tmp_path, name, cmd):
+def run_pinned(tmp_path: Path, name: str, cmd: str) -> tuple[dict, Path]:
+    """One pinned run in a directory of its own under tmp_path: the sha256 of
+    each CSV body and of the manifest extras, and the run directory."""
     conf = tmp_path / f"{name}.conf"
     conf.write_text({"tanh": TANH_CONF, "linear": LINEAR_CONF}[name], encoding="utf-8")
-    run_dir = tmp_path / cmd
+    run_dir = tmp_path / f"{name}-{cmd}"
     try:
         run_subcommand(cmd, load_config(conf), run_dir=run_dir)
     except ConfigError:
@@ -694,12 +709,48 @@ def test_outputs_match_pinned_digests(tmp_path, name, cmd):
            for p in sorted(run_dir.glob("*.csv"))}
     got["extras"] = hashlib.sha256(
         json.dumps(manifest["extras"], sort_keys=True).encode()).hexdigest()
+    return got, run_dir
+
+
+@pytest.mark.parametrize("name,cmd", list(PINNED_OUTPUTS))
+def test_outputs_match_pinned_digests(tmp_path, name, cmd):
+    got, run_dir = run_pinned(tmp_path, name, cmd)
     assert got == PINNED_OUTPUTS[name, cmd]
     # each CSV opens with the columns README documents for it
     headers = {p.name: p.read_text(encoding="utf-8").split("\n", 1)[0]
                for p in run_dir.glob("*.csv")}
     documented = {f: cols for (c, f), cols in readme_csv_columns().items() if c == cmd}
     assert headers == ({} if (name, cmd) == ("linear", "worst-case") else documented)
+
+
+# every pinned run, in one fresh interpreter: argv is this directory and an
+# empty directory for the runs; prints the digests as one JSON line
+PINNED_RUNS_SCRIPT = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import test_cli
+print(json.dumps([test_cli.run_pinned(Path(sys.argv[2]), name, cmd)[0]
+                  for name, cmd in test_cli.PINNED_OUTPUTS]))
+"""
+
+
+def test_outputs_identical_across_blas_threads(tmp_path):
+    # the same bytes, the pinned ones, under one and two OpenBLAS threads;
+    # both interpreters run at once
+    procs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        out.mkdir()
+        procs[threads] = subprocess.Popen(
+            [sys.executable, "-c", PINNED_RUNS_SCRIPT, str(Path(__file__).parent),
+             str(out)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+    for threads, proc in procs.items():
+        stdout, stderr = proc.communicate(timeout=600)
+        assert proc.returncode == 0, stderr
+        got = json.loads(stdout.splitlines()[-1])
+        assert got == list(PINNED_OUTPUTS.values()), f"OPENBLAS_NUM_THREADS={threads}"
 
 
 EDGE_CONF = """
@@ -800,8 +851,8 @@ def test_fp_warnings_counted_and_others_reissued(tanh_conf, tmp_path, monkeypatc
         for _ in range(3):
             warnings.warn("overflow encountered in exp", RuntimeWarning)
         warnings.warn("old option", DeprecationWarning)
-        return {}, {}
-    monkeypatch.setitem(cli._DISPATCH, "simulate", noisy)
+        return [], {}
+    monkeypatch.setitem(cli._DISPATCH, "simulate", (noisy, ()))
     with pytest.warns(DeprecationWarning, match="old option") as seen:
         m = run_subcommand("simulate", load_config(tanh_conf), run_dir=tmp_path)
     assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]

@@ -8,10 +8,10 @@ from ambifilter import filtering
 from ambifilter.errors import (DataError, DegenerateCloudError,
                                InvalidArgumentError, ShapeError)
 from ambifilter.filtering import (_reduce_and_resample, innovation_path,
-                                  run_filter, run_filter_bank,
-                                  run_filter_finite, systematic_indices)
+                                  run_filter, run_filter_bank, systematic_indices)
 from ambifilter.model import ModelSpec, build_time_grid, simulate_bundle
-from ambifilter.oracles import LinearGaussianSpec, kalman_bucy
+from ambifilter.oracles import (FiniteSignalSpec, LinearGaussianSpec, kalman_bucy,
+                                particle_filter_on_surrogate)
 from ambifilter.policies import constant_policy, zero_policy
 from ambifilter.presets import make_coef
 
@@ -52,10 +52,20 @@ class TestInitCloud:
                         16, seed=1)
         assert fp.u[0] == pytest.approx(float(tanh_model.f.value(0.8)), rel=1e-14)
 
-    def test_too_few_particles(self, tanh_model):
-        with pytest.raises(InvalidArgumentError):
-            run_filter_bank(tanh_model, zero_policy(), np.zeros((1, 1)), 0.02,
-                            1, seed=1)
+    def test_too_few_particles(self, tanh_model, grid50):
+        # checked before a cloud is allocated, where np.full would raise a
+        # bare ValueError for a negative count; the chain filter runs the
+        # same loop
+        states = np.array([0.8, -0.3])
+        spec = FiniteSignalSpec(states, np.zeros((2, 2)), tanh_model.h.value(states),
+                                tanh_model.f.value(states))
+        for n in (1, 0, -1):
+            with pytest.raises(InvalidArgumentError, match="n_particles"):
+                run_filter_bank(tanh_model, zero_policy(), np.zeros((1, 1)), 0.02,
+                                n, seed=1)
+            with pytest.raises(InvalidArgumentError, match="n_particles"):
+                particle_filter_on_surrogate(spec, np.zeros(grid50.n_steps + 1),
+                                             grid50, n, seed=1, x0=0.8)
 
 
 class TestStepCloud:
@@ -245,16 +255,17 @@ class TestRunFilter:
 
 class TestFiniteFilter:
     def test_frozen_chain_matches_frozen_bank(self, tanh_model, grid50):
-        # neither signal moves, so both filters weight the same point mass
-        # through the same loop
+        # neither signal moves (a zero rate matrix: the transition matrix is
+        # the identity), so both filters weight the same point mass through
+        # the same loop
         m = model_of(CONST0, CONST0, tanh_model.h, tanh_model.f, x0=0.8)
         states = np.array([0.8, -0.3])
+        spec = FiniteSignalSpec(states, np.zeros((2, 2)), m.h.value(states),
+                                m.f.value(states))
         bundle = simulate_bundle(tanh_model, zero_policy(), grid50, 1, 27,
                                  measure="P")
         Y = bundle.Y[0]
-        chain = run_filter_finite(states, np.eye(2), m.h.value(states),
-                                  m.f.value(states), Y, grid50, 64, seed=28,
-                                  x0=0.8)
+        chain = particle_filter_on_surrogate(spec, Y, grid50, 64, seed=28, x0=0.8)
         bank = run_filter_bank(m, zero_policy(), np.diff(Y).reshape(1, -1),
                                grid50.dt, 64, seed=28)
         for name in ("u", "pi_h", "ess", "log_mass"):

@@ -345,16 +345,20 @@ def crn_families(m):
 
     base, v = constant_policy(0.05, radius=k), time_table_policy([1.0, -1.0], T, 1.0)
     def fd():
-        return bsde.gateaux_fd(m, base, v, 0.1, n, particles, seed, n_steps=steps).slopes
+        return (bsde.gateaux_fd(m, base, v, 0.1, n, particles, seed,
+                                n_steps=steps).per_path,)
 
     def fd_by_hand(noise):
+        # theta +/- eps*v as a mixture, the route gateaux_fd's one time table
+        # must reproduce bit for bit
         slopes = []
         for e in (0.1, 0.05):
             jp, jm = (bsde.weighted_cost_qtilde(
                 m, mixture_policy([(1.0, base), (s * e, v)], radius=k), n, particles,
                 seed, steps, noise=noise)[0] for s in (1.0, -1.0))
-            slopes.append(float(((jp - jm) / (2.0 * e)).mean()))
-        return tuple(slopes)
+            slopes.append((jp - jm) / (2.0 * e))
+        w = 0.1 * 0.1 / (0.1 * 0.1 - 0.05 * 0.05)
+        return (w * slopes[1] + (1.0 - w) * slopes[0],)
 
     return grid, n, seed, {"picard_solve": (picard, picard_by_hand),
                            "grid_sup_cost": (sup, sup_by_hand),

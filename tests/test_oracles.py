@@ -125,7 +125,7 @@ class TestFiniteSignal:
         # the oracle-check path feeds one seed to both the chain and the filter
         # the chain draws one substream; the filter keys all its steps at once
         calls = {}
-        for module, name in ((oracles, "substream"), (filtering, "substream_keys")):
+        for module, name in ((oracles, "substream"), (oracles, "substream_keys")):
             def spy(*args, _real=getattr(module, name), _name=name, **kw):
                 calls.setdefault(_name, []).append((args, kw))
                 return _real(*args, **kw)
