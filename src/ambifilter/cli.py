@@ -1,8 +1,10 @@
 """Config-driven experiment runner.
 
 Configuration format: UTF-8 text, one `section.key = value` per line, `#`
-comments. Coefficients are preset calls like `tanh(0.2)`. Validation reports
-every problem found, not just the first; `load_config` alone checks a config.
+comments. Coefficients are preset calls like `tanh(0.2)`. `load_config`
+reports every problem in the file and the flags, not just the first. An
+`ExperimentConfig` built in the library runs the same converters on its
+settings, so it gets the same range checks and raises at the first problem.
 A subcommand returns its tables, which are written as CSV into the run
 directory (a rerun removes the old ones) only once it has succeeded; then
 manifest.json lists them. A directory without a manifest is an incomplete run.
@@ -65,15 +67,16 @@ class ExperimentConfig:
     label: str = "run"
 
     def __post_init__(self):
-        # the digest hashes repr: convert once, so 2000 and np.int64(2000),
-        # or a list and a tuple of radii, name one computation
-        for name in ("n_steps", "n_paths", "n_particles", "seed", "bsde_degree",
-                     "picard_max_iters", "rule_particles"):
-            if not isinstance(value := getattr(self, name), numbers.Integral):
-                raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        object.__setattr__(self, "picard_tol", float(self.picard_tol))
-        object.__setattr__(self, "k_grid", tuple(float(k) for k in self.k_grid))
+        # each setting goes through its config key's converter: a config built
+        # in the library is range-checked like a config line, and the digest,
+        # which hashes repr, sees 2000 and np.int64(2000), or a list and a
+        # tuple of radii, as one computation
+        for key, (name, conv) in _SETTINGS.items():
+            if not key.startswith("model."):
+                try:
+                    object.__setattr__(self, name, conv(getattr(self, name)))
+                except ValueError as exc:
+                    raise InvalidArgumentError(str(exc)) from None
 
     @property
     def digest(self) -> str:
@@ -135,10 +138,10 @@ def _float_in(name, lo, hi):
 
 
 def _radius_list(s):
-    ks = tuple(float(tok) for tok in s.split(","))
-    if not all(math.isfinite(v) and v >= 0 for v in ks):
-        raise ValueError("out of range: worst_case.k_grid entries must be "
-                         f"finite and >= 0, got {list(ks)}")
+    ks = tuple(float(tok) for tok in (s.split(",") if isinstance(s, str) else s))
+    if not ks or not all(math.isfinite(v) and v >= 0 for v in ks):
+        raise ValueError("out of range: worst_case.k_grid needs one or more "
+                         f"entries, each finite and >= 0, got {list(ks)}")
     return ks
 
 
@@ -180,13 +183,13 @@ def load_config(path: str | Path, flags: Optional[dict] = None) -> ExperimentCon
     """Parse a config file, let each entry of `flags` (a `_FLAGS` flag such
     as "--seed" -> its value as typed) replace the key it names, and validate
     the merged settings; raises ConfigError carrying every problem found in
-    the file and the flags, unknown flags included; no later stage checks it."""
+    the file and the flags, unknown flags included."""
     path = Path(path)
     problems: list[str] = []
     values: dict = {}
     where: dict[str, str] = {}   # key -> where its value came from
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a leading BOM is not part of a key
     except FileNotFoundError:
         raise ConfigError([f"config file not found: {path}"])
     except UnicodeDecodeError as exc:
@@ -333,9 +336,8 @@ def _cmd_picard(config: ExperimentConfig):
                            deltas=(0.05, -0.05, 0.1, -0.1),
                            n_paths=config.n_paths, seed=config.seed,
                            n_steps=config.n_steps)
-    tables = [(["iter", "J", "sign_agreement", "damping"],
-               [(it.index, it.J, it.sign_agreement, it.damping)
-                for it in report.iterations]),
+    tables = [(["iter", "J", "sign_agreement"],
+               [(it.index, it.J, it.sign_agreement) for it in report.iterations]),
               (["probe_kind", "probe_id", "J", "se"],
                [(p.kind, p.probe_id, p.report.J, p.report.se) for p in probes])]
     return tables, {"converged": report.converged,

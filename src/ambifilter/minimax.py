@@ -20,8 +20,8 @@ from .errors import InvalidArgumentError, ShapeError
 from .filtering import run_filter_bank
 from .model import (ROLE_PROBE, ModelSpec, NoiseBundle, PathBundle, TimeGrid,
                     build_time_grid, sample_noise, simulate_bundle, substream)
-from .policies import (DriftPolicy, mixture_policy, sign_of_regression_policy,
-                       time_table_policy, zero_policy)
+from .policies import (DriftPolicy, sign_of_regression_policy, time_table_policy,
+                       zero_policy)
 
 
 def clamp_control(u_values: np.ndarray, f_sup: float) -> np.ndarray:
@@ -91,6 +91,8 @@ class PicardConfig:
     seed: int = 0
     max_iters: int = 20
     tol: float = 0.02            # sign-agreement tolerance
+    # read by nothing; kept only because the benchmark's picard workload
+    # still passes it, and deleted once that workload stops
     mixture_prune: float = 0.02
 
     def __post_init__(self):
@@ -98,8 +100,6 @@ class PicardConfig:
             raise InvalidArgumentError("max_iters must be >= 1")
         if not 0.0 <= self.tol <= 1.0:
             raise InvalidArgumentError("tol must be in [0, 1]")
-        if not 0.0 <= self.mixture_prune < np.inf:
-            raise InvalidArgumentError("mixture_prune must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,6 @@ class PicardIteration:
     index: int
     J: float
     sign_agreement: float
-    damping: float
 
 
 @dataclass(frozen=True)
@@ -135,20 +134,18 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
 
     Convergence is declared when the sign-agreement fraction stays above
     1 - tol on two consecutive iterations; the cost is reported, not tested.
-    The run returns the last target k sgn(P_hat) that check compared, or
-    else its last iterate (reported, not raised). Each iterate is the target
-    itself until the agreement drops; from then on the step to the target is
-    halved at every drop, and the iterate is a mixture of the previous one
-    and the target. All iterations and the final cost share one noise draw.
+    Each iterate is the previous iteration's target k sgn(P_hat), and the
+    agreement compares the signs of the iterate and of its target. The run
+    returns the last target, converged or not: a run that cycles ends at
+    max_iters (reported, not raised). All iterations and the final cost share
+    one noise draw.
     """
     k = model.k
     grid = build_time_grid(model.T, config.n_steps)
     noise = sample_noise(grid, config.n_paths, config.seed)
     n_iters = config.max_iters if k > 0.0 else 0
 
-    theta = prev_target = (initial_policy if initial_policy is not None and n_iters
-                           else zero_policy())
-    gamma = 1.0
+    theta = initial_policy if initial_policy is not None and n_iters else zero_policy()
     iters: list[PicardIteration] = []
     converged = n_iters == 0
     prev_agree = -1.0
@@ -162,28 +159,20 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
         target = sign_of_regression_policy(adjoint.P_tables, adjoint.basis, k, grid.dt)
 
         s_new = _sign_field(target, bundle, grid.times)
-        s_prev = _sign_field(prev_target, bundle, grid.times)
+        s_prev = _sign_field(theta, bundle, grid.times)
         agree = float((s_new == s_prev).mean())
-        if prev_agree >= 0.0 and agree < prev_agree:
-            gamma = max(gamma * 0.5, 1e-3)
-        iters.append(PicardIteration(it, J_it, agree, gamma))
-
+        iters.append(PicardIteration(it, J_it, agree))
+        theta = target
         if agree >= 1.0 - config.tol and prev_agree >= 1.0 - config.tol:
             converged = True
-            theta = target
             break
-
-        theta = target if gamma == 1.0 else mixture_policy(
-            [(1.0 - gamma, theta), (gamma, target)], radius=k,
-            prune_below=config.mixture_prune)
-        prev_target = target
         prev_agree = agree
 
     rule = FilterRule(theta, config.n_particles, config.seed)
     cost = evaluate_cost(model, rule, theta, config.n_paths, config.seed, grid,
                          noise=noise)
     if n_iters == 0:
-        iters.append(PicardIteration(1, cost.J, 1.0, 1.0))
+        iters.append(PicardIteration(1, cost.J, 1.0))
     return PicardReport(iterations=tuple(iters), converged=converged,
                         final_policy=theta, final_rule=rule, final_cost=cost)
 

@@ -6,15 +6,11 @@ Kinds:
                          over an infinite horizon
     sign_of_regression   theta = k * sgn(P_hat(t, X, M)) from per-step
                          regression tables of the adjoint surface
-    mixture              linear combination of the two leaf kinds, built
-                         only by Picard's halving fallback; nested mixtures
-                         are flattened
 
-A leaf is in [-radius, radius] as built: a time table stores its values
-clipped, and a sign leaf is k sgn(P_hat) with radius k and sgn(0) = 0 (values
-exactly {-k, 0, +k}). `evaluate(t, x, m)` clips only a mixture, which adds its
-members' values in member order. A time table does not read the state, so a
-policy made only of tables returns one float that callers broadcast over the
+A policy is in [-radius, radius] as built: a time table stores its values
+clipped, and a sign rule is k sgn(P_hat) with radius k and sgn(0) = 0 (values
+exactly {-k, 0, +k}), so `evaluate(t, x, m)` clips nothing. A time table does
+not read the state and returns one float that callers broadcast over the
 cloud. `needs_m` says whether the weight feature M must be supplied.
 """
 
@@ -31,14 +27,14 @@ import numpy as np
 from .errors import InvalidArgumentError, MissingFeatureError
 from .features import RegressionBasis, FrozenRegression
 
-POLICY_KINDS = ("piecewise_table", "sign_of_regression", "mixture")
+POLICY_KINDS = ("piecewise_table", "sign_of_regression")
 
 
 @dataclass(frozen=True)
 class DriftPolicy:
     kind: str
     payload: dict = field(default_factory=dict)
-    radius: float = 0.0  # clamp bound; math.inf for unconstrained directions
+    radius: float = 0.0  # bound on the values; math.inf for unconstrained directions
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
@@ -50,9 +46,7 @@ class DriftPolicy:
 
     @property
     def needs_m(self) -> bool:
-        members = self.payload["members"] if self.kind == "mixture" else [(1.0, self)]
-        return any(p.kind == "sign_of_regression" and "m" in p.payload["basis"].variables
-                   for _, p in members)
+        return self.kind == "sign_of_regression" and "m" in self.payload["basis"].variables
 
     def evaluate(self, t: float, x: np.ndarray, m: Optional[np.ndarray] = None):
         """Policy value in [-radius, radius] at time t on arrays of X (and M
@@ -62,14 +56,6 @@ class DriftPolicy:
                 f"policy kind {self.kind!r} needs the weight feature m; "
                 "simulate the weight process alongside the signal to supply it"
             )
-        if self.kind != "mixture":
-            return self._leaf(t, x, m)
-        raw = 0.0
-        for w, member in self.payload["members"]:
-            raw = raw + w * member._leaf(t, x, m)
-        return np.clip(raw, -self.radius, self.radius)
-
-    def _leaf(self, t: float, x, m):
         p = self.payload
         if self.kind == "piecewise_table":
             vals = p["values"]
@@ -144,27 +130,3 @@ def sign_of_regression_policy(tables: Sequence[FrozenRegression], basis: Regress
         payload={"tables": tables, "basis": basis, "k": float(k), "dt": float(dt)},
         radius=float(k),
     )
-
-
-def mixture_policy(members: Sequence[tuple[float, DriftPolicy]], radius: float,
-                   prune_below: float = 0.0) -> DriftPolicy:
-    """Linear combination of policies, clamped at the top level. Nested
-    mixtures are flattened so evaluation cost stays linear in the number of
-    distinct leaves; negligible weights can be pruned (renormalizing)."""
-    flat: list[tuple[float, DriftPolicy]] = []
-    for w, pol in members:
-        if pol.kind == "mixture":
-            flat.extend((float(w) * wi, mi) for wi, mi in pol.payload["members"])
-        else:
-            flat.append((float(w), pol))
-    if prune_below > 0.0:
-        total = sum(w for w, _ in flat)
-        kept = [(w, p) for w, p in flat if abs(w) >= prune_below]
-        if kept and total != 0.0:
-            if (kept_total := sum(w for w, _ in kept)) == 0.0:
-                raise InvalidArgumentError("pruned mixture weights sum to 0")
-            scale = total / kept_total
-            flat = [(w * scale, p) for w, p in kept]
-    if not flat:
-        return time_table_policy([0.0], math.inf, radius)
-    return DriftPolicy(kind="mixture", payload={"members": flat}, radius=radius)

@@ -43,7 +43,7 @@ def criterion(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 LADDER_CFG = PicardConfig(n_paths=600, n_particles=200, n_steps=50, seed=99,
-                          max_iters=10, mixture_prune=0.05)
+                          max_iters=10)
 
 
 @pytest.fixture(scope="module")

@@ -11,9 +11,8 @@ from ambifilter import features
 from ambifilter.features import (FrozenRegression, RegressionBasis, fit_ridge,
                                  monomial_exponents)
 from ambifilter.model import ModelSpec, simulate_bundle
-from ambifilter.policies import (constant_policy, mixture_policy,
-                                 sign_of_regression_policy, time_table_policy,
-                                 zero_policy)
+from ambifilter.policies import (constant_policy, sign_of_regression_policy,
+                                 time_table_policy, zero_policy)
 from ambifilter.presets import make_coef
 
 from conftest import mc_se
@@ -386,8 +385,7 @@ class TestGateaux:
         sign = sign_of_regression_policy([FrozenRegression(np.zeros(3))],
                                          RegressionBasis("poly_xm", 1), 0.25, 0.2)
         table = time_table_policy([0.5, -0.5], 1.0, radius=np.inf)
-        mixed = mixture_policy([(0.5, constant_policy(0.2)), (0.5, table)], np.inf)
-        for base, v in ((sign, table), (constant_policy(0.05), mixed),
+        for base, v in ((sign, table), (constant_policy(0.05), sign),
                         (time_table_policy([0.05, 0.1], 1.0, 0.25), table)):
             with pytest.raises(InvalidArgumentError, match="time table"):
                 gateaux_fd(tanh_model, base, v, 0.1, 50, 20, 1, n_steps=5)

@@ -275,6 +275,24 @@ class TestLoadConfig:
         with pytest.raises(InvalidArgumentError, match="n_paths"):
             ExperimentConfig(model=model, n_paths=119.5)
 
+    @pytest.mark.parametrize("name, value", [
+        ("n_paths", 1), ("n_particles", 1), ("rule_particles", 1), ("n_steps", 0),
+        ("seed", -1), ("bsde_degree", 0), ("picard_max_iters", 0),
+        ("picard_tol", 1.5), ("k_grid", (-0.1,)), ("k_grid", ()),
+    ])
+    def test_library_config_range_checked(self, tanh_conf, name, value):
+        # a config built in the library goes through the converters of the
+        # config keys, so it refuses what a config line would
+        model = load_config(tanh_conf).model
+        with pytest.raises(InvalidArgumentError, match="out of range"):
+            ExperimentConfig(model=model, **{name: value})
+
+    def test_byte_order_mark_is_not_part_of_a_key(self, tanh_conf, tmp_path):
+        p = tmp_path / "bom.conf"
+        p.write_text(TANH_CONF[TANH_CONF.index("model.b"):], encoding="utf-8-sig")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbfmodel.b")
+        assert load_config(p).digest == load_config(tanh_conf).digest
+
 
 def run_cli(*args, env=None) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "ambifilter", *args],
@@ -324,7 +342,7 @@ class TestSubcommands:
         assert manifest["extras"]["converged"] is True
         assert manifest["extras"]["iterations"] == 1
         lines = (tmp_path / "pc" / "picard.csv").read_text().splitlines()
-        assert lines[0] == "iter,J,sign_agreement,damping"
+        assert lines[0] == "iter,J,sign_agreement"
         saddle = (tmp_path / "pc" / "saddle.csv").read_text().splitlines()
         assert saddle[0] == "probe_kind,probe_id,J,se"
 
@@ -628,7 +646,7 @@ PINNED_OUTPUTS = {
     },
     ("tanh", "picard"): {
         "picard.csv":
-            "66f090efc571f0ac848c298248609723882f4e2da376a06c09397a951015293c",
+            "91b1177ae5a6651bd90887330dba7a59ffcc5eed7222dc1e787f9668f99fa082",
         "saddle.csv":
             "6c48b4225488a00196cb7a91ef58e66993e3157b7847458cac98f4682885b361",
         "extras":
@@ -664,7 +682,7 @@ PINNED_OUTPUTS = {
     },
     ("linear", "picard"): {
         "picard.csv":
-            "71c2c749c2465d1edefb085644c828cfb97e766bbd3305178c11ab85b7ba31f2",
+            "91af2e56b8d98023e84619c3635a0ae3406fc581da60a99cba0644774e5d436b",
         "saddle.csv":
             "182421c2f0695b707c55647dd605b93ce02fae9d3e565af8b11d327a7574f9d2",
         "extras":

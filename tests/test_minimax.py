@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
+from ambifilter.bsde import solve_adjoint
 from ambifilter.errors import InvalidArgumentError
-from ambifilter.features import RegressionBasis, fit_ridge
+from ambifilter.features import FrozenRegression, RegressionBasis, fit_ridge
 from ambifilter.minimax import (ConstantRule, ControlRule, FilterRule,
                                 PicardConfig, PicardIteration, PicardReport,
                                 clamp_control, evaluate_cost, minimax_gap,
@@ -100,7 +103,7 @@ class TestSignPolicy:
 @pytest.fixture(scope="module")
 def picard_25(tanh_model):
     cfg = PicardConfig(n_paths=600, n_particles=150, n_steps=50, seed=99,
-                       max_iters=10, mixture_prune=0.05)
+                       max_iters=10)
     return picard_solve(tanh_model, cfg)
 
 
@@ -181,7 +184,7 @@ class TestPicard:
 
     def test_converged_returns_sign_rule(self, tanh_model, picard_25):
         # the fixed point is the last target k sgn(P_hat) the stopping rule
-        # compared, not a damped mixture that still carries earlier iterates
+        # compared
         rep = picard_25
         assert rep.converged
         assert rep.final_policy.kind == "sign_of_regression"
@@ -201,11 +204,10 @@ class TestPicard:
         # the picard benchmark workload's shape; its solve time rests on
         # undamped Picard converging here in 3-4 iterations
         cfg = PicardConfig(n_paths=2000, n_particles=10, n_steps=25, seed=seed,
-                           max_iters=10, mixture_prune=0.05)
+                           max_iters=10)
         rep = picard_solve(replace(tanh_model, k=k), cfg)
         assert rep.converged
         assert len(rep.iterations) <= 5
-        assert all(it.damping == 1.0 for it in rep.iterations)
 
     def test_zero_radius_iterates_nothing(self, linear_model):
         # theta = 0 is the only policy at k = 0: no adjoint is solved (it would
@@ -214,7 +216,7 @@ class TestPicard:
         rep = picard_solve(linear_model, cfg)
         started = picard_solve(linear_model, cfg, initial_policy=constant_policy(0.3))
         assert rep.converged
-        assert rep.iterations == (PicardIteration(1, rep.final_cost.J, 1.0, 1.0),)
+        assert rep.iterations == (PicardIteration(1, rep.final_cost.J, 1.0),)
         assert rep.final_policy.digest() == zero_policy().digest()
         for a, b in ((rep.iterations, started.iterations),
                      (rep.converged, started.converged),
@@ -230,40 +232,41 @@ class TestPicard:
         rep = picard_solve(tanh_model, cfg)
         assert not rep.converged
         assert len(rep.iterations) == 1
-        # without convergence the last iterate is returned: undamped, that
-        # is the last target k sgn(P_hat) itself
+        # without convergence the last target k sgn(P_hat) is returned
         assert rep.final_policy.kind == "sign_of_regression"
         assert rep.final_rule.policy is rep.final_policy
 
-    def test_halving_when_agreement_drops(self, tanh_model, monkeypatch):
-        # the only damping left: a drop in sign agreement halves the step,
-        # and the iterate becomes a mixture of the last iterate and the target
+    def test_cycling_run_ends_at_max_iters(self, tanh_model, monkeypatch):
+        # each iterate is the previous target k sgn(P_hat), whatever the
+        # agreement does; the targets cycle t1, t1, t2 (+k everywhere, then +k
+        # before t = 0.5 and -k from there on), so no two consecutive
+        # agreements pass 1 - tol and the run ends unconverged at max_iters
         from ambifilter import minimax
-        k = tanh_model.k
-        t1 = time_table_policy([k] * 4, tanh_model.T, k)
-        t2 = time_table_policy([k, k, -k, -k], tanh_model.T, k)
-        targets = iter([t1, t1, t2])
-        monkeypatch.setattr(minimax, "sign_of_regression_policy",
-                            lambda tables, basis, kk, dt: next(targets))
-        rep = picard_solve(tanh_model, PicardConfig(
-            n_paths=100, n_particles=8, n_steps=8, seed=5, max_iters=3))
-        traj = [(it.sign_agreement, it.damping) for it in rep.iterations]
-        # t2 agrees with t1 on the 4 of 9 grid times before t = 0.5
-        assert traj == [(0.0, 1.0), (1.0, 1.0), (pytest.approx(4 / 9), 0.5)]
-        assert not rep.converged
-        assert rep.final_policy.kind == "mixture"
-        (w1, p1), (w2, p2) = rep.final_policy.payload["members"]
-        assert (w1, w2) == (0.5, 0.5) and p1 is t1 and p2 is t2
-        assert rep.final_rule.policy is rep.final_policy
+        signs = itertools.cycle([[1.0] * 9, [1.0] * 9, [1.0] * 4 + [-1.0] * 5])
+        targets, iterates = [], []
 
-    def test_zero_prune_returns_sign_rule(self, tanh_model):
-        # an undamped step takes the target itself, so no earlier iterate
-        # lingers at weight 0 when mixture_prune = 0 prunes nothing
+        def target(tables, basis, k, dt):   # constant surfaces, one per step
+            const = [FrozenRegression(np.eye(basis.n_features)[0] * s)
+                     for s in next(signs)]
+            targets.append(sign_of_regression_policy(const, basis, k, dt))
+            return targets[-1]
+
+        def adjoint(bundle, u, model, theta):
+            iterates.append(theta)
+            return solve_adjoint(bundle, u, model, theta)
+
+        monkeypatch.setattr(minimax, "sign_of_regression_policy", target)
+        monkeypatch.setattr(minimax, "solve_adjoint", adjoint)
         rep = picard_solve(tanh_model, PicardConfig(
-            n_paths=300, n_particles=32, n_steps=20, seed=34, max_iters=4,
-            tol=0.0, mixture_prune=0.0))
+            n_paths=100, n_particles=8, n_steps=8, seed=5, max_iters=5))
+        # t2 agrees with t1 on the 4 of 9 grid times before t = 0.5
+        assert [it.sign_agreement for it in rep.iterations] == [
+            0.0, 1.0, pytest.approx(4 / 9), pytest.approx(4 / 9), 1.0]
         assert not rep.converged
-        assert all(it.damping == 1.0 for it in rep.iterations)
+        assert iterates[0].digest() == zero_policy().digest()
+        assert len(iterates) == len(targets) == 5
+        assert all(it is tg for it, tg in zip(iterates[1:], targets))
+        assert rep.final_policy is targets[-1]
         assert rep.final_policy.kind == "sign_of_regression"
         assert rep.final_rule.policy is rep.final_policy
 
@@ -273,10 +276,7 @@ class TestPicard:
         for tol in (float("nan"), -0.01, 2.0, float("inf")):
             with pytest.raises(InvalidArgumentError, match="tol"):
                 PicardConfig(tol=tol)
-        for prune in (float("nan"), -1.0, float("inf")):
-            with pytest.raises(InvalidArgumentError, match="mixture_prune"):
-                PicardConfig(mixture_prune=prune)
-        PicardConfig(tol=0.0, mixture_prune=0.0)
+        PicardConfig(tol=0.0)
         PicardConfig(tol=1.0)
 
 

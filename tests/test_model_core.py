@@ -15,7 +15,7 @@ from ambifilter.features import FrozenRegression, RegressionBasis, fit_ridge
 from ambifilter.model import (ROLE_B, ROLE_W, ModelSpec, NoiseBundle,
                               build_time_grid, sample_noise, simulate_bundle,
                               substream, substream_keys)
-from ambifilter.policies import (constant_policy, mixture_policy,
+from ambifilter.policies import (POLICY_KINDS, constant_policy,
                                  sign_of_regression_policy, time_table_policy,
                                  zero_policy)
 from ambifilter.presets import make_coef
@@ -168,15 +168,21 @@ class TestSubstreamKeys:
 
     def test_one_path_per_job(self):
         # presets alone decide what a constant or affine coefficient is,
-        # Picard builds its target with sign_of_regression_policy, and a
-        # Kalman control rule is a test's own
+        # Picard builds its target with sign_of_regression_policy, a Kalman
+        # control rule is a test's own, and a policy is a time table or a
+        # sign rule; mixture_prune stays a PicardConfig field that nothing reads
         src = Path(model.__file__).parent
         assert ".name ==" not in (src / "filtering.py").read_text(encoding="utf-8")
         assert not re.search(r"\.params\b|\.name\s*[!=]=",
                              (src / "cli.py").read_text(encoding="utf-8"))
+        assert POLICY_KINDS == ("piecewise_table", "sign_of_regression")
         for path in sorted(src.glob("*.py")):
             text = path.read_text(encoding="utf-8")
-            assert not re.search(r"\bsign_policy\b|KalmanControlRule", text), path.name
+            assert not re.search(r"\bsign_policy\b|KalmanControlRule|mixture_policy",
+                                 text), path.name
+            prune = [line.strip() for line in text.splitlines() if "mixture_prune" in line]
+            assert prune == (["mixture_prune: float = 0.02"]
+                             if path.name == "minimax.py" else []), path.name
 
     def test_one_resampling_threshold(self):
         # the filter's resampling threshold is a filtering constant that no
@@ -349,13 +355,15 @@ def crn_families(m):
                                 n_steps=steps).per_path,)
 
     def fd_by_hand(noise):
-        # theta +/- eps*v as a mixture, the route gateaux_fd's one time table
-        # must reproduce bit for bit
+        # theta +/- eps*v as a time table built here, in the float order of
+        # the weighted sum 0.0 + 1.0 * theta + (s * eps) * v; gateaux_fd's
+        # own table must reproduce it bit for bit
+        c, vals = base.payload["values"][0], v.payload["values"]
         slopes = []
         for e in (0.1, 0.05):
             jp, jm = (bsde.weighted_cost_qtilde(
-                m, mixture_policy([(1.0, base), (s * e, v)], radius=k), n, particles,
-                seed, steps, noise=noise)[0] for s in (1.0, -1.0))
+                m, time_table_policy(0.0 + 1.0 * c + (s * e) * vals, T, radius=k),
+                n, particles, seed, steps, noise=noise)[0] for s in (1.0, -1.0))
             slopes.append((jp - jm) / (2.0 * e))
         w = 0.1 * 0.1 / (0.1 * 0.1 - 0.05 * 0.05)
         return (w * slopes[1] + (1.0 - w) * slopes[0],)
@@ -547,21 +555,13 @@ class TestDeterminismAndClamping:
         vals = pol.evaluate(0.3, np.array([x]))
         assert np.all(np.abs(vals) <= k + 1e-15)
 
-    @given(st.floats(0.01, 0.4), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
-    def test_mixture_clamped(self, k, a, b):
-        mix = mixture_policy([(0.7, constant_policy(a, radius=abs(a))),
-                              (0.6, constant_policy(b, radius=abs(b)))], radius=k)
-        vals = mix.evaluate(0.1, np.linspace(-2, 2, 9))
-        assert np.all(np.abs(vals) <= k + 1e-15)
-
     def test_table_clipped_when_built(self):
         pol = time_table_policy([0.5, -0.7], 1.0, 0.25)
         np.testing.assert_array_equal(pol.payload["values"], [0.25, -0.25])
         assert pol.digest() == time_table_policy([0.25, -0.25], 1.0, 0.25).digest()
-        # a mixture clips only its sum, so its members' values must be in range
-        mix = mixture_policy([(1.0, pol)], radius=1.0)
-        assert mix.evaluate(0.2, np.zeros(3)) == 0.25
-        assert mix.evaluate(0.7, np.zeros(3)) == -0.25
+        # evaluate clips nothing, so the stored values are what it returns
+        assert pol.evaluate(0.2, np.zeros(3)) == 0.25
+        assert pol.evaluate(0.7, np.zeros(3)) == -0.25
 
 
 def _sign_member(const):
@@ -573,27 +573,13 @@ def _sign_member(const):
 
 class TestPolicyEvaluation:
     def test_time_only_policy_is_one_float(self):
-        mix = mixture_policy([(0.5, constant_policy(0.2)),
-                              (0.5, time_table_policy([0.1, -0.1], 1.0, 0.1))],
-                             radius=0.25)
-        val = mix.evaluate(0.7, np.linspace(-1, 1, 5))
+        pol = time_table_policy([0.1, -0.1], 1.0, 0.1)
+        val = pol.evaluate(0.7, np.linspace(-1, 1, 5))
         assert np.ndim(val) == 0
-        assert val == 0.5 * 0.2 + 0.5 * -0.1
+        assert val == -0.1
         assert zero_policy().evaluate(0.3, np.ones(4)) == 0.0
-        assert not mix.needs_m
-
-    def test_mixture_adds_members_in_order(self):
-        members = [(0.3, zero_policy()), (0.4, _sign_member(0.2)),
-                   (0.3, _sign_member(-0.1))]
-        mix = mixture_policy(members, radius=0.25)
-        x, m = np.linspace(-1, 1, 12).reshape(3, 4), np.full((3, 4), 1.3)
-        val = mix.evaluate(0.35, x, m)
-        assert mix.needs_m
-        expected = 0.0
-        for w, pol in members:
-            expected = expected + w * pol.evaluate(0.35, x, m)
-        np.testing.assert_array_equal(val, np.clip(expected, -0.25, 0.25))
-        assert val.shape == x.shape
+        assert not pol.needs_m
+        assert _sign_member(0.2).needs_m
 
 
 class TestPolicyValidation:
@@ -615,13 +601,6 @@ class TestPolicyValidation:
         with pytest.raises(InvalidArgumentError):
             sign_of_regression_policy([tab] * n_tables, basis, 0.25, dt)
 
-    def test_mixture_pruned_to_zero_sum_rejected(self):
-        # was a ZeroDivisionError in the renormalization
-        members = [(0.5, constant_policy(0.1)), (-0.5, constant_policy(0.2)),
-                   (0.01, constant_policy(0.3))]
-        with pytest.raises(InvalidArgumentError, match="sum to 0"):
-            mixture_policy(members, 1.0, prune_below=0.02)
-
     @pytest.mark.parametrize("values, horizon", [
         ([], 1.0), ([0.1, np.nan], 1.0), ([np.inf], 1.0), ([0.1], 0.0),
         ([0.1], -1.0), ([0.1], np.nan),
@@ -633,16 +612,16 @@ class TestPolicyValidation:
     def test_digest_ignores_number_type(self):
         assert len({constant_policy(v).digest()
                     for v in (1, 1.0, np.float64(1.0))}) == 1
-        inner = mixture_policy([(0.5, constant_policy(0.2)), (0.5, zero_policy())],
-                               radius=0.25)
-        assert len({mixture_policy([(w, inner)], radius=0.25).digest()
-                    for w in (1, 1.0, np.float64(1.0))}) == 1
+        assert len({time_table_policy([0.2, 0], 1.0, r).digest()
+                    for r in (1, 1.0, np.float64(1.0))}) == 1
 
     def test_nan_radius_rejected(self):
         with pytest.raises(InvalidArgumentError):
             time_table_policy([0.1], 1.0, np.nan)
+        basis = RegressionBasis("poly_xm", 1)
         with pytest.raises(InvalidArgumentError):
-            mixture_policy([(1.0, zero_policy())], radius=np.nan)
+            sign_of_regression_policy([FrozenRegression(np.zeros(basis.n_features))],
+                                      basis, np.nan, 0.1)
 
 
 SMALL_FLOATS = st.floats(-1e100, 1e100)   # no product overflows
