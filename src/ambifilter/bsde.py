@@ -6,7 +6,7 @@ expectations projected on per-step polynomial features:
 * the worst-case value y of the running squared error, whose driver picks up
   k|z| from maximizing theta*z over |theta| <= k. The backward recursion is
 
-      z_t ~ E[y_{t+dt} dW / dt | F_t],
+      z_t ~ E[(y_{t+dt} - E[y_{t+dt} | F_t]) dW / dt | F_t],
       y_t = E[y_{t+dt} | F_t] + (|f(X_t) - u_t|^2 + k |z_t|) dt,   y_T = 0,
 
   so y_0 estimates the supremum of the cost over the ambiguity class. (The
@@ -16,15 +16,15 @@ expectations projected on per-step polynomial features:
 * the adjoint system (p, q) / (P, Q) of the weighted mean-field control
   problem, solved under the reference measure where the observation is a free
   Brownian motion. The P-driver is implemented in three variants that differ
-  in the (p, q) coupling terms; a finite-difference Gateaux check against the
-  simulated cost (gateaux_fd: central differences at one eps and eps / 2,
-  Richardson-extrapolated, on common random numbers) adjudicates between
-  them through the duality identity (gateaux_adjoint). Both report a
-  `CostReport`, the package's one Monte Carlo estimate.
+  in the (p, q) coupling terms; a finite-difference Gateaux derivative of the
+  simulated cost (gateaux_fd) adjudicates between them through the duality
+  identity (gateaux_adjoint). Both report a `CostReport`, the package's one
+  Monte Carlo estimate.
 
-Explicit scheme throughout: martingale coefficients are regressed first, the
-drivers are then evaluated at the regressed values. Each step factors its
-design once and projects every right-hand side on it.
+Explicit scheme throughout (Gobet, Lemor and Warin 2005): each step factors
+its design once (`features.fit_ridge`), one centred projection gives the
+continuation and the martingale coefficient of y, p and P alike, and the
+drivers are then evaluated at the regressed values.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalError, ShapeError
-from .features import FrozenRegression, RegressionBasis, check_basis_size, fit_ridge
+from .errors import IllConditionedBasisError, InvalidArgumentError, NumericalError, ShapeError
+from .features import RegressionBasis, RidgeProjection, fit_ridge
 from .filtering import run_filter_bank
 from .model import (ModelSpec, NoiseBundle, PathBundle, build_time_grid, sample_noise,
                     simulate_bundle)
@@ -51,7 +51,6 @@ ADJOINT_VARIANTS = ("eq_main", "eq_alt", "derived")
 # Salt of the nested filter clouds inside cost evaluations: any fixed value
 # but 0, the salt of every FilterRule's bank, so their draws stay distinct.
 NESTED_FILTER_SALT = 104729
-RIDGE_PER_PATH = 1e-8   # every regression step's ridge penalty is this * n_paths
 
 
 @dataclass(frozen=True)
@@ -77,56 +76,58 @@ class BsdeSolution:
 
 @dataclass(frozen=True)
 class AdjointSolution:
-    P_tables: tuple[FrozenRegression, ...]   # per step; Picard's sign rule reads them
+    P_tables: np.ndarray     # (n_steps + 1, n_features) weights; Picard's sign rule reads them
     basis: RegressionBasis
-    p_vals: np.ndarray                       # (n_paths, n_steps + 1) path values
+    p_vals: np.ndarray       # (n_paths, n_steps + 1) path values
     q_vals: np.ndarray
     P_vals: np.ndarray
     Q_vals: np.ndarray
 
 
-def _require_h1(model: ModelSpec, what: str) -> None:
+def _check_inputs(solver: str, paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
+                  measure: str, basis: RegressionBasis) -> None:
+    """The input contract of both backward solvers."""
     if not model.h1_compliant:
-        raise InvalidArgumentError(
-            f"{what} requires bounded h and f; a sloped linear or identity "
-            "preset is unbounded"
-        )
+        raise InvalidArgumentError(f"{solver} requires bounded h and f; a sloped linear "
+                                   "or identity preset is unbounded")
+    if paths.measure_tag != measure:
+        raise InvalidArgumentError(f"{solver} paths must be simulated under {measure}")
+    if np.shape(u_vals) != paths.X.shape:
+        raise ShapeError(f"{solver}: u_vals must align with the path arrays")
+    if basis.n_features > paths.X.shape[0] / 10:
+        raise IllConditionedBasisError(f"{solver}: basis has {basis.n_features} features for "
+                                       f"{paths.X.shape[0]} paths; need 10 paths per feature")
+
+
+def _centred_projection(proj: RidgeProjection, F: np.ndarray, y: np.ndarray,
+                        dN: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """E[y | F_t] and E[(y - E[y | F_t]) dN | F_t] / dt on one factored design.
+    Centring y leaves the second unchanged in expectation, but the level
+    variance it removes would feed a Jensen bias into the worst value's k|z|."""
+    cont = proj.fit(y).predict(F)
+    return cont, proj.fit((y - cont) * dN / dt).predict(F)
 
 
 def solve_worst_value(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
-                      basis: Optional[RegressionBasis] = None) -> BsdeSolution:
+                      basis: RegressionBasis = RegressionBasis("poly_xu", 3)) -> BsdeSolution:
     """Backward solve of the worst-case value on base-measure paths.
 
     `paths` must be simulated under P (unperturbed dynamics, full (W, B)
     noise); `u_vals` is the candidate control evaluated per path and grid
     time (a causal functional of the observation path).
     """
-    _require_h1(model, "solve_worst_value")
-    if paths.measure_tag != "P":
-        raise InvalidArgumentError("worst-case value paths must be simulated under P")
-    basis = basis or RegressionBasis(feature_map_id="poly_xu", degree=3)
+    _check_inputs("solve_worst_value", paths, u_vals, model, "P", basis)
     grid = paths.grid
     n, steps = paths.X.shape[0], grid.n_steps
-    if u_vals.shape != paths.X.shape:
-        raise ShapeError("u_vals must align with the path arrays")
-    check_basis_size(basis, n)
-    lam = RIDGE_PER_PATH * n
     dt = grid.dt
-    dW = paths.noise.dW
-    k = model.k
 
     y = np.zeros(n)
     for j in range(steps - 1, -1, -1):
         F = basis.design({"x": paths.X[:, j], "u": u_vals[:, j],
                           "m": paths.M[:, j]})
-        proj = fit_ridge(F, lam)
-        cont = proj.fit(y).predict(F)
-        # center y before the increment regression: same conditional
-        # expectation, but the removed level variance would otherwise feed a
-        # Jensen bias into y through k|z|
-        z = proj.fit((y - cont) * dW[:, j] / dt).predict(F)
+        cont, z = _centred_projection(fit_ridge(F), F, y, paths.noise.dW[:, j], dt)
         err = model.f.value(paths.X[:, j]) - u_vals[:, j]
-        y = cont + (err * err + k * np.abs(z)) * dt
+        y = cont + (err * err + model.k * np.abs(z)) * dt
     if not np.isfinite(y).all():
         raise NumericalError("worst-case value is not finite (the k|z| driver overflowed)")
     return BsdeSolution(y0=float(y.mean()))
@@ -148,7 +149,7 @@ def _adjoint_driver(variant: str, bprime, sprime, hprime, fprime, hval, fval,
 
 
 def solve_adjoint(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
-                  policy: DriftPolicy, basis: Optional[RegressionBasis] = None,
+                  policy: DriftPolicy, basis: RegressionBasis = RegressionBasis("poly_xm", 2),
                   variant: str = "derived") -> AdjointSolution:
     """Backward solve of the adjoint pair on reference-measure paths.
 
@@ -156,58 +157,44 @@ def solve_adjoint(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
     `u_vals` is the conditional-expectation ratio produced by the filter on
     each path. The p-equation driver is h q + (f - u)^2 / 2 in every variant.
     """
-    _require_h1(model, "solve_adjoint")
-    if paths.measure_tag != "Q_tilde":
-        raise InvalidArgumentError("adjoint paths must be simulated under Q_tilde")
     if variant not in ADJOINT_VARIANTS:
         raise InvalidArgumentError(f"unknown adjoint variant {variant!r}; "
                                    f"choose from {ADJOINT_VARIANTS}")
-    if u_vals is None:
-        raise InvalidArgumentError("u_vals (per-path filter values) are required")
-    if u_vals.shape != paths.X.shape:
-        raise ShapeError("u_vals must align with the path arrays")
-    basis = basis or RegressionBasis(feature_map_id="poly_xm", degree=2)
+    _check_inputs("solve_adjoint", paths, u_vals, model, "Q_tilde", basis)
     grid = paths.grid
     n, steps = paths.X.shape[0], grid.n_steps
-    check_basis_size(basis, n)
-    lam = RIDGE_PER_PATH * n
     dt = grid.dt
     dW = paths.noise.dW                       # W~ increments under Q_tilde
     dY = np.diff(paths.Y, axis=1)
 
     p = np.zeros(n)
     P = np.zeros(n)
-    P_tabs = [FrozenRegression(np.zeros(basis.n_features))] * (steps + 1)
-    p_vals = np.zeros((n, steps + 1))
-    q_vals = np.zeros((n, steps + 1))
-    P_vals = np.zeros((n, steps + 1))
-    Q_vals = np.zeros((n, steps + 1))
+    P_tabs = np.zeros((steps + 1, basis.n_features))
+    p_vals, q_vals, P_vals, Q_vals = np.zeros((4, n, steps + 1))
 
     for j in range(steps - 1, -1, -1):
         X, M, u = paths.X[:, j], paths.M[:, j], u_vals[:, j]
         F = basis.design({"x": X, "m": M, "u": u})
         theta = policy.evaluate(grid.times[j], X, M)
 
-        proj = fit_ridge(F, lam)
-        p_cont = proj.fit(p).predict(F)
-        q = proj.fit((p - p_cont) * dY[:, j] / dt).predict(F)
+        proj = fit_ridge(F)
+        p_cont, q = _centred_projection(proj, F, p, dY[:, j], dt)
         hval = model.h.value(X)
         fval = model.f.value(X)
         p = p_cont + (hval * q + 0.5 * (fval - u) ** 2) * dt
 
-        P_cont = proj.fit(P).predict(F)
-        Q = proj.fit((P - P_cont) * dW[:, j] / dt).predict(F)
+        P_cont, Q = _centred_projection(proj, F, P, dW[:, j], dt)
         drv = _adjoint_driver(variant, model.b.deriv(X), model.sigma.deriv(X),
                               model.h.deriv(X), model.f.deriv(X), hval, fval,
                               u, M, theta, P_cont, Q, p, q)
         P = P_cont + drv * dt
 
         # refit the time-t values so the stored surface includes the driver
-        P_tabs[j] = proj.fit(P)
+        P_tabs[j] = proj.fit(P).w
         p_vals[:, j], q_vals[:, j] = p, q
         P_vals[:, j], Q_vals[:, j] = P, Q
 
-    return AdjointSolution(P_tables=tuple(P_tabs), basis=basis,
+    return AdjointSolution(P_tables=P_tabs, basis=basis,
                            p_vals=p_vals, q_vals=q_vals, P_vals=P_vals,
                            Q_vals=Q_vals)
 

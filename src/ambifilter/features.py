@@ -3,7 +3,7 @@ solvers.
 
 Conditional expectations E[. | F_t] are approximated by projecting on
 monomials of the per-path state available at t. Feature maps are named so
-regression tables can be evaluated later (sign policies re-use them):
+fitted weights can be evaluated later (a sign rule's weight table):
 
     poly_xm   monomials in (X, M): the adjoint surface that sign rules read
     poly_xu   monomials in (X, u): the worst-case value
@@ -15,11 +15,12 @@ the plain mean, as it should be).
 
 One regression step is factored once: `fit_ridge` standardizes the design,
 reads its rank and condition number from its triangular factor R and builds
-the ridge Gram matrix, and every right-hand side of the step is then fitted
-with a k x k solve. A fitted regression is a weight vector on the raw
-monomial design: `fit_ridge` maps the standardized coefficients back (scale
-1/sd, intercept shift -mu/sd, zero weight for dropped columns), so `predict`
-is one `F @ w` and no consumer sees the standardization.
+the ridge Gram matrix (penalty `RIDGE_PER_PATH` times the row count), and
+every right-hand side of the step is then fitted with a k x k solve. A fitted
+regression is a weight vector on the raw monomial design: `fit_ridge` maps
+the standardized coefficients back (scale 1/sd, intercept shift -mu/sd, zero
+weight for dropped columns), so `predict` is one `F @ w` and no consumer sees
+the standardization.
 
 R comes from numpy QR calls of at most 8192 elements (`QR_BLOCK_ELEMENTS`):
 a taller design is cut into row blocks, each reduced to its R, and the stack
@@ -47,6 +48,7 @@ FEATURE_MAPS = {
 }
 
 COND_LIMIT = 1e12
+RIDGE_PER_PATH = 1e-8   # a design of n rows gets the ridge penalty RIDGE_PER_PATH * n
 
 # Largest LAPACK call of the rank/condition factorization, in elements. Each
 # Householder step of a QR applies one rank-1 update to the trailing
@@ -133,9 +135,9 @@ class RidgeProjection:
         return FrozenRegression(self.to_raw @ np.linalg.solve(self.gram, self.D.T @ y))
 
 
-def fit_ridge(F: np.ndarray, lam: float) -> RidgeProjection:
-    """Factor a standardized design for ridge fits of any number of
-    right-hand sides.
+def fit_ridge(F: np.ndarray) -> RidgeProjection:
+    """Factor a standardized n-row design for ridge fits of any number of
+    right-hand sides, with the penalty RIDGE_PER_PATH * n.
 
     Structural rank deficiency is expected (every path starts at the same
     point, so early-step monomials coincide exactly). |r_jj| of the
@@ -175,7 +177,7 @@ def fit_ridge(F: np.ndarray, lam: float) -> RidgeProjection:
         raise IllConditionedBasisError(
             f"design condition number {cond:.3e} exceeds {COND_LIMIT:.0e}"
         )
-    penalty = lam * np.eye(D.shape[1])
+    penalty = RIDGE_PER_PATH * n * np.eye(D.shape[1])
     penalty[0, 0] = 0.0  # never shrink the intercept
     gram = D.T @ D + penalty
     return RidgeProjection(D=D, gram=gram, to_raw=to_raw[:, keep])
@@ -192,12 +194,3 @@ def _triangular_r(D: np.ndarray) -> np.ndarray:
                        for i in range(0, D.shape[0], rows)])
     return np.linalg.qr(D, mode="r")
 
-
-def check_basis_size(basis: RegressionBasis, n_paths: int) -> None:
-    """Well-posedness guard: n_features <= n_paths / 10 (n_features >= 1, as
-    every basis has the constant monomial)."""
-    k = basis.n_features
-    if k > n_paths / 10:
-        raise IllConditionedBasisError(
-            f"basis has {k} features for {n_paths} paths; need n_paths >= 10 * n_features"
-        )

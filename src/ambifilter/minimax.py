@@ -96,6 +96,8 @@ class PicardConfig:
     mixture_prune: float = 0.02
 
     def __post_init__(self):
+        if self.n_paths < 2:   # a cost's standard error needs two paths
+            raise InvalidArgumentError("n_paths must be >= 2")
         if self.max_iters < 1:
             raise InvalidArgumentError("max_iters must be >= 1")
         if not 0.0 <= self.tol <= 1.0:

@@ -40,10 +40,10 @@ class LinearGaussianSpec:
     T: float
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise InvalidArgumentError("sigma must be >= 0")
-        if not self.T > 0:
-            raise InvalidArgumentError("T must be > 0")
+        if not (np.isfinite([self.a, self.sigma, self.c, self.x0, self.T]).all()
+                and self.sigma >= 0 and self.T > 0):
+            raise InvalidArgumentError("a, sigma, c, x0 and T must be finite, sigma >= 0 "
+                                       "and T > 0")
 
 
 def _riccati_rhs(spec: LinearGaussianSpec, R: float) -> float:
@@ -104,6 +104,8 @@ class FiniteSignalSpec:
         m = len(self.states)
         if Q.shape != (m, m):
             raise ShapeError("rate matrix must be square over the states")
+        if not all(np.isfinite(v).all() for v in (self.states, Q, self.h_values, self.f_values)):
+            raise InvalidArgumentError("states, rates, h and f values must be finite")
         off = Q - np.diag(np.diag(Q))
         if np.any(off < -1e-12):
             raise InvalidArgumentError("off-diagonal rates must be >= 0")
@@ -122,6 +124,8 @@ def make_finite_surrogate(model: ModelSpec, n_states: int, x_lo: float,
     for the drift wherever central rates would go negative."""
     if n_states < 2:
         raise InvalidArgumentError("need at least two states")
+    if not -np.inf < x_lo < x_hi < np.inf:
+        raise InvalidArgumentError(f"need finite x_lo < x_hi, got [{x_lo}, {x_hi}]")
     xs = np.linspace(x_lo, x_hi, n_states)
     dx = xs[1] - xs[0]
     Q = np.zeros((n_states, n_states))

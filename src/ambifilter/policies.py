@@ -4,8 +4,9 @@ Kinds:
     piecewise_table      theta from a table over equal time buckets; the
                          zero and constant policies are one-bucket tables
                          over an infinite horizon
-    sign_of_regression   theta = k * sgn(P_hat(t, X, M)) from per-step
-                         regression tables of the adjoint surface
+    sign_of_regression   theta = k * sgn(P_hat(t, X, M)) from one weight
+                         table of the adjoint surface: row j holds the
+                         monomial weights of grid time j
 
 A policy is in [-radius, radius] as built: a time table stores its values
 clipped, and a sign rule is k sgn(P_hat) with radius k and sgn(0) = 0 (values
@@ -25,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError, MissingFeatureError
-from .features import RegressionBasis, FrozenRegression
+from .features import RegressionBasis
 
 POLICY_KINDS = ("piecewise_table", "sign_of_regression")
 
@@ -62,7 +63,7 @@ class DriftPolicy:
             return vals[min(max(int(t / p["horizon"] * vals.size), 0), vals.size - 1)]
         j = min(max(int(round(t / p["dt"])), 0), len(p["tables"]) - 1)
         design = p["basis"].design({"x": x, "m": m})
-        surface = p["tables"][j].predict(design).reshape(np.shape(x))
+        surface = (design @ p["tables"][j]).reshape(np.shape(x))
         return p["k"] * np.sign(surface)
 
     def digest(self) -> str:
@@ -75,16 +76,12 @@ class DriftPolicy:
                         "payload": enc(obj.payload)}
             if isinstance(obj, dict):
                 return {k: enc(v) for k, v in sorted(obj.items())}
-            if isinstance(obj, (list, tuple)):
+            if isinstance(obj, np.ndarray):   # a table is one list per row
                 return [enc(v) for v in obj]
-            if isinstance(obj, np.ndarray):
-                return [repr(float(v)) for v in obj.ravel()]
-            if isinstance(obj, FrozenRegression):
-                return enc(obj.w)
             if isinstance(obj, RegressionBasis):
                 return [obj.feature_map_id, obj.degree]
-            if isinstance(obj, float):
-                return repr(obj)
+            if isinstance(obj, float):   # np.float64 too
+                return repr(float(obj))
             return obj
 
         return json.dumps(enc(self), sort_keys=True)
@@ -115,16 +112,20 @@ def constant_policy(value: float, radius: Optional[float] = None) -> DriftPolicy
     return time_table_policy([value], math.inf, abs(value) if radius is None else radius)
 
 
-def sign_of_regression_policy(tables: Sequence[FrozenRegression], basis: RegressionBasis,
+def sign_of_regression_policy(tables: np.ndarray, basis: RegressionBasis,
                               k: float, dt: float) -> DriftPolicy:
+    """k sgn(P_hat), where P_hat at grid time j is basis.design(x, m) @ tables[j]."""
     if "u" in basis.variables:
         raise InvalidArgumentError(
             f"feature map {basis.feature_map_id!r} reads the control u; a drift "
             "policy may only read X and M")
-    if not (tables := list(tables)):
-        raise InvalidArgumentError("a sign policy needs at least one regression table")
-    if not (math.isfinite(dt) and dt > 0):
-        raise InvalidArgumentError(f"sign policy dt must be finite and > 0, got {dt}")
+    tables = np.asarray(tables, dtype=float)
+    if not tables.size or tables.shape[1:] != (basis.n_features,):
+        raise InvalidArgumentError(f"a sign policy needs an (n_times, {basis.n_features}) "
+                                   f"weight table, got shape {tables.shape}")
+    if not (0 <= k < math.inf and 0 < dt < math.inf):
+        raise InvalidArgumentError(f"a sign policy needs finite k >= 0 and dt > 0, "
+                                   f"got k = {k}, dt = {dt}")
     return DriftPolicy(
         kind="sign_of_regression",
         payload={"tables": tables, "basis": basis, "k": float(k), "dt": float(dt)},

@@ -6,10 +6,10 @@ from scipy.linalg import qr
 
 from ambifilter.bsde import (gateaux_adjoint, gateaux_fd, solve_adjoint,
                              solve_worst_value, weighted_cost_qtilde)
-from ambifilter.errors import (IllConditionedBasisError, InvalidArgumentError)
+from ambifilter.errors import (IllConditionedBasisError, InvalidArgumentError,
+                               ShapeError)
 from ambifilter import features
-from ambifilter.features import (FrozenRegression, RegressionBasis, fit_ridge,
-                                 monomial_exponents)
+from ambifilter.features import RegressionBasis, fit_ridge, monomial_exponents
 from ambifilter.model import ModelSpec, simulate_bundle
 from ambifilter.policies import (constant_policy, sign_of_regression_policy,
                                  time_table_policy, zero_policy)
@@ -47,10 +47,10 @@ class TestFeatures:
         for u in (rng.normal(size=400), x):  # full rank; u = x drops columns
             F = basis.design({"x": x, "u": u})
             ys = (2.0 + 3.0 * x - x * x, np.sin(x) * u, rng.normal(size=400))
-            proj = fit_ridge(F, 1e-10)
+            proj = fit_ridge(F)
             shared = [proj.fit(y) for y in ys]
             for y, reg in zip(ys, shared):
-                fresh = fit_ridge(F, 1e-10).fit(y)
+                fresh = fit_ridge(F).fit(y)
                 assert np.array_equal(reg.w, fresh.w)
             # a target in the span of the kept columns is reproduced
             np.testing.assert_allclose(shared[0].predict(F), ys[0], atol=1e-6)
@@ -60,14 +60,15 @@ class TestFeatures:
         F = RegressionBasis("poly_xu", 3).design({"x": np.full(n, 0.8),
                                                    "u": np.zeros(n)})
         y = np.random.default_rng(4).normal(size=n)
-        reg = fit_ridge(F, 1e-6).fit(y)
+        reg = fit_ridge(F).fit(y)
         assert not reg.w[1:].any()
         np.testing.assert_allclose(reg.predict(F), y.mean(), rtol=1e-12)
 
     def test_raw_weights_match_standardized_solve(self):
         # column means far from 0: x ~ N(5, 1), so x^3 has mean ~ 140
         rng = np.random.default_rng(6)
-        n, lam = 2000, 1e-5
+        n = 2000
+        lam = features.RIDGE_PER_PATH * n   # the penalty fit_ridge applies
         x, u = rng.normal(5.0, 1.0, size=n), rng.normal(size=n)
         F = RegressionBasis("poly_xu", 3).design({"x": x, "u": u})
         y = np.sin(x) + u * x
@@ -76,7 +77,7 @@ class TestFeatures:
         penalty = lam * np.eye(D.shape[1])
         penalty[0, 0] = 0.0
         coef = np.linalg.solve(D.T @ D + penalty, D.T @ y)
-        np.testing.assert_allclose(fit_ridge(F, lam).fit(y).predict(F), D @ coef,
+        np.testing.assert_allclose(fit_ridge(F).fit(y).predict(F), D @ coef,
                                    rtol=1e-9)
 
     def test_condition_limit_read_from_r(self, monkeypatch):
@@ -92,10 +93,10 @@ class TestFeatures:
             well = basis.design({"x": x, "u": rng.normal(size=n)})
             monkeypatch.setattr(features, "COND_LIMIT", 0.99 * cond)
             with pytest.raises(IllConditionedBasisError):
-                fit_ridge(correlated, 1e-6)
-            fit_ridge(well, 1e-6)
+                fit_ridge(correlated)
+            fit_ridge(well)
             monkeypatch.setattr(features, "COND_LIMIT", 1.01 * cond)
-            fit_ridge(correlated, 1e-6)
+            fit_ridge(correlated)
 
     def test_factorization_calls_stay_below_block(self, monkeypatch):
         # above QR_BLOCK_ELEMENTS numpy's OpenBLAS wakes a worker thread
@@ -111,7 +112,7 @@ class TestFeatures:
                 (RegressionBasis("poly_xm", 2), {"x": x, "m": np.exp(rng.normal(size=2000))}),
                 (RegressionBasis("poly_xu", 3), {"x": x[:1000], "u": np.tanh(x[1000:])}),
                 (RegressionBasis("poly_xu", 2), {"x": x, "u": x})):  # rank deficient
-            fit_ridge(basis.design(values), 1e-5)
+            fit_ridge(basis.design(values))
         assert shapes
         assert all(r * c <= 8192 for r, c in shapes), shapes
 
@@ -127,10 +128,10 @@ class TestFeatures:
             cases.append(("u = x", x))
         for label, u in cases:
             F = basis.design({"x": x, "u": u})
-            blocked = fit_ridge(F, 1e-8 * n)
+            blocked = fit_ridge(F)
             with monkeypatch.context() as m:
                 m.setattr(features, "_triangular_r", lambda D: np.linalg.qr(D, mode="r"))
-                direct = fit_ridge(F, 1e-8 * n)
+                direct = fit_ridge(F)
             assert blocked.D.shape == direct.D.shape, label  # same rank
             assert np.array_equal(blocked.to_raw, direct.to_raw), label  # same columns
             assert np.array_equal(blocked.fit(y).w, direct.fit(y).w), label
@@ -143,7 +144,7 @@ class TestFeatures:
             else:
                 # of the equal columns the lowest index is kept: 1, u = x and
                 # u^2 = x^2, also with the rows, and so the blocks, reversed
-                reversed_rows = fit_ridge(F[::-1], 1e-8 * n)
+                reversed_rows = fit_ridge(F[::-1])
                 for proj in (blocked, direct, reversed_rows):
                     assert list(np.flatnonzero(proj.to_raw.any(axis=1))) == [0, 1, 3]
 
@@ -195,9 +196,9 @@ class TestFeatures:
             kept_ref, cond = reference(F)
             if cond > features.COND_LIMIT:
                 with pytest.raises(IllConditionedBasisError):
-                    fit_ridge(F, 1e-8 * n)
+                    fit_ridge(F)
             else:
-                proj = fit_ridge(F, 1e-8 * n)
+                proj = fit_ridge(F)
                 kept = [0] + [i for i in range(1, F.shape[1]) if proj.to_raw[i].any()]
                 assert len(kept) == proj.D.shape[1]
                 assert (sorted(labels[i] for i in kept)
@@ -300,6 +301,12 @@ class TestWorstValue:
         with pytest.raises(InvalidArgumentError):
             solve_worst_value(bundle, np.zeros_like(bundle.X), linear_model)
 
+    def test_rejects_missing_control(self, tanh_model, grid50):
+        # u_vals = None failed with a raw AttributeError on None.shape
+        bundle = p_paths(tanh_model, grid50, 400, 9)
+        with pytest.raises(ShapeError, match="solve_worst_value"):
+            solve_worst_value(bundle, None, tanh_model)
+
 
 class TestAdjoint:
     def test_constant_target_zero_adjoint(self, grid50):
@@ -339,6 +346,21 @@ class TestAdjoint:
         adj = solve_adjoint(bundle, u, tanh_model, zero_policy())
         assert np.all(adj.p_vals[:, -1] == 0.0)
         assert np.all(adj.P_vals[:, -1] == 0.0)
+
+    def test_P_tables_are_one_weight_array(self, tanh_model, grid50):
+        # row j holds the weights of P_hat at grid time j; the terminal row is 0
+        per, bundle, u = weighted_cost_qtilde(tanh_model, constant_policy(0.05), 300,
+                                              30, 15, grid50.n_steps)
+        basis = RegressionBasis("poly_xm", 2)
+        adj = solve_adjoint(bundle, u, tanh_model, constant_policy(0.05), basis)
+        assert isinstance(adj.P_tables, np.ndarray)
+        assert adj.P_tables.shape == (grid50.n_steps + 1, basis.n_features)
+        assert not adj.P_tables[-1].any()
+        assert adj.P_tables[:-1].any(axis=1).all()
+        for j in (0, 20, grid50.n_steps - 1):
+            F = basis.design({"x": bundle.X[:, j], "m": bundle.M[:, j]})
+            assert np.array_equal(F @ adj.P_tables[j],
+                                  fit_ridge(F).fit(adj.P_vals[:, j].copy()).predict(F))
 
     def test_unknown_variant(self, tanh_model, grid50):
         per, bundle, u = weighted_cost_qtilde(tanh_model, zero_policy(), 300,
@@ -382,8 +404,8 @@ class TestGateaux:
     def test_fd_needs_table_base_and_direction(self, tanh_model):
         # theta +/- eps*v is built as one time table, so the base must be a
         # one-value table and v a table
-        sign = sign_of_regression_policy([FrozenRegression(np.zeros(3))],
-                                         RegressionBasis("poly_xm", 1), 0.25, 0.2)
+        sign = sign_of_regression_policy(np.zeros((1, 3)), RegressionBasis("poly_xm", 1),
+                                         0.25, 0.2)
         table = time_table_policy([0.5, -0.5], 1.0, radius=np.inf)
         for base, v in ((sign, table), (constant_policy(0.05), sign),
                         (time_table_policy([0.05, 0.1], 1.0, 0.25), table)):

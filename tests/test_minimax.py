@@ -6,7 +6,7 @@ from dataclasses import replace
 
 from ambifilter.bsde import solve_adjoint
 from ambifilter.errors import InvalidArgumentError
-from ambifilter.features import FrozenRegression, RegressionBasis, fit_ridge
+from ambifilter.features import RegressionBasis, fit_ridge
 from ambifilter.minimax import (ConstantRule, ControlRule, FilterRule,
                                 PicardConfig, PicardIteration, PicardReport,
                                 clamp_control, evaluate_cost, minimax_gap,
@@ -86,8 +86,9 @@ class TestSignPolicy:
         basis = RegressionBasis("poly_xm", 1)
         n = 50
         F = basis.design({"x": np.linspace(-1, 1, n), "m": np.ones(n)})
-        tab = fit_ridge(F, 1e-6).fit(np.full(n, const))
-        return sign_of_regression_policy([tab] * (grid.n_steps + 1), basis, k, grid.dt)
+        tab = fit_ridge(F).fit(np.full(n, const))
+        return sign_of_regression_policy(np.tile(tab.w, (grid.n_steps + 1, 1)), basis, k,
+                                         grid.dt)
 
     def test_positive_surface(self, grid50):
         pol = self._sign_rule(2.5, grid50, 0.25)
@@ -246,8 +247,7 @@ class TestPicard:
         targets, iterates = [], []
 
         def target(tables, basis, k, dt):   # constant surfaces, one per step
-            const = [FrozenRegression(np.eye(basis.n_features)[0] * s)
-                     for s in next(signs)]
+            const = np.outer(next(signs), np.eye(basis.n_features)[0])
             targets.append(sign_of_regression_policy(const, basis, k, dt))
             return targets[-1]
 
@@ -278,6 +278,13 @@ class TestPicard:
                 PicardConfig(tol=tol)
         PicardConfig(tol=0.0)
         PicardConfig(tol=1.0)
+
+    @pytest.mark.parametrize("n_paths", [1, 0, -3])
+    def test_needs_two_paths(self, n_paths):
+        # one path gave se = nan at k = 0 and an IllConditionedBasisError,
+        # a numerical-failure class, at k > 0
+        with pytest.raises(InvalidArgumentError, match="n_paths"):
+            PicardConfig(n_paths=n_paths)
 
 
 class TestMinimaxGap:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import re
 import warnings
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from ambifilter import bsde, minimax, model, oracles
 from ambifilter.errors import InvalidArgumentError, MissingFeatureError, ShapeError
-from ambifilter.features import FrozenRegression, RegressionBasis, fit_ridge
+from ambifilter.features import RegressionBasis, fit_ridge
 from ambifilter.model import (ROLE_B, ROLE_W, ModelSpec, NoiseBundle,
                               build_time_grid, sample_noise, simulate_bundle,
                               substream, substream_keys)
@@ -170,8 +171,10 @@ class TestSubstreamKeys:
         # presets alone decide what a constant or affine coefficient is,
         # Picard builds its target with sign_of_regression_policy, a Kalman
         # control rule is a test's own, and a policy is a time table or a
-        # sign rule; mixture_prune stays a PicardConfig field that nothing reads
+        # sign rule; mixture_prune stays a PicardConfig field that nothing reads;
+        # fit_ridge alone decides the ridge penalty
         src = Path(model.__file__).parent
+        assert list(inspect.signature(fit_ridge).parameters) == ["F"]
         assert ".name ==" not in (src / "filtering.py").read_text(encoding="utf-8")
         assert not re.search(r"\.params\b|\.name\s*[!=]=",
                              (src / "cli.py").read_text(encoding="utf-8"))
@@ -183,6 +186,7 @@ class TestSubstreamKeys:
             prune = [line.strip() for line in text.splitlines() if "mixture_prune" in line]
             assert prune == (["mixture_prune: float = 0.02"]
                              if path.name == "minimax.py" else []), path.name
+            assert ("RIDGE_PER_PATH" in text) == (path.name == "features.py"), path.name
 
     def test_one_resampling_threshold(self):
         # the filter's resampling threshold is a filtering constant that no
@@ -403,8 +407,8 @@ class TestEvolveSignal:
         from ambifilter.policies import sign_of_regression_policy
         basis = RegressionBasis("poly_xm", 1)
         F = basis.design({"x": np.arange(30.0), "m": np.ones(30)})
-        tab = fit_ridge(F, 1e-6).fit(np.ones(30))
-        pol = sign_of_regression_policy([tab] * 11, basis, 0.25, 0.1)
+        tab = fit_ridge(F).fit(np.ones(30))
+        pol = sign_of_regression_policy(np.tile(tab.w, (11, 1)), basis, 0.25, 0.1)
         with pytest.raises(MissingFeatureError):
             pol.evaluate(0.0, np.full(3, tanh_model.x0))
 
@@ -567,8 +571,8 @@ class TestDeterminismAndClamping:
 def _sign_member(const):
     basis = RegressionBasis("poly_xm", 1)
     F = basis.design({"x": np.linspace(-1, 1, 30), "m": np.linspace(0.5, 2, 30)})
-    tab = fit_ridge(F, 1e-6).fit(const + np.linspace(-1, 1, 30))
-    return sign_of_regression_policy([tab] * 11, basis, 0.25, 0.1)
+    tab = fit_ridge(F).fit(const + np.linspace(-1, 1, 30))
+    return sign_of_regression_policy(np.tile(tab.w, (11, 1)), basis, 0.25, 0.1)
 
 
 class TestPolicyEvaluation:
@@ -586,9 +590,8 @@ class TestPolicyValidation:
     @pytest.mark.parametrize("feature_map", ["poly_xu"])
     def test_sign_policy_rejects_control_feature(self, feature_map):
         basis = RegressionBasis(feature_map, 1)
-        tab = FrozenRegression(np.zeros(basis.n_features))
         with pytest.raises(InvalidArgumentError):
-            sign_of_regression_policy([tab] * 3, basis, 0.25, 0.5)
+            sign_of_regression_policy(np.zeros((3, basis.n_features)), basis, 0.25, 0.5)
 
     @pytest.mark.parametrize("n_tables, dt", [
         (0, 0.5), (3, 0.0), (3, np.nan), (3, -0.1), (3, np.inf),
@@ -597,9 +600,8 @@ class TestPolicyValidation:
         # each failed only at evaluate (ZeroDivisionError, ValueError,
         # IndexError), or used table 0 for every t when dt < 0
         basis = RegressionBasis("poly_xm", 1)
-        tab = FrozenRegression(np.zeros(basis.n_features))
         with pytest.raises(InvalidArgumentError):
-            sign_of_regression_policy([tab] * n_tables, basis, 0.25, dt)
+            sign_of_regression_policy(np.zeros((n_tables, basis.n_features)), basis, 0.25, dt)
 
     @pytest.mark.parametrize("values, horizon", [
         ([], 1.0), ([0.1, np.nan], 1.0), ([np.inf], 1.0), ([0.1], 0.0),
@@ -615,13 +617,26 @@ class TestPolicyValidation:
         assert len({time_table_policy([0.2, 0], 1.0, r).digest()
                     for r in (1, 1.0, np.float64(1.0))}) == 1
 
+    @pytest.mark.parametrize("shape", [(0, 3), (11, 4), (11, 2), (3,), (2, 3, 3)])
+    def test_sign_policy_rejects_bad_table_shape(self, shape):
+        # a wrong width failed only at the first evaluate, inside a filter bank
+        basis = RegressionBasis("poly_xm", 1)   # 3 features
+        with pytest.raises(InvalidArgumentError, match="weight table"):
+            sign_of_regression_policy(np.zeros(shape), basis, 0.25, 0.1)
+
+    @pytest.mark.parametrize("k", [np.inf, -np.inf, -0.25])
+    def test_sign_policy_rejects_non_finite_k(self, k):
+        # k = inf gave inf * sgn(0) = NaN wherever P_hat = 0
+        basis = RegressionBasis("poly_xm", 1)
+        with pytest.raises(InvalidArgumentError):
+            sign_of_regression_policy(np.zeros((11, basis.n_features)), basis, k, 0.1)
+
     def test_nan_radius_rejected(self):
         with pytest.raises(InvalidArgumentError):
             time_table_policy([0.1], 1.0, np.nan)
         basis = RegressionBasis("poly_xm", 1)
         with pytest.raises(InvalidArgumentError):
-            sign_of_regression_policy([FrozenRegression(np.zeros(basis.n_features))],
-                                      basis, np.nan, 0.1)
+            sign_of_regression_policy(np.zeros((1, basis.n_features)), basis, np.nan, 0.1)
 
 
 SMALL_FLOATS = st.floats(-1e100, 1e100)   # no product overflows

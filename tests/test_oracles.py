@@ -17,6 +17,14 @@ from ambifilter.presets import make_coef
 
 
 class TestKalmanBucy:
+    @pytest.mark.parametrize("field", ["a", "sigma", "c", "x0", "T"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_spec_rejected(self, field, bad):
+        # kalman_bucy returned NaN means from such a spec with no error
+        args = {"a": 0.0, "sigma": 1.0, "c": 1.0, "x0": 0.0, "T": 1.0, field: bad}
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            LinearGaussianSpec(**args)
+
     def test_no_dynamics_no_information(self):
         spec = LinearGaussianSpec(a=0.0, sigma=0.0, c=0.0, x0=1.5, T=1.0)
         grid = build_time_grid(1.0, 40)
@@ -147,6 +155,26 @@ class TestFiniteSignal:
         with pytest.raises(InvalidArgumentError):
             FiniteSignalSpec(states=states, rate_matrix=Q,
                              h_values=np.zeros(3), f_values=states)
+
+    @pytest.mark.parametrize("field", ["states", "rate_matrix", "h_values", "f_values"])
+    def test_non_finite_spec_rejected(self, field):
+        # an all-NaN generator passed the sign and row-sum checks
+        states = np.linspace(0, 1, 3)
+        args = {"states": states, "rate_matrix": np.zeros((3, 3)),
+                "h_values": np.zeros(3), "f_values": states}
+        args[field] = np.full_like(args[field], np.nan)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            FiniteSignalSpec(**args)
+
+    @pytest.mark.parametrize("x_lo, x_hi", [
+        (0.8, 0.8), (2.3, -0.7), (0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)])
+    def test_surrogate_needs_finite_ordered_range(self, x_lo, x_hi):
+        # dx = 0 gave inf and NaN rates, an infinite end NaN states
+        model = ModelSpec(b=make_coef("tanh", 0.2), sigma=make_coef("constant", 0.5),
+                          h=make_coef("tanh", 1.0), f=make_coef("tanh", 1.0),
+                          x0=0.8, T=1.0, k=0.0)
+        with pytest.raises(InvalidArgumentError, match="x_lo < x_hi"):
+            make_finite_surrogate(model, 5, x_lo, x_hi)
 
 
 class TestGridSupCost:
