@@ -7,7 +7,7 @@ log-space with max-shift stabilization.
 
 Each particle also carries its own exponential-weight value along its
 ancestral line (log_m). It is not used by the filter itself; regression-based
-drift policies read it as the M state feature.
+drift policies read it as the M state feature, so only their banks track it.
 
 A bank of independent clouds (one per outer observation path) is the hot path
 of the whole package. Everything is vectorized over (cloud, particle) arrays;
@@ -21,10 +21,16 @@ exact finite-state recursion there checks the step the diffusion filter runs.
 
 A cloud resamples after a step whose effective sample size is below
 ESS_THRESHOLD * n_particles: a fixed part of the approximation, set by no caller.
+
+A bank allocates its cloud-sized step arrays once (the normals, the weight
+increment and the shifted weights, which double as scratch) and updates them
+in place, in the float order of the plain expressions, so outputs keep their bits.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,49 +71,59 @@ def systematic_indices(wn: np.ndarray, u0: float) -> np.ndarray:
     return idx
 
 
-def _reduce_and_resample(pos, logw, logm, w, hv, fv, mx, resample_u, ess_frac):
+def _reduce_and_resample(pos, logw, logm, w, hv, fv, mx, resample_u, ess_frac, buf):
     """Per-cloud filter estimates plus systematic resampling.
 
     Inputs per cloud (row): post-mutation positions, absolute log-weights
     with their finite row maximum mx and shifted weights w = exp(logw - mx),
-    sensor and target values at the positions. Estimates are taken before
-    any resampling. pos/logw/logm are mutated in place; returns
-    (u, pi_h, ess, logmass, flags).
+    sensor and target values at the positions; buf is cloud-sized scratch.
+    Estimates are taken before any resampling. pos/logw/logm (if tracked) are
+    mutated in place; returns (u, pi_h, ess, logmass, flags).
     """
     m, n = pos.shape
     sw = w.sum(axis=1)   # >= 1: the row maximum contributes exp(0)
     logmass = mx + np.log(sw)
-    u = (w * fv).sum(axis=1) / sw
-    pih = u if hv is fv else (w * hv).sum(axis=1) / sw
-    ess = sw * sw / (w * w).sum(axis=1)
+    u = np.multiply(w, fv, out=buf).sum(axis=1) / sw
+    pih = u if hv is fv else np.multiply(w, hv, out=buf).sum(axis=1) / sw
+    ess = sw * sw / np.multiply(w, w, out=buf).sum(axis=1)
 
     flags = np.zeros(m, dtype=np.uint8)
     logn = np.log(n)
     for r in np.nonzero(ess < ess_frac * n)[0]:
         idx = systematic_indices(w[r] / sw[r], resample_u[r])
         pos[r] = pos[r, idx]
-        logm[r] = logm[r, idx]
+        if logm is not None:
+            logm[r] = logm[r, idx]
         logw[r] = logmass[r] - logn
         flags[r] = 1
     return u, pih, ess, logmass, flags
 
 
+def _check_cloud(n_particles, dt) -> None:
+    """Reject a cloud size or step before any cloud is allocated."""
+    if not isinstance(n_particles, numbers.Integral) or n_particles < 2:
+        raise InvalidArgumentError(f"n_particles must be an integer >= 2, got {n_particles!r}")
+    if not 0 < dt < math.inf:   # NaN fails the comparison
+        raise InvalidArgumentError(f"dt must be finite and > 0, got {dt!r}")
+
+
 def run_clouds(mutate, start, n_particles: int, dY: np.ndarray, dt: float,
-               u0: float, pih0: float) -> BankResult:
+               u0: float, pih0: float, track_m: bool = False) -> BankResult:
     """The filter loop shared by every signal: one cloud per row of dY, its
     particles all at `start`, where f and h are u0 and pih0. Step j calls
     mutate(j, pos, logm), which moves the (n_paths, n_particles) states pos in
     place and returns h and f at the new states and one resampling offset per
-    cloud. The loop applies the exact exponential weight update with h at the
-    new states, then the fused estimate/resample pass; a cloud whose maximum
-    log-weight is not finite has no estimate and raises first."""
-    if n_particles < 2:
-        raise InvalidArgumentError("n_particles must be >= 2")
+    cloud; logm (log M) is None unless track_m. The loop applies the exact
+    exponential weight update with h at the new states, then the fused
+    estimate/resample pass; a cloud whose maximum log-weight is not finite
+    has no estimate and raises first."""
+    _check_cloud(n_particles, dt)
     (m, n_steps), n = dY.shape, n_particles
     pos = np.full((m, n), start)
     dY_cols = np.ascontiguousarray(dY.T)
     logw = np.full((m, n), -np.log(n))
-    logm = np.zeros((m, n))
+    logm = np.zeros((m, n)) if track_m else None
+    incr, w = np.empty((m, n)), np.empty((m, n))
 
     u = np.empty((m, n_steps + 1))
     pih = np.empty((m, n_steps + 1))
@@ -116,22 +132,25 @@ def run_clouds(mutate, start, n_particles: int, dY: np.ndarray, dt: float,
     log_mass = np.zeros((m, n_steps + 1))
     u[:, 0], pih[:, 0], ess[:, 0] = u0, pih0, n
 
-    # A step's arrays stay bound until the next step replaces them. Freeing
-    # them all at the end of each step let the allocator return the memory
-    # and fault it in again: 9x the minor page faults on the picard workload.
+    # The step's buffers live as long as the bank: freeing them each step let
+    # the allocator fault them in again, 9x the minor page faults on picard.
     for j in range(n_steps):
         hv, fv, resample_u = mutate(j, pos, logm)
-        incr = hv * dY_cols[j][:, None] - (0.5 * dt) * hv * hv
+        # hv dY - ((dt / 2) hv) hv; w is scratch here, and the spent incr in
+        # the reductions below
+        np.multiply(hv, dY_cols[j][:, None], out=incr)
+        incr -= np.multiply(np.multiply(hv, 0.5 * dt, out=w), hv, out=w)
         logw += incr
-        logm += incr
+        if logm is not None:
+            logm += incr
         mx = logw.max(axis=1)
         if not np.all(np.isfinite(mx)):
             raise DegenerateCloudError(
                 "total particle mass underflowed; all log-weights are -inf")
-        w = np.exp(logw - mx[:, None])
+        np.exp(np.subtract(logw, mx[:, None], out=w), out=w)
         (u[:, j + 1], pih[:, j + 1], ess[:, j + 1], log_mass[:, j + 1],
          flags[:, j + 1]) = _reduce_and_resample(pos, logw, logm, w, hv, fv, mx,
-                                                 resample_u, ESS_THRESHOLD)
+                                                 resample_u, ESS_THRESHOLD, incr)
     return BankResult(u=u, pi_h=pih, ess=ess, flags=flags, log_mass=log_mass)
 
 
@@ -151,24 +170,32 @@ def run_filter_bank(model: ModelSpec, policy: DriftPolicy, dY: np.ndarray,
         raise ShapeError("dY must have shape (n_paths, n_steps)")
     if not np.all(np.isfinite(dY)):
         raise DataError("observation increments must be finite")
+    _check_cloud(n_particles, dt)
     m, n = dY.shape[0], n_particles
     steps = np.arange(dY.shape[1])
     normal_keys = substream_keys(seed, ROLE_CLOUD_NORMAL, salt, steps)
     uniform_keys = substream_keys(seed, ROLE_CLOUD_UNIFORM, salt, steps)
     gen = np.random.Generator(np.random.Philox())
+    normals = np.empty((m, n))
 
     def mutate(j, pos, logm):
-        normals = rekey(gen, normal_keys[j]).standard_normal((m, n))
+        noise = rekey(gen, normal_keys[j]).standard_normal(out=normals)
         unif = rekey(gen, uniform_keys[j]).random(m)
-        theta = policy.evaluate(j * dt, pos, np.exp(logm) if policy.needs_m else None)
+        theta = policy.evaluate(j * dt, pos, None if logm is None else np.exp(logm))
         sig = model.sigma.value(pos)
-        pos += (model.b.value(pos) + sig * theta) * dt + (sig * np.sqrt(dt)) * normals
+        # pos += (b + sig theta) dt + (sig sqrt(dt)) normals, in that association
+        drift = model.b.value(pos) + sig * theta
+        drift *= dt
+        noise *= sig * np.sqrt(dt)
+        noise += drift
+        pos += noise
         hv = model.h.value(pos)
         fv = hv if model.f == model.h else model.f.value(pos)
         return hv, fv, unif
 
     return run_clouds(mutate, float(model.x0), n, dY, dt,
-                      float(model.f.value(model.x0)), float(model.h.value(model.x0)))
+                      float(model.f.value(model.x0)), float(model.h.value(model.x0)),
+                      track_m=policy.needs_m)
 
 
 def run_filter(model: ModelSpec, policy: DriftPolicy, Y: np.ndarray,

@@ -98,6 +98,10 @@ class PicardConfig:
     def __post_init__(self):
         if self.n_paths < 2:   # a cost's standard error needs two paths
             raise InvalidArgumentError("n_paths must be >= 2")
+        if self.n_particles < 2:
+            raise InvalidArgumentError("n_particles must be >= 2")
+        if self.n_steps < 1:
+            raise InvalidArgumentError("n_steps must be >= 1")
         if self.max_iters < 1:
             raise InvalidArgumentError("max_iters must be >= 1")
         if not 0.0 <= self.tol <= 1.0:

@@ -6,7 +6,8 @@ Kinds:
                          over an infinite horizon
     sign_of_regression   theta = k * sgn(P_hat(t, X, M)) from one weight
                          table of the adjoint surface: row j holds the
-                         monomial weights of grid time j
+                         monomial weights of grid time j; P_hat is
+                         evaluated by Horner, with no design matrix
 
 A policy is in [-radius, radius] as built: a time table stores its values
 clipped, and a sign rule is k sgn(P_hat) with radius k and sgn(0) = 0 (values
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError, MissingFeatureError
-from .features import RegressionBasis
+from .features import RegressionBasis, monomial_exponents
 
 POLICY_KINDS = ("piecewise_table", "sign_of_regression")
 
@@ -62,9 +63,7 @@ class DriftPolicy:
             vals = p["values"]
             return vals[min(max(int(t / p["horizon"] * vals.size), 0), vals.size - 1)]
         j = min(max(int(round(t / p["dt"])), 0), len(p["tables"]) - 1)
-        design = p["basis"].design({"x": x, "m": m})
-        surface = (design @ p["tables"][j]).reshape(np.shape(x))
-        return p["k"] * np.sign(surface)
+        return p["k"] * np.sign(_horner_xm(p["tables"][j], p["basis"].degree, x, m))
 
     def digest(self) -> str:
         return hashlib.sha256(self._canonical().encode()).hexdigest()[:16]
@@ -85,6 +84,24 @@ class DriftPolicy:
             return obj
 
         return json.dumps(enc(self), sort_keys=True)
+
+
+def _horner_xm(weights: np.ndarray, degree: int, x, m) -> np.ndarray:
+    """design(x, m) @ weights by nested Horner, x outer and m inner: no design
+    matrix and no BLAS call, and the same value up to rounding."""
+    c = np.zeros((degree + 1, degree + 1))   # c[i, j] weighs x**i m**j
+    c[tuple(np.array(monomial_exponents(2, degree)).T)] = weights
+    out = np.full(np.shape(x), c[degree, 0])
+    q = np.empty_like(out)
+    for i in range(degree - 1, -1, -1):
+        out *= x
+        np.multiply(m, c[i, degree - i], out=q)   # q = sum_j c[i, j] m**j
+        for j in range(degree - i - 1, 0, -1):
+            q += c[i, j]
+            q *= m
+        q += c[i, 0]
+        out += q
+    return out
 
 
 def time_table_policy(values: Sequence[float], horizon: float,

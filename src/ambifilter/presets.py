@@ -12,7 +12,8 @@ numeric parameters rather than arbitrary callables:
 Each preset knows its derivative, a sup-norm bound, its exact infimum over R
 (which the model checks sigma against), its affine form if it has one, and
 whether it satisfies the boundedness requirements needed by the solver
-modules. A constant value or
+modules. `tanh` and `sine` skip identity parameters and scale the fresh
+fn(...) in place, with the bits of a*fn(b*x + c) + d. A constant value or
 derivative is returned as a number, which broadcasts against any x array, so
 callers never ask which preset they hold. Unbounded presets
 (linear sensor, identity target) are permitted only for validation against
@@ -41,11 +42,19 @@ class CoefPreset:
         p = self.params
         if self.name == "constant":
             return p[0]
+        x = np.asarray(x, dtype=float)
         if self.name == "linear":
-            return p[0] + p[1] * np.asarray(x, dtype=float)
-        if self.name == "tanh":
-            return p[0] * np.tanh(p[1] * np.asarray(x) + p[2]) + p[3]
-        return p[0] * np.sin(p[1] * np.asarray(x) + p[2]) + p[3]
+            return p[0] + p[1] * x
+        a, b, c, d = p
+        y = x if b == 1.0 else b * x
+        # x + 0.0 turns -0.0 into +0.0; only a final + (-0.0) would show it
+        if c != 0.0 or (d == 0.0 and math.copysign(1.0, d) < 0):
+            y = y + c
+        y = (np.tanh if self.name == "tanh" else np.sin)(y)   # a fresh result
+        if a != 1.0:
+            y *= a
+        y += d
+        return y
 
     def deriv(self, x):
         """f'(x) on x; a constant or linear preset's slope is a number."""

@@ -12,7 +12,8 @@ from ambifilter.filtering import (_reduce_and_resample, innovation_path,
 from ambifilter.model import ModelSpec, build_time_grid, simulate_bundle
 from ambifilter.oracles import (FiniteSignalSpec, LinearGaussianSpec, kalman_bucy,
                                 particle_filter_on_surrogate)
-from ambifilter.policies import constant_policy, zero_policy
+from ambifilter.features import RegressionBasis
+from ambifilter.policies import constant_policy, sign_of_regression_policy, zero_policy
 from ambifilter.presets import make_coef
 
 from conftest import golden_noise
@@ -25,6 +26,13 @@ def model_of(b, sigma, h, f, x0=0.0, T=1.0, k=0.0):
     return ModelSpec(b=b, sigma=sigma, h=h, f=f, x0=x0, T=T, k=k)
 
 
+def bank_digest(r) -> str:
+    h = hashlib.sha256()
+    for a in (r.u, r.pi_h, r.ess, r.flags, r.log_mass):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 def reduce_cloud(pos, logw, ess_frac):
     """One cloud through the bank's estimate/resample pass, with f(x) = x.
     Returns (u, logmass, flag, positions, log-weights) after the pass."""
@@ -34,7 +42,7 @@ def reduce_cloud(pos, logw, ess_frac):
     w = np.exp(logw - mx[:, None])
     u, _, _, logmass, flags = _reduce_and_resample(
         pos, logw, np.zeros_like(pos), w, np.zeros_like(pos), pos.copy(), mx,
-        np.array([0.5]), ess_frac)
+        np.array([0.5]), ess_frac, np.empty_like(pos))
     return u[0], logmass[0], flags[0], pos[0], logw[0]
 
 
@@ -66,6 +74,18 @@ class TestInitCloud:
             with pytest.raises(InvalidArgumentError, match="n_particles"):
                 particle_filter_on_surrogate(spec, np.zeros(grid50.n_steps + 1),
                                              grid50, n, seed=1, x0=0.8)
+
+    @pytest.mark.parametrize("n_particles, dt, name", [
+        (2.5, 0.02, "n_particles"), (np.float64(8.0), 0.02, "n_particles"),
+        ("8", 0.02, "n_particles"), (8, float("nan"), "dt"), (8, -1.0, "dt"),
+        (8, 0.0, "dt"), (8, float("inf"), "dt"),
+    ])
+    def test_bad_scalars(self, tanh_model, n_particles, dt, name):
+        # checked before a cloud is allocated: 2.5 raised a raw TypeError and
+        # a NaN dt a raw ValueError; dt = -1 warned in sqrt and then reported
+        # a degenerate cloud, and dt = 0 ran silently
+        with pytest.raises(InvalidArgumentError, match=name):
+            run_filter_bank(tanh_model, zero_policy(), DY3, dt, n_particles, seed=1)
 
 
 class TestStepCloud:
@@ -237,11 +257,37 @@ class TestRunFilter:
         r = run_filter_bank(tanh_model, constant_policy(0.25), dY, g.dt, 16,
                             seed=2024, salt=3)
         assert r.flags[:, 1:].all()
-        h = hashlib.sha256()
-        for a in (r.u, r.pi_h, r.ess, r.flags, r.log_mass):
-            h.update(np.ascontiguousarray(a).tobytes())
-        assert h.hexdigest() == (
+        assert bank_digest(r) == (
             "64897ead9b674d2139df47d7720e571942f3814a04c65642d094571609de7766")
+
+    def test_golden_sign_rule_bank(self, tanh_model, monkeypatch):
+        # a sign rule reads M = exp(logm), and every step resamples logm
+        # with the positions, so both reach these bytes
+        monkeypatch.setattr(filtering, "ESS_THRESHOLD", 1.0)
+        g = build_time_grid(1.0, 6)
+        tables = (np.arange(42.0).reshape(7, 6) % 5 - 2) / 4
+        tables[:, 0] += 0.125
+        pol = sign_of_regression_policy(tables, RegressionBasis("poly_xm", 2), 0.25, g.dt)
+        r = run_filter_bank(tanh_model, pol, golden_noise()[1], g.dt, 16,
+                            seed=2024, salt=3)
+        assert r.flags[:, 1:].all()
+        assert bank_digest(r) == (
+            "9ac55e708f756415aac7cda5b4861bd8f96472c95e27cd750acc2c7c623973e7")
+
+    def test_golden_curved_coefficients(self, monkeypatch):
+        # no identity parameter anywhere: tanh sensor and target that differ,
+        # a sine drift and a state-dependent sigma
+        monkeypatch.setattr(filtering, "ESS_THRESHOLD", 1.0)
+        g = build_time_grid(1.0, 6)
+        m = ModelSpec(b=make_coef("sine", 0.3, 2.0, 0.5, -0.1),
+                      sigma=make_coef("sine", 0.1, 1.0, 0.0, 0.5),
+                      h=make_coef("tanh", 1.5, 0.7, -0.2, 0.3),
+                      f=make_coef("tanh", 2.0, -1.0, 0.25, -0.5), x0=0.3, T=1.0, k=0.25)
+        r = run_filter_bank(m, constant_policy(0.25), golden_noise()[1], g.dt, 16,
+                            seed=2024, salt=3)
+        assert r.flags[:, 1:].all()
+        assert bank_digest(r) == (
+            "b9d1d34bae434d1f9079cbd1effb865780a48879ed1d1252287d596b657affc9")
 
     @pytest.mark.parametrize("seed", [2.9, -1, float("nan")])
     def test_bad_seed(self, tanh_model, seed):

@@ -286,6 +286,15 @@ class TestPicard:
         with pytest.raises(InvalidArgumentError, match="n_paths"):
             PicardConfig(n_paths=n_paths)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_particles", 1), ("n_particles", 0), ("n_steps", 0), ("n_steps", -1),
+    ])
+    def test_bad_cloud_or_grid(self, field, value):
+        # each was accepted when the config was built, and failed only once
+        # picard_solve ran
+        with pytest.raises(InvalidArgumentError, match=field):
+            PicardConfig(**{field: value})
+
 
 class TestMinimaxGap:
     def test_singletons(self, tanh_model, grid50):

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ambifilter import bsde, minimax, model, oracles
+from ambifilter import bsde, minimax, model, oracles, policies
 from ambifilter.errors import InvalidArgumentError, MissingFeatureError, ShapeError
 from ambifilter.features import RegressionBasis, fit_ridge
 from ambifilter.model import (ROLE_B, ROLE_W, ModelSpec, NoiseBundle,
@@ -586,6 +586,37 @@ class TestPolicyEvaluation:
         assert _sign_member(0.2).needs_m
 
 
+HORNER_TABLE_DIGESTS = ["c81c9265096cfeed", "a5d673a897e8f2b8", "d4335f5ba0bcfb02",
+                         "3081204a520756c0", "582884bf35307734"]
+
+
+@pytest.mark.parametrize("degree", range(5))
+def test_sign_rule_evaluates_by_horner(degree, monkeypatch):
+    # P_hat moves from design @ w only at rounding level, so the sign agrees
+    # wherever |P_hat| clears that level; the digest encodes the weights,
+    # not the route
+    basis = RegressionBasis("poly_xm", degree)
+    tables = (np.arange(3.0 * basis.n_features).reshape(3, -1) % 5 - 2) / 4
+    pol = sign_of_regression_policy(tables, basis, 0.25, 0.1)
+    assert pol.digest() == HORNER_TABLE_DIGESTS[degree]
+    rng = np.random.default_rng(degree)
+    x, m = 2.0 * rng.standard_normal((200, 10)), rng.exponential(size=(200, 10))
+    F = basis.design({"x": x, "m": m})
+    calls = []
+    design = RegressionBasis.design
+    monkeypatch.setattr(RegressionBasis, "design",
+                        lambda self, values: calls.append(1) or design(self, values))
+    for j, w in enumerate(tables):
+        bound = (1e-13 * np.abs(F * w).sum(axis=1)).reshape(x.shape)
+        ref = (F @ w).reshape(x.shape)
+        p_hat = policies._horner_xm(w, degree, x, m)
+        assert np.all(np.abs(p_hat - ref) <= bound)
+        theta = pol.evaluate(j * 0.1, x, m)
+        clear = np.abs(p_hat) > bound
+        np.testing.assert_array_equal(theta[clear], 0.25 * np.sign(ref[clear]))
+    assert not calls
+
+
 class TestPolicyValidation:
     @pytest.mark.parametrize("feature_map", ["poly_xu"])
     def test_sign_policy_rejects_control_feature(self, feature_map):
@@ -640,6 +671,9 @@ class TestPolicyValidation:
 
 
 SMALL_FLOATS = st.floats(-1e100, 1e100)   # no product overflows
+CURVED_PARAMS = st.one_of(st.sampled_from([1.0, 0.0, -0.0]), SMALL_FLOATS)
+EDGE_XS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf]),
+                    SMALL_FLOATS)
 
 
 class TestCoefPresetValues:
@@ -659,6 +693,24 @@ class TestCoefPresetValues:
             assert (got + x).tobytes() == (old + x).tobytes()
         assert isinstance(lin.value(0.5), np.floating)
         assert lin.value(0.5) == c + slope * 0.5
+
+    @given(name=st.sampled_from(["tanh", "sine"]),
+           params=st.tuples(CURVED_PARAMS, CURVED_PARAMS, CURVED_PARAMS, CURVED_PARAMS),
+           x=st.one_of(EDGE_XS, hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=4),
+                                           elements=EDGE_XS)))
+    @example(name="tanh", params=(1.0, 1.0, 0.0, -0.0), x=np.array([-0.0, 0.0]))
+    @example(name="sine", params=(-0.0, 1.0, 0.0, -0.0), x=-0.0)
+    def test_curved_value_bit_for_bit(self, name, params, x):
+        # identity parameters are skipped, -0.0 and infinities included, and
+        # the argument is never written
+        a, b, c, d = params
+        fn = np.tanh if name == "tanh" else np.sin
+        before = np.array(x, copy=True)
+        with np.errstate(all="ignore"):   # sin(inf), inf * 0
+            want = a * fn(b * np.asarray(x) + c) + d
+            got = make_coef(name, *params).value(x)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.asarray(x).tobytes() == before.tobytes()
 
 
 class TestModelSpecValidation:
