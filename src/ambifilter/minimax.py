@@ -10,6 +10,7 @@ the robustness experiment.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,6 +23,11 @@ from .model import (ROLE_PROBE, ModelSpec, NoiseBundle, PathBundle, TimeGrid,
                     build_time_grid, sample_noise, simulate_bundle, substream)
 from .policies import (DriftPolicy, sign_of_regression_policy, time_table_policy,
                        zero_policy)
+
+
+# the saddle check's families: adversaries against u*, shifts of u* against theta*
+N_POLICY_PROBES = 10
+CONTROL_SHIFTS = (0.05, -0.05, 0.1, -0.1)
 
 
 def clamp_control(u_values: np.ndarray, f_sup: float) -> np.ndarray:
@@ -96,14 +102,11 @@ class PicardConfig:
     mixture_prune: float = 0.02
 
     def __post_init__(self):
-        if self.n_paths < 2:   # a cost's standard error needs two paths
-            raise InvalidArgumentError("n_paths must be >= 2")
-        if self.n_particles < 2:
-            raise InvalidArgumentError("n_particles must be >= 2")
-        if self.n_steps < 1:
-            raise InvalidArgumentError("n_steps must be >= 1")
-        if self.max_iters < 1:
-            raise InvalidArgumentError("max_iters must be >= 1")
+        for name, lo in (("n_paths", 2), ("n_particles", 2),   # an SE needs two paths
+                         ("n_steps", 1), ("max_iters", 1)):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or v < lo:
+                raise InvalidArgumentError(f"{name} must be an integer >= {lo}, got {v!r}")
         if not 0.0 <= self.tol <= 1.0:
             raise InvalidArgumentError("tol must be in [0, 1]")
 
@@ -121,7 +124,9 @@ class PicardReport:
     converged: bool
     final_policy: DriftPolicy
     final_rule: FilterRule
-    final_cost: CostReport
+    final_cost: CostReport               # J(u*, theta*) on the run's own sample
+    shift_costs: tuple[CostReport, ...]  # J(clip(u* + d), theta*), d in CONTROL_SHIFTS
+    config: PicardConfig                 # names that sample
 
 
 def _sign_field(policy: DriftPolicy, bundle, times: np.ndarray) -> np.ndarray:
@@ -143,8 +148,9 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
     Each iterate is the previous iteration's target k sgn(P_hat), and the
     agreement compares the signs of the iterate and of its target. The run
     returns the last target, converged or not: a run that cycles ends at
-    max_iters (reported, not raised). All iterations and the final cost share
-    one noise draw.
+    max_iters (reported, not raised). All iterations and the final pass share
+    one noise draw. The final pass simulates theta*'s Q paths once and costs
+    u* and its clamped CONTROL_SHIFTS on them.
     """
     k = model.k
     grid = build_time_grid(model.T, config.n_steps)
@@ -175,12 +181,17 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
         prev_agree = agree
 
     rule = FilterRule(theta, config.n_particles, config.seed)
-    cost = evaluate_cost(model, rule, theta, config.n_paths, config.seed, grid,
-                         noise=noise)
+    bundle = simulate_bundle(model, theta, grid, config.n_paths, config.seed,
+                             measure="Q", noise=noise)
+    u_star = rule.evaluate(model, grid, bundle.Y)
+    cost = _cost_report(model, bundle, u_star)
+    shifts = tuple(_cost_report(model, bundle, clamp_control(u_star + d, model.f_sup))
+                   for d in CONTROL_SHIFTS)
     if n_iters == 0:
         iters.append(PicardIteration(1, cost.J, 1.0))
     return PicardReport(iterations=tuple(iters), converged=converged,
-                        final_policy=theta, final_rule=rule, final_cost=cost)
+                        final_policy=theta, final_rule=rule, final_cost=cost,
+                        shift_costs=shifts, config=config)
 
 
 @dataclass(frozen=True)
@@ -239,28 +250,20 @@ def random_probe_policies(k: float, horizon: float, n_probes: int,
             for _ in range(n_probes)]
 
 
-def saddle_probes(model: ModelSpec, report: PicardReport, n_policy_probes: int,
-                  deltas: Sequence[float], n_paths: int, seed: int,
-                  n_steps: int = 50) -> list[SaddleProbe]:
+def saddle_probes(model: ModelSpec, report: PicardReport) -> list[SaddleProbe]:
     """Cost probes around the computed pair (u*, theta*): random admissible
-    adversaries against u*, and clamped constant shifts of u* against
-    theta*. Common random numbers throughout, so paired differences against
-    the saddle cost are meaningful. The paths under theta* and the control
-    u* on them are computed once and shared by the saddle row and every
-    control shift."""
-    grid = build_time_grid(model.T, n_steps)
-    noise = sample_noise(grid, n_paths, seed)
-    bundle = simulate_bundle(model, report.final_policy, grid, n_paths, seed,
-                             measure="Q", noise=noise)
-    u_star = report.final_rule.evaluate(model, grid, bundle.Y)
-    out = [SaddleProbe("saddle", "ustar_thetastar", _cost_report(model, bundle, u_star))]
-    for i, pol in enumerate(random_probe_policies(model.k, model.T,
-                                                  n_policy_probes, seed)):
+    adversaries against u*, costed on the Picard run's noise, then the
+    report's clamped constant shifts of u* against theta*. Every paired
+    difference against the saddle row uses common random numbers."""
+    cfg = report.config
+    grid = build_time_grid(model.T, cfg.n_steps)
+    noise = sample_noise(grid, cfg.n_paths, cfg.seed)
+    out = [SaddleProbe("saddle", "ustar_thetastar", report.final_cost)]
+    for i, pol in enumerate(random_probe_policies(model.k, model.T, N_POLICY_PROBES,
+                                                  cfg.seed)):
         out.append(SaddleProbe("policy_probe", f"theta_{i}",
                                evaluate_cost(model, report.final_rule, pol,
-                                             n_paths, seed, grid, noise=noise)))
-    for d in deltas:
-        shifted = clamp_control(u_star + d, model.f_sup)
-        out.append(SaddleProbe("control_shift", f"delta_{d:+g}",
-                               _cost_report(model, bundle, shifted)))
+                                             cfg.n_paths, cfg.seed, grid, noise=noise)))
+    out += [SaddleProbe("control_shift", f"delta_{d:+g}", c)
+            for d, c in zip(CONTROL_SHIFTS, report.shift_costs)]
     return out

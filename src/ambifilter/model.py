@@ -259,16 +259,16 @@ def simulate_bundle(model: ModelSpec, policy: DriftPolicy, grid: TimeGrid,
     dt = grid.dt
     X = np.empty((n, grid.n_steps + 1))
     Y = np.empty_like(X)
-    logM = np.zeros_like(X)
+    M = np.empty_like(X)
     logL = np.zeros_like(X)
     X[:, 0] = model.x0
     Y[:, 0] = 0.0
+    M[:, 0] = 1.0
+    logm = np.zeros(n)        # log M at the current step
     perturbed = measure in ("Q", "Q_tilde")
-    needs_m = policy.needs_m
     for j in range(grid.n_steps):
         xj = X[:, j]
-        theta = policy.evaluate(grid.times[j], xj,
-                                np.exp(logM[:, j]) if needs_m else None)
+        theta = policy.evaluate(grid.times[j], xj, M[:, j])
         sig = model.sigma.value(xj)
         hj = model.h.value(xj)
         drift = model.b.value(xj) + (sig * theta if perturbed else 0.0)
@@ -278,13 +278,13 @@ def simulate_bundle(model: ModelSpec, policy: DriftPolicy, grid: TimeGrid,
         else:
             dY = hj * dt + noise.dB[:, j]
         Y[:, j + 1] = Y[:, j] + dY
-        logM[:, j + 1] = logM[:, j] + hj * dY - 0.5 * hj * hj * dt
+        logm = logm + hj * dY - 0.5 * hj * hj * dt
+        M[:, j + 1] = np.exp(logm)
         if perturbed:
             # dW = dW~ + theta dt, so log Lambda gains theta dW~ + theta^2 dt / 2
             logL[:, j + 1] = logL[:, j] + theta * noise.dW[:, j] + 0.5 * theta * theta * dt
         else:
             logL[:, j + 1] = logL[:, j] + theta * noise.dW[:, j] - 0.5 * theta * theta * dt
-    M = np.exp(logM)
     if not (np.isfinite(X).all() and np.isfinite(Y).all() and np.isfinite(M).all()):
         raise NumericalError("simulated paths are not finite (signal, observation "
                              "or weight overflowed)")

@@ -14,6 +14,7 @@ the forward cost, which `evaluate_cost` alone computes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -230,14 +231,13 @@ def sign_pattern_family(k: float, n_buckets: int, horizon: float) -> list[DriftP
     """All piecewise-constant-in-time policies over n_buckets equal buckets
     with values in {-k, 0, +k}; the worst-case drift is bang-bang, so sign
     patterns are the natural brute-force family."""
+    if n_buckets < 1:
+        raise InvalidArgumentError(f"n_buckets must be >= 1, got {n_buckets}")
     if k == 0.0:
         return [zero_policy()]
     vals = [k * lv for lv in (-1.0, 0.0, 1.0)]
-    fams: list[DriftPolicy] = []
-    idx = np.indices([len(vals)] * n_buckets).reshape(n_buckets, -1).T
-    for pattern in idx:
-        fams.append(time_table_policy([vals[i] for i in pattern], horizon, radius=k))
-    return fams
+    return [time_table_policy(list(pattern), horizon, radius=k)
+            for pattern in itertools.product(vals, repeat=n_buckets)]
 
 
 def grid_sup_cost(model: ModelSpec, u_rule: ControlRule,

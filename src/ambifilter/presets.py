@@ -37,6 +37,10 @@ class CoefPreset:
     name: str
     params: tuple[float, ...]
 
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in self.params):
+            raise InvalidArgumentError(f"{self.name} parameters must be finite: {self.params}")
+
     def value(self, x):
         """f(x) on x; a constant preset returns its number, which broadcasts."""
         p = self.params
@@ -90,11 +94,8 @@ class CoefPreset:
 
     @property
     def inf(self) -> float:
-        """Exact infimum over all of R; -inf for a sloped linear preset and
-        NaN when a parameter is NaN."""
+        """Exact infimum over all of R; -inf for a sloped linear preset."""
         p = self.params
-        if any(math.isnan(v) for v in p):
-            return math.nan
         if self.affine is not None:
             return self.affine[0] if self.bounded else -math.inf
         if p[1] == 0.0:  # no dependence on x

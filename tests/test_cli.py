@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ambifilter import cli
+from ambifilter import bsde, cli, minimax
 from ambifilter.cli import ExperimentConfig, load_config, main, run_subcommand
 from ambifilter.errors import ConfigError, DegenerateCloudError, InvalidArgumentError
 from ambifilter.minimax import PicardConfig
@@ -345,6 +345,19 @@ class TestSubcommands:
         assert lines[0] == "iter,J,sign_agreement"
         saddle = (tmp_path / "pc" / "saddle.csv").read_text().splitlines()
         assert saddle[0] == "probe_kind,probe_id,J,se"
+
+    def test_picard_filters_each_sample_once(self, tanh_conf, tmp_path, monkeypatch):
+        # one bank per iteration, one on theta*'s paths for the saddle row and
+        # every control shift, and one per policy probe
+        banks = []
+        for mod in (bsde, minimax):
+            def counting(*args, _bank=mod.run_filter_bank, **kwargs):
+                banks.append(args[1])
+                return _bank(*args, **kwargs)
+            monkeypatch.setattr(mod, "run_filter_bank", counting)
+        m = run_subcommand("picard", load_config(tanh_conf), run_dir=tmp_path / "pc")
+        assert m.extras["iterations"] >= 2
+        assert len(banks) == m.extras["iterations"] + 1 + minimax.N_POLICY_PROBES
 
     def test_minimax_gap_weak_duality(self, tanh_conf, tmp_path):
         cfg = load_config(tanh_conf)

@@ -7,8 +7,9 @@ from dataclasses import replace
 from ambifilter.bsde import solve_adjoint
 from ambifilter.errors import InvalidArgumentError
 from ambifilter.features import RegressionBasis, fit_ridge
-from ambifilter.minimax import (ConstantRule, ControlRule, FilterRule,
-                                PicardConfig, PicardIteration, PicardReport,
+from ambifilter import minimax
+from ambifilter.minimax import (CONTROL_SHIFTS, N_POLICY_PROBES, ConstantRule,
+                                ControlRule, FilterRule, PicardConfig, PicardIteration,
                                 clamp_control, evaluate_cost, minimax_gap,
                                 picard_solve, saddle_probes)
 from ambifilter.model import ModelSpec, build_time_grid, simulate_bundle
@@ -242,7 +243,6 @@ class TestPicard:
         # agreement does; the targets cycle t1, t1, t2 (+k everywhere, then +k
         # before t = 0.5 and -k from there on), so no two consecutive
         # agreements pass 1 - tol and the run ends unconverged at max_iters
-        from ambifilter import minimax
         signs = itertools.cycle([[1.0] * 9, [1.0] * 9, [1.0] * 4 + [-1.0] * 5])
         targets, iterates = [], []
 
@@ -295,6 +295,16 @@ class TestPicard:
         with pytest.raises(InvalidArgumentError, match=field):
             PicardConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_paths", 20.5), ("n_particles", 16.5), ("n_steps", 4.5), ("max_iters", 2.5),
+        ("n_paths", 20.0), ("max_iters", "3"),
+    ])
+    def test_non_integral_counts_rejected(self, field, value):
+        # numpy or range() raised a TypeError for these once picard_solve ran
+        with pytest.raises(InvalidArgumentError, match=field):
+            PicardConfig(**{field: value})
+        PicardConfig(**{field: np.int64(20)})
+
 
 class TestMinimaxGap:
     def test_singletons(self, tanh_model, grid50):
@@ -320,7 +330,6 @@ class TestMinimaxGap:
         assert rep.J.shape == (3, 4)
 
     def test_policy_major_cells_match_evaluate_cost(self, tanh_model, monkeypatch):
-        from ambifilter import minimax
         k, T = tanh_model.k, tanh_model.T
         grid = build_time_grid(T, 20)
         rules = [FilterRule(zero_policy(), n_particles=32, seed=44), ConstantRule(0.3)]
@@ -347,17 +356,35 @@ class TestMinimaxGap:
 
 
 class TestSaddleProbes:
-    def test_control_shift_costs_clamped_control(self, tanh_model):
-        theta = constant_policy(0.2)
-        report = PicardReport(iterations=(), converged=True, final_policy=theta,
-                              final_rule=ConstantRule(0.9), final_cost=None)
-        probes = saddle_probes(tanh_model, report, n_policy_probes=0,
-                               deltas=(0.5, -0.3), n_paths=40, seed=3, n_steps=10)
-        assert [p.kind for p in probes] == ["saddle", "control_shift", "control_shift"]
-        grid = build_time_grid(tanh_model.T, 10)
-        bundle = simulate_bundle(tanh_model, theta, grid, 40, 3, measure="Q")
-        fx = tanh_model.f.value(bundle.X[:, :-1])
-        # 0.9 + 0.5 is clamped to f_sup = 1; 0.9 - 0.3 is interior
-        for probe, u in zip(probes, (0.9, tanh_model.f_sup, 0.9 - 0.3)):
-            expected = ((fx - u) ** 2).sum(axis=1) * grid.dt
+    def test_control_shift_costs_clamped_control(self, tanh_model, monkeypatch):
+        # at f_sup = 0.06 and x0 = 0 the 0.05 shifts are clamped on a few
+        # percent of theta*'s path steps and the 0.1 shifts on nearly all
+        m = replace(tanh_model, f=make_coef("tanh", 0.06), x0=0.0)
+        cfg = PicardConfig(n_paths=60, n_particles=32, n_steps=10, seed=3, max_iters=3)
+        rep = picard_solve(m, cfg)
+        simulated = []
+
+        def recording(model, policy, *args, **kwargs):
+            simulated.append(policy)
+            return simulate_bundle(model, policy, *args, **kwargs)
+
+        monkeypatch.setattr(minimax, "simulate_bundle", recording)
+        probes = saddle_probes(m, rep)
+        # theta*'s paths are not simulated again: only the adversaries' are
+        assert len(simulated) == N_POLICY_PROBES
+        assert all(pol is not rep.final_policy for pol in simulated)
+        assert [p.kind for p in probes] == (["saddle"] + ["policy_probe"] * N_POLICY_PROBES
+                                            + ["control_shift"] * len(CONTROL_SHIFTS))
+        assert probes[0].report is rep.final_cost
+
+        grid = build_time_grid(m.T, 10)
+        bundle = simulate_bundle(m, rep.final_policy, grid, 60, 3, measure="Q")
+        u = rep.final_rule.evaluate(m, grid, bundle.Y)[:, :-1]
+        fx = m.f.value(bundle.X[:, :-1])
+        np.testing.assert_array_equal(rep.final_cost.per_path,
+                                      ((fx - u) ** 2).sum(axis=1) * grid.dt)
+        for probe, d in zip(probes[-len(CONTROL_SHIFTS):], CONTROL_SHIFTS):
+            assert probe.probe_id == f"delta_{d:+g}"
+            assert (np.abs(u + d) > m.f_sup).any()
+            expected = ((fx - np.clip(u + d, -m.f_sup, m.f_sup)) ** 2).sum(axis=1) * grid.dt
             np.testing.assert_array_equal(probe.report.per_path, expected)

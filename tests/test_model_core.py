@@ -19,7 +19,7 @@ from ambifilter.model import (ROLE_B, ROLE_W, ModelSpec, NoiseBundle,
 from ambifilter.policies import (POLICY_KINDS, constant_policy,
                                  sign_of_regression_policy, time_table_policy,
                                  zero_policy)
-from ambifilter.presets import make_coef
+from ambifilter.presets import CoefPreset, make_coef
 
 from conftest import golden_noise, mc_se
 
@@ -334,24 +334,18 @@ def crn_families(m):
     def gap_by_hand(noise):
         return (np.array([[cost(r, p, noise).J for p in policies] for r in rules]),)
 
-    star = minimax.PicardReport(iterations=(), converged=True,
-                                final_policy=constant_policy(0.2), final_rule=rule,
-                                final_cost=None)
+    # solved before the draws are counted; the saddle and shift rows are its
+    # own, and the adversaries are costed on the noise the probes draw
+    star = minimax.picard_solve(m, dataclasses.replace(config, max_iters=1))
 
     def probes():
-        out = minimax.saddle_probes(m, star, n_policy_probes=2, deltas=(0.1,),
-                                    n_paths=n, seed=seed, n_steps=steps)
-        return tuple(p.report.per_path for p in out)
+        return tuple(p.report.per_path for p in minimax.saddle_probes(m, star))
 
     def probes_by_hand(noise):
-        probe_pols = minimax.random_probe_policies(k, T, 2, seed)
-        bundle = simulate_bundle(m, star.final_policy, grid, n, seed, measure="Q",
-                                 noise=noise)
-        shifted = minimax.clamp_control(rule.evaluate(m, grid, bundle.Y) + 0.1, m.f_sup)
-        err = m.f.value(bundle.X[:, :-1]) - shifted[:, :-1]
-        return (cost(rule, star.final_policy, noise).per_path,
-                *(cost(rule, p, noise).per_path for p in probe_pols),
-                (err * err).sum(axis=1) * grid.dt)
+        probe_pols = minimax.random_probe_policies(k, T, minimax.N_POLICY_PROBES, seed)
+        return (star.final_cost.per_path,
+                *(cost(star.final_rule, p, noise).per_path for p in probe_pols),
+                *(c.per_path for c in star.shift_costs))
 
     base, v = constant_policy(0.05, radius=k), time_table_policy([1.0, -1.0], T, 1.0)
     def fd():
@@ -741,16 +735,29 @@ class TestModelSpecValidation:
 
     @pytest.mark.parametrize("kwargs", [
         {"k": np.nan}, {"k": np.inf}, {"T": np.nan}, {"T": np.inf},
-        {"sigma": make_coef("constant", np.nan)},
-        {"sigma": make_coef("tanh", 1.0, 1.0, np.nan, 2.0)},
+        {"sigma": ("constant", np.nan)},
+        {"sigma": ("tanh", 1.0, 1.0, np.nan, 2.0)},
         {"x0": np.nan}, {"x0": -np.inf},
     ])
     def test_non_finite_values_rejected(self, kwargs):
+        # a preset is given as make_coef's arguments: building it is what fails
         args = {"b": CONST, "sigma": make_coef("constant", 0.5), "h": CONST,
                 "f": CONST}
-        args.update(kwargs)
         with pytest.raises(InvalidArgumentError):
+            args.update({key: make_coef(*v) if isinstance(v, tuple) else v
+                         for key, v in kwargs.items()})
             model_of(**args)
+
+    @pytest.mark.parametrize("name,params", [
+        ("constant", (np.nan,)), ("linear", (0.0, np.inf)),
+        ("tanh", (1.0, 1.0, 0.0, np.nan)), ("sine", (-np.inf, 1.0, 0.0, 0.0)),
+    ])
+    def test_non_finite_preset_rejected_when_built(self, name, params):
+        # a NaN parameter once reached evaluate_cost and came back as J = nan
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            make_coef(name, *params)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            CoefPreset(name, params)
 
     def test_h1_flags(self, tanh_model, linear_model):
         assert tanh_model.h1_compliant

@@ -206,6 +206,16 @@ class TestGridSupCost:
     def test_family_sizes(self):
         assert len(sign_pattern_family(0.25, 3, 1.0)) == 27
         assert len(sign_pattern_family(0.0, 3, 1.0)) == 1
+        # the first bucket varies slowest
+        assert [p.payload["values"].tolist() for p in sign_pattern_family(0.5, 2, 1.0)] == [
+            [a, b] for a in (-0.5, 0.0, 0.5) for b in (-0.5, 0.0, 0.5)]
+
+    @pytest.mark.parametrize("k", [0.0, 0.25])
+    @pytest.mark.parametrize("n_buckets", [0, -1])
+    def test_no_buckets_rejected(self, k, n_buckets):
+        # numpy's reshape raised a bare ValueError for these at k > 0
+        with pytest.raises(InvalidArgumentError, match="n_buckets"):
+            sign_pattern_family(k, n_buckets, 1.0)
 
     def test_empty_family_rejected(self, tanh_model, grid50):
         with pytest.raises(InvalidArgumentError):
