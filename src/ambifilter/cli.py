@@ -334,7 +334,7 @@ def _cmd_picard(config: ExperimentConfig):
     tables = [(["iter", "J", "sign_agreement"],
                [(it.index, it.J, it.sign_agreement) for it in report.iterations]),
               (["probe_kind", "probe_id", "J", "se"],
-               [(p.kind, p.probe_id, p.report.J, p.report.se) for p in probes])]
+               [(p.kind, p.probe_id, p.J, p.se) for p in probes])]
     return tables, {"converged": report.converged,
                     "iterations": len(report.iterations),
                     "J_final": report.final_cost.J,

@@ -53,7 +53,6 @@ ROLE_CLOUD_NORMAL = 2
 ROLE_CLOUD_UNIFORM = 3
 ROLE_MARKOV = 4
 ROLE_CHAIN = 5
-ROLE_PROBE = 9
 
 MEASURES = ("P", "Q", "Q_tilde")
 _M32 = 0xFFFFFFFF

@@ -345,10 +345,13 @@ class TestSubcommands:
         assert lines[0] == "iter,J,sign_agreement"
         saddle = (tmp_path / "pc" / "saddle.csv").read_text().splitlines()
         assert saddle[0] == "probe_kind,probe_id,J,se"
+        # at k = 0 theta = 0 is the only policy: no worst-value row
+        assert [r.split(",")[0] for r in saddle[1:]] == ["saddle"] + ["control_shift"] * 4
 
     def test_picard_filters_each_sample_once(self, tanh_conf, tmp_path, monkeypatch):
         # one bank per iteration, one on theta*'s paths for the saddle row and
-        # every control shift, and one per policy probe
+        # every control shift, and at k > 0 one on the P paths of u*'s worst
+        # value; a k = 0 run iterates nothing and has no worst-value row
         banks = []
         for mod in (bsde, minimax):
             def counting(*args, _bank=mod.run_filter_bank, **kwargs):
@@ -357,7 +360,15 @@ class TestSubcommands:
             monkeypatch.setattr(mod, "run_filter_bank", counting)
         m = run_subcommand("picard", load_config(tanh_conf), run_dir=tmp_path / "pc")
         assert m.extras["iterations"] >= 2
-        assert len(banks) == m.extras["iterations"] + 1 + minimax.N_POLICY_PROBES
+        assert len(banks) == m.extras["iterations"] + 2
+        saddle = (tmp_path / "pc" / "saddle.csv").read_text().splitlines()
+        assert [r.split(",")[:2] for r in saddle[1:3]] == [["saddle", "ustar_thetastar"],
+                                                           ["worst_value", "ustar"]]
+        assert len(saddle) == 1 + 6
+        banks.clear()
+        run_subcommand("picard", load_config(tanh_conf, {"--k": 0.0}),
+                       run_dir=tmp_path / "pc0")
+        assert len(banks) == 1
 
     def test_minimax_gap_weak_duality(self, tanh_conf, tmp_path):
         cfg = load_config(tanh_conf)
@@ -443,7 +454,7 @@ class TestSubcommands:
         assert manifest["error"] == "ValueError: boom"
 
     def test_failed_run_leaves_only_manifest(self, tanh_conf, tmp_path, monkeypatch):
-        # picard's own table is done when its saddle probes fail; no CSV is
+        # picard's own table is done when its saddle check fails; no CSV is
         # written until the whole computation has succeeded, and a rerun
         # first removes an earlier run's manifest and CSVs, but no other file
         config = load_config(tanh_conf, {"--k": 0.0})
@@ -489,6 +500,18 @@ class TestExitCodes:
         r = run_cli("worst-case", "--config", str(tanh_conf), "--n-paths", "30",
                     "--out-dir", str(tmp_path / "o2"))
         assert r.returncode == 2
+
+    def test_picard_below_path_floor_is_2(self, tanh_conf, tmp_path):
+        # at k > 0 the saddle check's worst-value solve needs 100 paths
+        out = tmp_path / "floor"
+        r = run_cli("picard", "--config", str(tanh_conf), "--n-paths", "99",
+                    "--out-dir", str(out))
+        assert r.returncode == 2 and "Traceback" not in r.stderr
+        (line,) = r.stderr.splitlines()
+        assert line.startswith("numerical failure: solve_worst_value: basis has 10 "
+                               "features for 99 paths")
+        manifest = json.loads(next(out.glob("*/manifest.json")).read_text())
+        assert manifest["status"] == "error" and manifest["artifacts"] == []
 
     def test_nonconvergence_is_3(self, tanh_conf, tmp_path):
         conf = tanh_conf.read_text().replace("picard.max_iters = 6",
@@ -661,7 +684,7 @@ PINNED_OUTPUTS = {
         "picard.csv":
             "91b1177ae5a6651bd90887330dba7a59ffcc5eed7222dc1e787f9668f99fa082",
         "saddle.csv":
-            "6c48b4225488a00196cb7a91ef58e66993e3157b7847458cac98f4682885b361",
+            "7a943f3efafc16a6621bc0fa3447404de6309876a2a96a5c918415e74b4ec06b",
         "extras":
             "4768e298c8b6572edccce696ae283a94742a1068b588e6af7d49a2bb7eb9ccaf",
     },
@@ -697,7 +720,7 @@ PINNED_OUTPUTS = {
         "picard.csv":
             "91af2e56b8d98023e84619c3635a0ae3406fc581da60a99cba0644774e5d436b",
         "saddle.csv":
-            "182421c2f0695b707c55647dd605b93ce02fae9d3e565af8b11d327a7574f9d2",
+            "a8055e897e8170ba16bfdeda92ab72acd45a12ff1dd6bc99419934ddd10cb6ac",
         "extras":
             "c83cb5640073b80db163c6b0092426046171c7a7053d83943370645a6258b103",
     },

@@ -8,7 +8,7 @@ from ambifilter.bsde import solve_adjoint
 from ambifilter.errors import InvalidArgumentError
 from ambifilter.features import RegressionBasis, fit_ridge
 from ambifilter import minimax
-from ambifilter.minimax import (CONTROL_SHIFTS, N_POLICY_PROBES, ConstantRule,
+from ambifilter.minimax import (CONTROL_SHIFTS, ConstantRule,
                                 ControlRule, FilterRule, PicardConfig, PicardIteration,
                                 clamp_control, evaluate_cost, minimax_gap,
                                 picard_solve, saddle_probes)
@@ -358,33 +358,36 @@ class TestMinimaxGap:
 class TestSaddleProbes:
     def test_control_shift_costs_clamped_control(self, tanh_model, monkeypatch):
         # at f_sup = 0.06 and x0 = 0 the 0.05 shifts are clamped on a few
-        # percent of theta*'s path steps and the 0.1 shifts on nearly all
+        # percent of theta*'s path steps and the 0.1 shifts on nearly all;
+        # 100 paths is the worst-value solve's floor
         m = replace(tanh_model, f=make_coef("tanh", 0.06), x0=0.0)
-        cfg = PicardConfig(n_paths=60, n_particles=32, n_steps=10, seed=3, max_iters=3)
+        cfg = PicardConfig(n_paths=100, n_particles=32, n_steps=10, seed=3, max_iters=3)
         rep = picard_solve(m, cfg)
         simulated = []
 
-        def recording(model, policy, *args, **kwargs):
-            simulated.append(policy)
-            return simulate_bundle(model, policy, *args, **kwargs)
+        def recording(model, policy, grid, n_paths, seed, measure="Q_tilde", **kwargs):
+            simulated.append(measure)
+            return simulate_bundle(model, policy, grid, n_paths, seed, measure, **kwargs)
 
         monkeypatch.setattr(minimax, "simulate_bundle", recording)
         probes = saddle_probes(m, rep)
-        # theta*'s paths are not simulated again: only the adversaries' are
-        assert len(simulated) == N_POLICY_PROBES
-        assert all(pol is not rep.final_policy for pol in simulated)
-        assert [p.kind for p in probes] == (["saddle"] + ["policy_probe"] * N_POLICY_PROBES
+        # theta*'s paths are not simulated again: only the worst value's P paths
+        assert simulated == ["P"]
+        assert [p.kind for p in probes] == (["saddle", "worst_value"]
                                             + ["control_shift"] * len(CONTROL_SHIFTS))
-        assert probes[0].report is rep.final_cost
+        assert (probes[0].J, probes[0].se) == (rep.final_cost.J, rep.final_cost.se)
+        assert probes[1].probe_id == "ustar" and probes[1].se == rep.final_cost.se
 
         grid = build_time_grid(m.T, 10)
-        bundle = simulate_bundle(m, rep.final_policy, grid, 60, 3, measure="Q")
+        bundle = simulate_bundle(m, rep.final_policy, grid, 100, 3, measure="Q")
         u = rep.final_rule.evaluate(m, grid, bundle.Y)[:, :-1]
         fx = m.f.value(bundle.X[:, :-1])
         np.testing.assert_array_equal(rep.final_cost.per_path,
                                       ((fx - u) ** 2).sum(axis=1) * grid.dt)
-        for probe, d in zip(probes[-len(CONTROL_SHIFTS):], CONTROL_SHIFTS):
+        for probe, d, c in zip(probes[-len(CONTROL_SHIFTS):], CONTROL_SHIFTS,
+                               rep.shift_costs):
             assert probe.probe_id == f"delta_{d:+g}"
             assert (np.abs(u + d) > m.f_sup).any()
             expected = ((fx - np.clip(u + d, -m.f_sup, m.f_sup)) ** 2).sum(axis=1) * grid.dt
-            np.testing.assert_array_equal(probe.report.per_path, expected)
+            np.testing.assert_array_equal(c.per_path, expected)
+            assert (probe.J, probe.se) == (c.J, c.se)

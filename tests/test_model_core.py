@@ -106,7 +106,7 @@ class TestSampleNoise:
 
     def test_roles_are_distinct(self):
         roles = {name: v for name, v in vars(model).items() if name.startswith("ROLE_")}
-        assert "ROLE_PROBE" in roles
+        assert "ROLE_CHAIN" in roles
         assert len(set(roles.values())) == len(roles), roles
 
 
@@ -181,8 +181,9 @@ class TestSubstreamKeys:
         assert POLICY_KINDS == ("piecewise_table", "sign_of_regression")
         for path in sorted(src.glob("*.py")):
             text = path.read_text(encoding="utf-8")
-            assert not re.search(r"\bsign_policy\b|KalmanControlRule|mixture_policy",
-                                 text), path.name
+            assert not re.search(r"\bsign_policy\b|KalmanControlRule|mixture_policy|"
+                                 r"random_probe_policies|N_POLICY_PROBES|ROLE_PROBE|"
+                                 r"policy_probe", text), path.name
             prune = [line.strip() for line in text.splitlines() if "mixture_prune" in line]
             assert prune == (["mixture_prune: float = 0.02"]
                              if path.name == "minimax.py" else []), path.name
@@ -292,7 +293,8 @@ def crn_families(m):
     """The common grid, path count and seed, and for each common-random-number
     family a pair (run, by_hand), where by_hand(noise) recomputes run()'s
     outputs with the noise passed to every simulation explicitly."""
-    k, T, seed, n, steps, particles = m.k, m.T, 5, 80, 10, 16
+    # 100 paths, the floor of saddle_probes' worst-value solve at k > 0
+    k, T, seed, n, steps, particles = m.k, m.T, 5, 100, 10, 16
     grid = build_time_grid(T, steps)
     rule = minimax.FilterRule(zero_policy(), n_particles=particles, seed=seed)
 
@@ -335,17 +337,18 @@ def crn_families(m):
         return (np.array([[cost(r, p, noise).J for p in policies] for r in rules]),)
 
     # solved before the draws are counted; the saddle and shift rows are its
-    # own, and the adversaries are costed on the noise the probes draw
+    # own, and u*'s worst value is solved on P paths driven by the noise the
+    # probes draw
     star = minimax.picard_solve(m, dataclasses.replace(config, max_iters=1))
 
     def probes():
-        return tuple(p.report.per_path for p in minimax.saddle_probes(m, star))
+        return tuple(p.J for p in minimax.saddle_probes(m, star))
 
     def probes_by_hand(noise):
-        probe_pols = minimax.random_probe_policies(k, T, minimax.N_POLICY_PROBES, seed)
-        return (star.final_cost.per_path,
-                *(cost(star.final_rule, p, noise).per_path for p in probe_pols),
-                *(c.per_path for c in star.shift_costs))
+        paths_p = simulate_bundle(m, zero_policy(), grid, n, seed, measure="P", noise=noise)
+        y0 = bsde.solve_worst_value(paths_p, star.final_rule.evaluate(m, grid, paths_p.Y),
+                                    m).y0
+        return (star.final_cost.J, y0, *(c.J for c in star.shift_costs))
 
     base, v = constant_policy(0.05, radius=k), time_table_policy([1.0, -1.0], T, 1.0)
     def fd():
