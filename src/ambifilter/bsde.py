@@ -52,6 +52,10 @@ ADJOINT_VARIANTS = ("eq_main", "eq_alt", "derived")
 # but 0, the salt of every FilterRule's bank, so their draws stay distinct.
 NESTED_FILTER_SALT = 104729
 
+# The solvers' default bases: 10 and 6 features, so 100 and 60 paths at least.
+WORST_VALUE_BASIS = RegressionBasis("poly_xu", 3)
+ADJOINT_BASIS = RegressionBasis("poly_xm", 2)
+
 
 @dataclass(frozen=True)
 class CostReport:
@@ -94,9 +98,15 @@ def _check_inputs(solver: str, paths: PathBundle, u_vals: np.ndarray, model: Mod
         raise InvalidArgumentError(f"{solver} paths must be simulated under {measure}")
     if np.shape(u_vals) != paths.X.shape:
         raise ShapeError(f"{solver}: u_vals must align with the path arrays")
-    if basis.n_features > paths.X.shape[0] / 10:
+    check_path_floor(solver, basis, paths.X.shape[0])
+
+
+def check_path_floor(solver: str, basis: RegressionBasis, n_paths: int) -> None:
+    """Refuse fewer than 10 paths per feature of a backward solver's basis;
+    callers that simulate and filter before the solve check this first."""
+    if basis.n_features > n_paths / 10:
         raise IllConditionedBasisError(f"{solver}: basis has {basis.n_features} features for "
-                                       f"{paths.X.shape[0]} paths; need 10 paths per feature")
+                                       f"{n_paths} paths; need 10 paths per feature")
 
 
 def _centred_projection(proj: RidgeProjection, F: np.ndarray, y: np.ndarray,
@@ -109,7 +119,7 @@ def _centred_projection(proj: RidgeProjection, F: np.ndarray, y: np.ndarray,
 
 
 def solve_worst_value(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
-                      basis: RegressionBasis = RegressionBasis("poly_xu", 3)) -> BsdeSolution:
+                      basis: RegressionBasis = WORST_VALUE_BASIS) -> BsdeSolution:
     """Backward solve of the worst-case value on base-measure paths.
 
     `paths` must be simulated under P (unperturbed dynamics, full (W, B)
@@ -149,7 +159,7 @@ def _adjoint_driver(variant: str, bprime, sprime, hprime, fprime, hval, fval,
 
 
 def solve_adjoint(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
-                  policy: DriftPolicy, basis: RegressionBasis = RegressionBasis("poly_xm", 2),
+                  policy: DriftPolicy, basis: RegressionBasis = ADJOINT_BASIS,
                   variant: str = "derived") -> AdjointSolution:
     """Backward solve of the adjoint pair on reference-measure paths.
 

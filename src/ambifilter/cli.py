@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .bsde import solve_worst_value
+from .bsde import WORST_VALUE_BASIS, check_path_floor, solve_worst_value
 from .errors import AmbiFilterError, ConfigError, InvalidArgumentError
 from .features import RegressionBasis
 from .filtering import innovation_path, run_filter
@@ -95,6 +95,7 @@ class RunManifest:
     wall_clock_s: float
     cpu_clock_s: float    # process CPU over all threads; >> wall when BLAS workers spin
     peak_rss_mb: float    # peak resident memory of the process so far, in MiB
+    minor_faults: int     # minor page faults of the process during the run
     artifacts: tuple[dict, ...]
     status: str
     error: Optional[str] = None
@@ -326,6 +327,8 @@ def _cmd_worst_case(config: ExperimentConfig):
 def _cmd_picard(config: ExperimentConfig):
     if config.model.k > 0:
         _require_bounded(config.model, "picard with model.k > 0")
+        # saddle_probes' worst-value solve: refuse its path floor before Picard runs
+        check_path_floor("solve_worst_value", WORST_VALUE_BASIS, config.n_paths)
     pc = PicardConfig(n_paths=config.n_paths, n_particles=config.n_particles,
                       n_steps=config.n_steps, seed=config.seed,
                       max_iters=config.picard_max_iters, tol=config.picard_tol)
@@ -450,6 +453,7 @@ def run_subcommand(cmd: str, config: ExperimentConfig,
     except OSError as exc:   # no manifest can be written without the directory
         raise ConfigError([f"output.dir: cannot write to {run_dir}: {exc.strerror}"])
     t0, cpu0 = time.monotonic(), time.process_time()
+    faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     artifacts: list[dict] = []
     extras: dict = {}
     status, error = "ok", None
@@ -464,12 +468,14 @@ def run_subcommand(cmd: str, config: ExperimentConfig,
         status, error = "error", f"{type(exc).__name__}: {exc}"
         raise
     finally:
-        rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        rss_kib = usage.ru_maxrss  # KiB on Linux
         manifest = RunManifest(command=cmd, config_digest=config.digest,
                                seed=config.seed, version=__version__,
                                wall_clock_s=time.monotonic() - t0,
                                cpu_clock_s=time.process_time() - cpu0,
                                peak_rss_mb=rss_kib / 1024,
+                               minor_faults=usage.ru_minflt - faults0,
                                artifacts=tuple(artifacts), status=status,
                                error=error, extras=extras,
                                fp_warnings=_fp_warnings(caught))

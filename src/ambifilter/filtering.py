@@ -22,9 +22,23 @@ exact finite-state recursion there checks the step the diffusion filter runs.
 A cloud resamples after a step whose effective sample size is below
 ESS_THRESHOLD * n_particles: a fixed part of the approximation, set by no caller.
 
-A bank allocates its cloud-sized step arrays once (the normals, the weight
-increment and the shifted weights, which double as scratch) and updates them
-in place, in the float order of the plain expressions, so outputs keep their bits.
+A bank allocates every cloud-sized array before its first step and writes
+each step's values into them, in the float order of the plain expressions, so
+outputs keep their bits and no step allocates a cloud. Besides the positions,
+log-weights and log M, a diffusion bank holds four scratch clouds, each
+holding one value at a time:
+
+    hbuf     M = exp(log M) until theta is evaluated, then b(X) and the drift,
+             then h at the new positions until the step ends
+    w        the sign rule's Horner value, its sign and sigma(X) theta; then
+             (dt / 2) h^2 and the shifted weights exp(logw - max)
+    incr     Horner scratch, then sigma(X) and sigma(X) sqrt(dt); then the
+             log-weight increment, then reduction scratch
+    normals  the step's normal draws and the position increment; then f at
+             the new positions when f differs from h
+
+A time table, a constant preset and a constant sigma never fill a cloud: they
+stay numbers and broadcast.
 """
 
 from __future__ import annotations
@@ -111,16 +125,18 @@ def run_clouds(mutate, start, n_particles: int, dY: np.ndarray, dt: float,
                u0: float, pih0: float, track_m: bool = False) -> BankResult:
     """The filter loop shared by every signal: one cloud per row of dY, its
     particles all at `start`, where f and h are u0 and pih0. Step j calls
-    mutate(j, pos, logm), which moves the (n_paths, n_particles) states pos in
-    place and returns h and f at the new states and one resampling offset per
-    cloud; logm (log M) is None unless track_m. The loop applies the exact
-    exponential weight update with h at the new states, then the fused
-    estimate/resample pass; a cloud whose maximum log-weight is not finite
-    has no estimate and raises first."""
+    mutate(j, pos, logm, incr, w), which moves the (n_paths, n_particles)
+    states pos in place and returns h and f at the new states and one
+    resampling offset per cloud; logm (log M) is None unless track_m, and
+    incr and w are two cloud-sized arrays the mutation may use as scratch.
+    h and f may be arrays the mutation owns and rewrites next step: the loop
+    is done with them when the step ends. The loop applies the exact
+    exponential weight update with h at the new states, reading dY[:, j] in
+    place, then the fused estimate/resample pass; a cloud whose maximum
+    log-weight is not finite has no estimate and raises first."""
     _check_cloud(n_particles, dt)
     (m, n_steps), n = dY.shape, n_particles
     pos = np.full((m, n), start)
-    dY_cols = np.ascontiguousarray(dY.T)
     logw = np.full((m, n), -np.log(n))
     logm = np.zeros((m, n)) if track_m else None
     incr, w = np.empty((m, n)), np.empty((m, n))
@@ -135,10 +151,10 @@ def run_clouds(mutate, start, n_particles: int, dY: np.ndarray, dt: float,
     # The step's buffers live as long as the bank: freeing them each step let
     # the allocator fault them in again, 9x the minor page faults on picard.
     for j in range(n_steps):
-        hv, fv, resample_u = mutate(j, pos, logm)
+        hv, fv, resample_u = mutate(j, pos, logm, incr, w)
         # hv dY - ((dt / 2) hv) hv; w is scratch here, and the spent incr in
         # the reductions below
-        np.multiply(hv, dY_cols[j][:, None], out=incr)
+        np.multiply(hv, dY[:, j, None], out=incr)
         incr -= np.multiply(np.multiply(hv, 0.5 * dt, out=w), hv, out=w)
         logw += incr
         if logm is not None:
@@ -163,7 +179,9 @@ def run_filter_bank(model: ModelSpec, policy: DriftPolicy, dY: np.ndarray,
     are drawn per step from substreams keyed by (seed, role, salt, step), so
     the output at time t never depends on observations after t. The mutation
     is an Euler step under the theta-perturbed drift, and a cloud resamples
-    after a step whose ESS is below ESS_THRESHOLD * n_particles.
+    after a step whose ESS is below ESS_THRESHOLD * n_particles. The bank
+    adds two clouds to the loop's, the normals and `hbuf`, and writes every
+    step value into a scratch cloud (see the module docstring).
     """
     dY = np.asarray(dY, dtype=float)
     if dY.ndim != 2:
@@ -173,29 +191,40 @@ def run_filter_bank(model: ModelSpec, policy: DriftPolicy, dY: np.ndarray,
     _check_cloud(n_particles, dt)
     m, n = dY.shape[0], n_particles
     steps = np.arange(dY.shape[1])
-    normal_keys = substream_keys(seed, ROLE_CLOUD_NORMAL, salt, steps)
-    uniform_keys = substream_keys(seed, ROLE_CLOUD_UNIFORM, salt, steps)
+    normal_keys = substream_keys(seed, ROLE_CLOUD_NORMAL, salt, steps).tolist()
+    uniform_keys = substream_keys(seed, ROLE_CLOUD_UNIFORM, salt, steps).tolist()
     gen = np.random.Generator(np.random.Philox())
-    normals = np.empty((m, n))
+    normals, hbuf = np.empty((m, n)), np.empty((m, n))
+    sqrt_dt = np.sqrt(dt)
+    f_is_h = model.f == model.h
 
-    def mutate(j, pos, logm):
-        noise = rekey(gen, normal_keys[j]).standard_normal(out=normals)
-        unif = rekey(gen, uniform_keys[j]).random(m)
-        theta = policy.evaluate(j * dt, pos, None if logm is None else np.exp(logm))
-        sig = model.sigma.value(pos)
+    def mutate(j, pos, logm, incr, w):
+        # M in hbuf; theta in w, with incr as Horner scratch
+        theta = policy.evaluate(j * dt, pos,
+                                None if logm is None else np.exp(logm, out=hbuf),
+                                out=w, scratch=incr)
+        sig = model.sigma.value(pos, out=incr)
         # pos += (b + sig theta) dt + (sig sqrt(dt)) normals, in that association
-        drift = model.b.value(pos) + sig * theta
+        sig_theta = _into(np.multiply, sig, theta, w)
+        drift = _into(np.add, model.b.value(pos, out=hbuf), sig_theta, hbuf)
         drift *= dt
-        noise *= sig * np.sqrt(dt)
+        noise = rekey(gen, normal_keys[j]).standard_normal(out=normals)
+        noise *= _into(np.multiply, sig, sqrt_dt, incr)
         noise += drift
         pos += noise
-        hv = model.h.value(pos)
-        fv = hv if model.f == model.h else model.f.value(pos)
-        return hv, fv, unif
+        # f goes to the spent normals, which the next step draws over
+        hv = model.h.value(pos, out=hbuf)
+        fv = hv if f_is_h else model.f.value(pos, out=normals)
+        return hv, fv, rekey(gen, uniform_keys[j]).random(m)
 
     return run_clouds(mutate, float(model.x0), n, dY, dt,
                       float(model.f.value(model.x0)), float(model.h.value(model.x0)),
                       track_m=policy.needs_m)
+
+
+def _into(ufunc, a, b, out):
+    """ufunc(a, b), written into out unless a and b are both numbers."""
+    return ufunc(a, b, out=out if np.ndim(a) or np.ndim(b) else None)
 
 
 def run_filter(model: ModelSpec, policy: DriftPolicy, Y: np.ndarray,

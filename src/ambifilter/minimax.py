@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bsde import CostReport, solve_adjoint, solve_worst_value, weighted_cost_qtilde
+from .bsde import (ADJOINT_BASIS, CostReport, check_path_floor, solve_adjoint,
+                   solve_worst_value, weighted_cost_qtilde)
 from .errors import InvalidArgumentError, ShapeError
 from .filtering import run_filter_bank
 from .model import (ModelSpec, NoiseBundle, PathBundle, TimeGrid, build_time_grid,
@@ -134,6 +135,22 @@ def _sign_field(policy: DriftPolicy, bundle, times: np.ndarray) -> np.ndarray:
     return out
 
 
+def _picard_step(model: ModelSpec, config: PicardConfig, grid: TimeGrid,
+                 noise: NoiseBundle, theta: DriftPolicy) -> tuple[float, DriftPolicy, float]:
+    """One Picard iteration from theta: its cost J, its target k sgn(P_hat)
+    and the sign agreement of theta with the target. The iterate's bundle,
+    filter output, adjoint and sign fields are locals, freed on return, so
+    a run holds one iterate at a time."""
+    per_path, bundle, u = weighted_cost_qtilde(
+        model, theta, config.n_paths, config.n_particles, config.seed,
+        config.n_steps, noise=noise)
+    adjoint = solve_adjoint(bundle, u, model, theta)
+    target = sign_of_regression_policy(adjoint.P_tables, adjoint.basis, model.k, grid.dt)
+    s_new = _sign_field(target, bundle, grid.times)
+    s_prev = _sign_field(theta, bundle, grid.times)
+    return float(-2.0 * per_path.mean()), target, float((s_new == s_prev).mean())
+
+
 def picard_solve(model: ModelSpec, config: PicardConfig,
                  initial_policy: Optional[DriftPolicy] = None) -> PicardReport:
     """Alternate simulate -> filter -> adjoint -> sign update until the sign
@@ -148,12 +165,15 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
     returns the last target, converged or not: a run that cycles ends at
     max_iters (reported, not raised). All iterations and the final pass share
     one noise draw. The final pass simulates theta*'s Q paths once and costs
-    u* and its clamped CONTROL_SHIFTS on them.
+    u* and its clamped CONTROL_SHIFTS on them. At k > 0 a path count below
+    the adjoint's floor (`bsde.check_path_floor`) is refused before any bank.
     """
     k = model.k
+    n_iters = config.max_iters if k > 0.0 else 0
+    if n_iters:
+        check_path_floor("solve_adjoint", ADJOINT_BASIS, config.n_paths)
     grid = build_time_grid(model.T, config.n_steps)
     noise = sample_noise(grid, config.n_paths, config.seed)
-    n_iters = config.max_iters if k > 0.0 else 0
 
     theta = initial_policy if initial_policy is not None and n_iters else zero_policy()
     iters: list[PicardIteration] = []
@@ -161,16 +181,7 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
     prev_agree = -1.0
 
     for it in range(1, n_iters + 1):
-        per_path, bundle, u = weighted_cost_qtilde(
-            model, theta, config.n_paths, config.n_particles, config.seed,
-            config.n_steps, noise=noise)
-        J_it = float(-2.0 * per_path.mean())
-        adjoint = solve_adjoint(bundle, u, model, theta)
-        target = sign_of_regression_policy(adjoint.P_tables, adjoint.basis, k, grid.dt)
-
-        s_new = _sign_field(target, bundle, grid.times)
-        s_prev = _sign_field(theta, bundle, grid.times)
-        agree = float((s_new == s_prev).mean())
+        J_it, target, agree = _picard_step(model, config, grid, noise, theta)
         iters.append(PicardIteration(it, J_it, agree))
         theta = target
         if agree >= 1.0 - config.tol and prev_agree >= 1.0 - config.tol:

@@ -112,11 +112,13 @@ def substream_keys(seed: int, role: int, index, extra=0) -> np.ndarray:
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
 
 
-_ZEROS4 = np.zeros(4, dtype=np.uint64)
+_ZEROS4 = (0, 0, 0, 0)
 
 
-def rekey(gen: np.random.Generator, key: np.ndarray) -> np.random.Generator:
-    """gen (Philox) reset to the start of the stream with this key."""
+def rekey(gen: np.random.Generator, key) -> np.random.Generator:
+    """gen (Philox) reset to the start of the stream with this key: two
+    uint64 words, fastest as Python ints (a row of `substream_keys(...).tolist()`),
+    since the state setter reads them one by one."""
     gen.bit_generator.state = {
         "bit_generator": "Philox", "state": {"counter": _ZEROS4, "key": key},
         "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -210,7 +212,7 @@ def sample_noise(grid: TimeGrid, n_paths: int, seed: int) -> NoiseBundle:
     dW = np.empty((n_paths, grid.n_steps))
     dB = np.empty((n_paths, grid.n_steps))
     for out, role in ((dW, ROLE_W), (dB, ROLE_B)):
-        for row, key in zip(out, substream_keys(seed, role, np.arange(n_paths))):
+        for row, key in zip(out, substream_keys(seed, role, np.arange(n_paths)).tolist()):
             rekey(gen, key).standard_normal(out=row)
         out *= np.sqrt(grid.dt)
     return NoiseBundle(dW=dW, dB=dB, seed=seed, dt=grid.dt)

@@ -210,7 +210,7 @@ def particle_filter_on_surrogate(spec: FiniteSignalSpec, Y: np.ndarray,
     keys = substream_keys(seed, ROLE_MARKOV, 0, np.arange(grid.n_steps))
     gen = np.random.Generator(np.random.Philox())
 
-    def mutate(j, idx, _logm):
+    def mutate(j, idx, _logm, *_scratch):
         draw = rekey(gen, keys[j]).random(n_particles)
         moved = (cum[idx[0]] <= draw[:, None]).sum(axis=1)
         idx[0] = np.minimum(moved, spec.n_states - 1)

@@ -7,7 +7,8 @@ Kinds:
     sign_of_regression   theta = k * sgn(P_hat(t, X, M)) from one weight
                          table of the adjoint surface: row j holds the
                          monomial weights of grid time j; P_hat is
-                         evaluated by Horner, with no design matrix
+                         evaluated by Horner, with no design matrix, on a
+                         coefficient grid built once per policy
 
 A policy is in [-radius, radius] as built: a time table stores its values
 clipped, and a sign rule is k sgn(P_hat) with radius k and sgn(0) = 0 (values
@@ -22,6 +23,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,9 +52,12 @@ class DriftPolicy:
     def needs_m(self) -> bool:
         return self.kind == "sign_of_regression" and "m" in self.payload["basis"].variables
 
-    def evaluate(self, t: float, x: np.ndarray, m: Optional[np.ndarray] = None):
+    def evaluate(self, t: float, x: np.ndarray, m: Optional[np.ndarray] = None,
+                 out: Optional[np.ndarray] = None, scratch: Optional[np.ndarray] = None):
         """Policy value in [-radius, radius] at time t on arrays of X (and M
-        when `needs_m`); a float when the policy does not read the state."""
+        when `needs_m`); a float when the policy does not read the state. A
+        sign rule writes into `out` and uses `scratch`, arrays of x's shape
+        distinct from x, m and each other, when they are given."""
         if m is None and self.needs_m:
             raise MissingFeatureError(
                 f"policy kind {self.kind!r} needs the weight feature m; "
@@ -63,7 +68,19 @@ class DriftPolicy:
             vals = p["values"]
             return vals[min(max(int(t / p["horizon"] * vals.size), 0), vals.size - 1)]
         j = min(max(int(round(t / p["dt"])), 0), len(p["tables"]) - 1)
-        return p["k"] * np.sign(_horner_xm(p["tables"][j], p["basis"].degree, x, m))
+        p_hat = _horner_xm(self._horner_grid[j], x, m, out, scratch)
+        return np.multiply(p["k"], np.sign(p_hat, out=p_hat), out=p_hat)
+
+    @cached_property
+    def _horner_grid(self) -> np.ndarray:
+        """A sign rule's weights as one (n_times, d + 1, d + 1) grid, built on
+        first use: [j, a, b] weighs x**a m**b at grid time j. It lives outside
+        the payload, so the digest does not see it."""
+        tables, degree = self.payload["tables"], self.payload["basis"].degree
+        c = np.zeros((len(tables), degree + 1, degree + 1))
+        a, b = np.array(monomial_exponents(2, degree)).T
+        c[:, a, b] = tables
+        return c
 
     def digest(self) -> str:
         return hashlib.sha256(self._canonical().encode()).hexdigest()[:16]
@@ -86,13 +103,15 @@ class DriftPolicy:
         return json.dumps(enc(self), sort_keys=True)
 
 
-def _horner_xm(weights: np.ndarray, degree: int, x, m) -> np.ndarray:
-    """design(x, m) @ weights by nested Horner, x outer and m inner: no design
-    matrix and no BLAS call, and the same value up to rounding."""
-    c = np.zeros((degree + 1, degree + 1))   # c[i, j] weighs x**i m**j
-    c[tuple(np.array(monomial_exponents(2, degree)).T)] = weights
-    out = np.full(np.shape(x), c[degree, 0])
-    q = np.empty_like(out)
+def _horner_xm(c: np.ndarray, x, m, out=None, q=None) -> np.ndarray:
+    """design(x, m) @ weights by nested Horner on the weights' grid c, where
+    c[a, b] weighs x**a m**b: x outer and m inner, no design matrix and no
+    BLAS call, and the same value up to rounding. The value goes to `out` and
+    q is scratch; either is allocated when not given."""
+    degree = c.shape[0] - 1
+    out = np.empty(np.shape(x)) if out is None else out
+    q = np.empty_like(out) if q is None else q
+    out.fill(c[degree, 0])
     for i in range(degree - 1, -1, -1):
         out *= x
         np.multiply(m, c[i, degree - i], out=q)   # q = sum_j c[i, j] m**j

@@ -12,8 +12,8 @@ numeric parameters rather than arbitrary callables:
 Each preset knows its derivative, a sup-norm bound, its exact infimum over R
 (which the model checks sigma against), its affine form if it has one, and
 whether it satisfies the boundedness requirements needed by the solver
-modules. `tanh` and `sine` skip identity parameters and scale the fresh
-fn(...) in place, with the bits of a*fn(b*x + c) + d. A constant value or
+modules. `tanh` and `sine` skip identity parameters and scale fn(...) in place,
+with the bits of a*fn(b*x + c) + d. A constant value or
 derivative is returned as a number, which broadcasts against any x array, so
 callers never ask which preset they hold. Unbounded presets
 (linear sensor, identity target) are permitted only for validation against
@@ -41,20 +41,22 @@ class CoefPreset:
         if not all(math.isfinite(v) for v in self.params):
             raise InvalidArgumentError(f"{self.name} parameters must be finite: {self.params}")
 
-    def value(self, x):
-        """f(x) on x; a constant preset returns its number, which broadcasts."""
+    def value(self, x, out=None):
+        """f(x) on x; a constant preset returns its number, which broadcasts.
+        Any other preset writes into `out` when given (an array of x's shape,
+        not x itself) and returns it, with the bits of the fresh result."""
         p = self.params
         if self.name == "constant":
             return p[0]
         x = np.asarray(x, dtype=float)
         if self.name == "linear":
-            return p[0] + p[1] * x
+            return np.add(p[0], np.multiply(p[1], x, out=out), out=out)
         a, b, c, d = p
-        y = x if b == 1.0 else b * x
+        y = x if b == 1.0 else np.multiply(b, x, out=out)
         # x + 0.0 turns -0.0 into +0.0; only a final + (-0.0) would show it
         if c != 0.0 or (d == 0.0 and math.copysign(1.0, d) < 0):
-            y = y + c
-        y = (np.tanh if self.name == "tanh" else np.sin)(y)   # a fresh result
+            y = np.add(y, c, out=out)
+        y = (np.tanh if self.name == "tanh" else np.sin)(y, out=out)   # never x
         if a != 1.0:
             y *= a
         y += d

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -30,6 +32,18 @@ def linear_model() -> ModelSpec:
 @pytest.fixture(scope="session")
 def grid50():
     return build_time_grid(1.0, 50)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes numpy and Python allocated while fn() ran, over what was
+    live when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def mc_se(x: np.ndarray) -> float:

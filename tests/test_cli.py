@@ -322,11 +322,12 @@ class TestSubcommands:
         manifest = json.loads((tmp_path / "flt" / "manifest.json").read_text())
         assert sorted(manifest) == ["artifacts", "command", "config_digest",
                                     "cpu_clock_s", "error", "extras",
-                                    "fp_warnings", "peak_rss_mb", "seed",
-                                    "status", "version", "wall_clock_s"]
+                                    "fp_warnings", "minor_faults", "peak_rss_mb",
+                                    "seed", "status", "version", "wall_clock_s"]
         assert manifest["status"] == "ok" and manifest["artifacts"]
         assert math.isfinite(manifest["cpu_clock_s"]) and manifest["cpu_clock_s"] >= 0
         assert math.isfinite(manifest["peak_rss_mb"]) and manifest["peak_rss_mb"] > 0
+        assert type(manifest["minor_faults"]) is int and manifest["minor_faults"] >= 0
 
     def test_worst_case_schema(self, tanh_conf, tmp_path):
         cfg = load_config(tanh_conf)
@@ -440,6 +441,7 @@ class TestSubcommands:
         assert "IllConditionedBasis" in manifest["error"]
         assert math.isfinite(manifest["cpu_clock_s"]) and manifest["cpu_clock_s"] >= 0
         assert math.isfinite(manifest["peak_rss_mb"]) and manifest["peak_rss_mb"] > 0
+        assert type(manifest["minor_faults"]) is int and manifest["minor_faults"] >= 0
 
     def test_foreign_exception_recorded_in_manifest(self, tanh_conf, tmp_path,
                                                     monkeypatch):
@@ -501,13 +503,17 @@ class TestExitCodes:
                     "--out-dir", str(tmp_path / "o2"))
         assert r.returncode == 2
 
-    def test_picard_below_path_floor_is_2(self, tanh_conf, tmp_path):
-        # at k > 0 the saddle check's worst-value solve needs 100 paths
+    def test_picard_below_path_floor_is_2(self, tanh_conf, tmp_path, capsys, monkeypatch):
+        # at k > 0 the saddle check's worst-value solve needs 100 paths, and
+        # the run says so before any filter bank
+        for module in (bsde, minimax):
+            monkeypatch.setattr(module, "run_filter_bank",
+                                lambda *a, **kw: pytest.fail("a filter bank ran"))
         out = tmp_path / "floor"
-        r = run_cli("picard", "--config", str(tanh_conf), "--n-paths", "99",
-                    "--out-dir", str(out))
-        assert r.returncode == 2 and "Traceback" not in r.stderr
-        (line,) = r.stderr.splitlines()
+        code = main(["picard", "--config", str(tanh_conf), "--n-paths", "99",
+                     "--out-dir", str(out)])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("numerical failure: solve_worst_value: basis has 10 "
                                "features for 99 paths")
         manifest = json.loads(next(out.glob("*/manifest.json")).read_text())

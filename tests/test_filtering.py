@@ -16,7 +16,7 @@ from ambifilter.features import RegressionBasis
 from ambifilter.policies import constant_policy, sign_of_regression_policy, zero_policy
 from ambifilter.presets import make_coef
 
-from conftest import golden_noise
+from conftest import golden_noise, traced_peak
 
 CONST0 = make_coef("constant", 0.0)
 DY3 = np.array([[0.1, -0.2, 0.05]])
@@ -276,18 +276,49 @@ class TestRunFilter:
 
     def test_golden_curved_coefficients(self, monkeypatch):
         # no identity parameter anywhere: tanh sensor and target that differ,
-        # a sine drift and a state-dependent sigma
+        # a sine drift and a state-dependent sigma, times a constant theta and
+        # times a sign rule's theta(X, M), array by array
         monkeypatch.setattr(filtering, "ESS_THRESHOLD", 1.0)
         g = build_time_grid(1.0, 6)
         m = ModelSpec(b=make_coef("sine", 0.3, 2.0, 0.5, -0.1),
                       sigma=make_coef("sine", 0.1, 1.0, 0.0, 0.5),
                       h=make_coef("tanh", 1.5, 0.7, -0.2, 0.3),
                       f=make_coef("tanh", 2.0, -1.0, 0.25, -0.5), x0=0.3, T=1.0, k=0.25)
-        r = run_filter_bank(m, constant_policy(0.25), golden_noise()[1], g.dt, 16,
-                            seed=2024, salt=3)
-        assert r.flags[:, 1:].all()
-        assert bank_digest(r) == (
-            "b9d1d34bae434d1f9079cbd1effb865780a48879ed1d1252287d596b657affc9")
+        tables = (np.arange(42.0).reshape(7, 6) % 5 - 2) / 4
+        tables[:, 0] += 0.125
+        sign_rule = sign_of_regression_policy(tables, RegressionBasis("poly_xm", 2),
+                                              0.25, g.dt)
+        for pol, want in (
+                (constant_policy(0.25),
+                 "b9d1d34bae434d1f9079cbd1effb865780a48879ed1d1252287d596b657affc9"),
+                (sign_rule,
+                 "d542d280d69bfb4a18d8b4bb423c5bc478416381bd63692798ef7f88088c3eb8")):
+            r = run_filter_bank(m, pol, golden_noise()[1], g.dt, 16, seed=2024, salt=3)
+            assert r.flags[:, 1:].all()
+            assert bank_digest(r) == want
+
+    @pytest.mark.parametrize("case, bound", [("time table", 7.5), ("sign rule", 8.5),
+                                             ("general", 8.5)])
+    def test_bank_allocates_no_cloud_per_step(self, tanh_model, case, bound):
+        # Traced peak of a 200 x 100 x 10 bank in cloud arrays (200 x 100
+        # doubles). It holds 6 clouds (7 with log M), the five 200 x 11 output
+        # tables and numpy's fixed ufunc buffer: 6.94, 7.93 and 7.92 clouds;
+        # with per-step temporaries it was 8.63, 11.61 and 14.62. "general"
+        # is a state-dependent sigma times a sign rule's theta, with f != h.
+        m, n, steps = 200, 100, 10
+        dt = 1.0 / steps
+        dY = np.random.default_rng(5).standard_normal((m, steps)) * np.sqrt(dt)
+        tables = (np.arange(6.0 * (steps + 1)).reshape(steps + 1, 6) % 5 - 2) / 4
+        rule = sign_of_regression_policy(tables, RegressionBasis("poly_xm", 2), 0.25, dt)
+        curved = ModelSpec(b=make_coef("sine", 0.3, 2.0, 0.5, -0.1),
+                           sigma=make_coef("sine", 0.1, 1.0, 0.0, 0.5),
+                           h=make_coef("tanh", 1.5, 0.7, -0.2, 0.3),
+                           f=make_coef("tanh", 2.0, -1.0, 0.25, -0.5),
+                           x0=0.3, T=1.0, k=0.25)
+        model, pol = {"time table": (tanh_model, constant_policy(0.25)),
+                      "sign rule": (tanh_model, rule), "general": (curved, rule)}[case]
+        peak = traced_peak(lambda: run_filter_bank(model, pol, dY, dt, n, seed=1))
+        assert peak / (m * n * 8) <= bound
 
     @pytest.mark.parametrize("seed", [2.9, -1, float("nan")])
     def test_bad_seed(self, tanh_model, seed):

@@ -19,6 +19,8 @@ from ambifilter.policies import (constant_policy, sign_of_regression_policy,
                                  time_table_policy, zero_policy)
 from ambifilter.presets import make_coef
 
+from conftest import traced_peak
+
 
 class TestClampControl:
     def test_interior_point(self):
@@ -304,6 +306,21 @@ class TestPicard:
         with pytest.raises(InvalidArgumentError, match=field):
             PicardConfig(**{field: value})
         PicardConfig(**{field: np.int64(20)})
+
+
+def test_picard_holds_one_iterate(tanh_model):
+    # Traced peak of a 600 x 10 x 25 picard_solve in path tables (600 x 26
+    # doubles). An iterate is 11 tables (bundle 4, u 1, adjoint 4, sign
+    # fields 2); with one held at a time the peak is 14.4 tables, in the
+    # filter bank, and it was 27.5 with the previous iterate still held.
+    cfg = PicardConfig(n_paths=600, n_particles=10, n_steps=25, seed=5,
+                       max_iters=3, tol=0.0)
+    # a first run in the process also traces what numpy loads lazily
+    picard_solve(tanh_model, replace(cfg, n_paths=100, max_iters=1))
+    reports = []
+    peak = traced_peak(lambda: reports.append(picard_solve(tanh_model, cfg)))
+    assert len(reports[0].iterations) == 3
+    assert peak / (600 * 26 * 8) <= 16.0
 
 
 class TestMinimaxGap:

@@ -606,7 +606,7 @@ def test_sign_rule_evaluates_by_horner(degree, monkeypatch):
     for j, w in enumerate(tables):
         bound = (1e-13 * np.abs(F * w).sum(axis=1)).reshape(x.shape)
         ref = (F @ w).reshape(x.shape)
-        p_hat = policies._horner_xm(w, degree, x, m)
+        p_hat = policies._horner_xm(pol._horner_grid[j], x, m)
         assert np.all(np.abs(p_hat - ref) <= bound)
         theta = pol.evaluate(j * 0.1, x, m)
         clear = np.abs(p_hat) > bound
@@ -690,6 +690,8 @@ class TestCoefPresetValues:
             assert (got + x).tobytes() == (old + x).tobytes()
         assert isinstance(lin.value(0.5), np.floating)
         assert lin.value(0.5) == c + slope * 0.5
+        buf = np.empty_like(x)
+        assert lin.value(x, out=buf) is buf and buf.tobytes() == (c + slope * x).tobytes()
 
     @given(name=st.sampled_from(["tanh", "sine"]),
            params=st.tuples(CURVED_PARAMS, CURVED_PARAMS, CURVED_PARAMS, CURVED_PARAMS),
@@ -703,10 +705,13 @@ class TestCoefPresetValues:
         a, b, c, d = params
         fn = np.tanh if name == "tanh" else np.sin
         before = np.array(x, copy=True)
+        buf = np.empty(np.shape(x))
         with np.errstate(all="ignore"):   # sin(inf), inf * 0
             want = a * fn(b * np.asarray(x) + c) + d
             got = make_coef(name, *params).value(x)
+            into = make_coef(name, *params).value(x, out=buf)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert into is buf and buf.tobytes() == np.asarray(want).tobytes()
         assert np.asarray(x).tobytes() == before.tobytes()
 
 
