@@ -22,11 +22,17 @@ exact finite-state recursion there checks the step the diffusion filter runs.
 A cloud resamples after a step whose effective sample size is below
 ESS_THRESHOLD * n_particles: a fixed part of the approximation, set by no caller.
 
-A bank allocates every cloud-sized array before its first step and writes
-each step's values into them, in the float order of the plain expressions, so
-outputs keep their bits and no step allocates a cloud. Besides the positions,
-log-weights and log M, a diffusion bank holds four scratch clouds, each
-holding one value at a time:
+A bank runs in row blocks of at most CLOUD_BLOCK_ELEMENTS particle values
+(rows split evenly, at least one per block), so its clouds fit a core's L2
+cache at any bank size. A block runs every step, writing its rows of the
+full-size output tables, before the next starts. Every cloud operation is
+per element or per row, and each block continues step j's normal and
+uniform streams where the block before stopped, so the outputs do not
+depend on the blocks. The block clouds are allocated once, and each step
+writes its values into them, in the float order of the plain expressions,
+so outputs keep their bits and no step allocates a cloud. Besides the
+positions, log-weights and log M, a diffusion bank holds four scratch
+clouds, each holding one value at a time:
 
     hbuf     M = exp(log M) until theta is evaluated, then b(X) and the drift,
              then h at the new positions until the step ends
@@ -57,6 +63,10 @@ from .policies import DriftPolicy
 
 # Resample a cloud after a step whose ESS is below this fraction of its size.
 ESS_THRESHOLD = 0.5
+# Largest row block of a bank, in particle values: seven block clouds take
+# 1.75 MiB, inside a 2 MiB L2. Budgets of 2^14 to 2^16 timed the same on
+# 2000 x 500 banks; 2^13 was slower.
+CLOUD_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -121,25 +131,35 @@ def _check_cloud(n_particles, dt) -> None:
         raise InvalidArgumentError(f"dt must be finite and > 0, got {dt!r}")
 
 
+def _block_rows(m: int, n: int) -> int:
+    """Rows per block of an m x n bank: the fewest blocks of at most
+    CLOUD_BLOCK_ELEMENTS values, rows split evenly, at least one row."""
+    n_blocks = max(1, -(-m * n // CLOUD_BLOCK_ELEMENTS))
+    return max(1, -(-m // n_blocks))
+
+
 def run_clouds(mutate, start, n_particles: int, dY: np.ndarray, dt: float,
-               u0: float, pih0: float, track_m: bool = False) -> BankResult:
+               u0: float, pih0: float, stream_keys, track_m: bool = False) -> BankResult:
     """The filter loop shared by every signal: one cloud per row of dY, its
-    particles all at `start`, where f and h are u0 and pih0. Step j calls
-    mutate(j, pos, logm, incr, w), which moves the (n_paths, n_particles)
-    states pos in place and returns h and f at the new states and one
-    resampling offset per cloud; logm (log M) is None unless track_m, and
-    incr and w are two cloud-sized arrays the mutation may use as scratch.
-    h and f may be arrays the mutation owns and rewrites next step: the loop
-    is done with them when the step ends. The loop applies the exact
-    exponential weight update with h at the new states, reading dY[:, j] in
-    place, then the fused estimate/resample pass; a cloud whose maximum
-    log-weight is not finite has no estimate and raises first."""
+    particles all at `start`, where f and h are u0 and pih0, run in row
+    blocks (see the module docstring). Step j of a block calls
+    mutate(j, stream, pos, logm, scratch), which moves the block's
+    (rows, n_particles) states pos in place and returns h and f at the new
+    states and one resampling offset per row. stream(s, j) is a generator at
+    the block's place in step j's stream s, keyed by stream_keys[s][j]; the
+    mutation draws what it needs from one stream before it asks for the
+    next. logm (log M) is None unless track_m. scratch is four block-sized
+    float arrays: the loop reuses the first two once the mutation returns,
+    and the mutation may return h and f in the other two, which it rewrites
+    next step. The loop applies the exact exponential weight update with h
+    at the new states, reading dY[:, j] in place, then the fused
+    estimate/resample pass; a cloud whose maximum log-weight is not finite
+    has no estimate and raises first."""
     _check_cloud(n_particles, dt)
     (m, n_steps), n = dY.shape, n_particles
-    pos = np.full((m, n), start)
-    logw = np.full((m, n), -np.log(n))
-    logm = np.zeros((m, n)) if track_m else None
-    incr, w = np.empty((m, n)), np.empty((m, n))
+    rows = _block_rows(m, n)
+    clouds = [np.empty((rows, n), dtype=np.asarray(start).dtype)]
+    clouds += [np.empty((rows, n)) for _ in range(5 + track_m)]
 
     u = np.empty((m, n_steps + 1))
     pih = np.empty((m, n_steps + 1))
@@ -148,25 +168,45 @@ def run_clouds(mutate, start, n_particles: int, dY: np.ndarray, dt: float,
     log_mass = np.zeros((m, n_steps + 1))
     u[:, 0], pih[:, 0], ess[:, 0] = u0, pih0, n
 
-    # The step's buffers live as long as the bank: freeing them each step let
-    # the allocator fault them in again, 9x the minor page faults on picard.
-    for j in range(n_steps):
-        hv, fv, resample_u = mutate(j, pos, logm, incr, w)
-        # hv dY - ((dt / 2) hv) hv; w is scratch here, and the spent incr in
-        # the reductions below
-        np.multiply(hv, dY[:, j, None], out=incr)
-        incr -= np.multiply(np.multiply(hv, 0.5 * dt, out=w), hv, out=w)
-        logw += incr
+    # A bank of one block rekeys one generator; with more, each stream and
+    # step keeps its own, which the blocks after the first continue.
+    one = np.random.Generator(np.random.Philox())
+    gens = [[one if rows >= m else np.random.Generator(np.random.Philox())
+             for _ in range(n_steps)] for _ in stream_keys]
+
+    def stream(s, j):
+        return rekey(gens[s][j], stream_keys[s][j]) if r0 == 0 else gens[s][j]
+
+    # The clouds live as long as the bank: freeing them each step let the
+    # allocator fault them in again, 9x the minor page faults on picard.
+    for r0 in range(0, m, rows):
+        pos, logw, *scratch = (c[:m - r0] for c in clouds)
+        logm = scratch.pop() if track_m else None
+        incr, w = scratch[:2]
+        pos.fill(start)
+        logw.fill(-np.log(n))
         if logm is not None:
-            logm += incr
-        mx = logw.max(axis=1)
-        if not np.all(np.isfinite(mx)):
-            raise DegenerateCloudError(
-                "total particle mass underflowed; all log-weights are -inf")
-        np.exp(np.subtract(logw, mx[:, None], out=w), out=w)
-        (u[:, j + 1], pih[:, j + 1], ess[:, j + 1], log_mass[:, j + 1],
-         flags[:, j + 1]) = _reduce_and_resample(pos, logw, logm, w, hv, fv, mx,
-                                                 resample_u, ESS_THRESHOLD, incr)
+            logm.fill(0.0)
+        dYb = dY[r0:r0 + rows]
+        ub, pihb, essb, flagsb, log_massb = (
+            t[r0:r0 + rows] for t in (u, pih, ess, flags, log_mass))
+        for j in range(n_steps):
+            hv, fv, resample_u = mutate(j, stream, pos, logm, scratch)
+            # hv dY - ((dt / 2) hv) hv; w is scratch here, and the spent incr
+            # in the reductions below
+            np.multiply(hv, dYb[:, j, None], out=incr)
+            incr -= np.multiply(np.multiply(hv, 0.5 * dt, out=w), hv, out=w)
+            logw += incr
+            if logm is not None:
+                logm += incr
+            mx = logw.max(axis=1)
+            if not np.all(np.isfinite(mx)):
+                raise DegenerateCloudError(
+                    "total particle mass underflowed; all log-weights are -inf")
+            np.exp(np.subtract(logw, mx[:, None], out=w), out=w)
+            (ub[:, j + 1], pihb[:, j + 1], essb[:, j + 1], log_massb[:, j + 1],
+             flagsb[:, j + 1]) = _reduce_and_resample(pos, logw, logm, w, hv, fv, mx,
+                                                      resample_u, ESS_THRESHOLD, incr)
     return BankResult(u=u, pi_h=pih, ess=ess, flags=flags, log_mass=log_mass)
 
 
@@ -180,8 +220,8 @@ def run_filter_bank(model: ModelSpec, policy: DriftPolicy, dY: np.ndarray,
     the output at time t never depends on observations after t. The mutation
     is an Euler step under the theta-perturbed drift, and a cloud resamples
     after a step whose ESS is below ESS_THRESHOLD * n_particles. The bank
-    adds two clouds to the loop's, the normals and `hbuf`, and writes every
-    step value into a scratch cloud (see the module docstring).
+    runs in row blocks and writes every step value into a block cloud (see
+    the module docstring).
     """
     dY = np.asarray(dY, dtype=float)
     if dY.ndim != 2:
@@ -189,16 +229,14 @@ def run_filter_bank(model: ModelSpec, policy: DriftPolicy, dY: np.ndarray,
     if not np.all(np.isfinite(dY)):
         raise DataError("observation increments must be finite")
     _check_cloud(n_particles, dt)
-    m, n = dY.shape[0], n_particles
     steps = np.arange(dY.shape[1])
     normal_keys = substream_keys(seed, ROLE_CLOUD_NORMAL, salt, steps).tolist()
     uniform_keys = substream_keys(seed, ROLE_CLOUD_UNIFORM, salt, steps).tolist()
-    gen = np.random.Generator(np.random.Philox())
-    normals, hbuf = np.empty((m, n)), np.empty((m, n))
     sqrt_dt = np.sqrt(dt)
     f_is_h = model.f == model.h
 
-    def mutate(j, pos, logm, incr, w):
+    def mutate(j, stream, pos, logm, scratch):
+        incr, w, hbuf, normals = scratch
         # M in hbuf; theta in w, with incr as Horner scratch
         theta = policy.evaluate(j * dt, pos,
                                 None if logm is None else np.exp(logm, out=hbuf),
@@ -208,18 +246,18 @@ def run_filter_bank(model: ModelSpec, policy: DriftPolicy, dY: np.ndarray,
         sig_theta = _into(np.multiply, sig, theta, w)
         drift = _into(np.add, model.b.value(pos, out=hbuf), sig_theta, hbuf)
         drift *= dt
-        noise = rekey(gen, normal_keys[j]).standard_normal(out=normals)
+        noise = stream(0, j).standard_normal(out=normals)
         noise *= _into(np.multiply, sig, sqrt_dt, incr)
         noise += drift
         pos += noise
         # f goes to the spent normals, which the next step draws over
         hv = model.h.value(pos, out=hbuf)
         fv = hv if f_is_h else model.f.value(pos, out=normals)
-        return hv, fv, rekey(gen, uniform_keys[j]).random(m)
+        return hv, fv, stream(1, j).random(len(pos))
 
-    return run_clouds(mutate, float(model.x0), n, dY, dt,
+    return run_clouds(mutate, float(model.x0), n_particles, dY, dt,
                       float(model.f.value(model.x0)), float(model.h.value(model.x0)),
-                      track_m=policy.needs_m)
+                      (normal_keys, uniform_keys), track_m=policy.needs_m)
 
 
 def _into(ufunc, a, b, out):

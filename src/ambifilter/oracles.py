@@ -24,7 +24,7 @@ from .errors import InvalidArgumentError, ShapeError
 from .bsde import CostReport
 from .filtering import BankResult, run_clouds
 from .minimax import ControlRule, evaluate_cost
-from .model import (ModelSpec, TimeGrid, ROLE_CHAIN, ROLE_MARKOV, rekey, sample_noise,
+from .model import (ModelSpec, TimeGrid, ROLE_CHAIN, ROLE_MARKOV, sample_noise,
                     substream, substream_keys)
 from .policies import DriftPolicy, time_table_policy, zero_policy
 
@@ -208,16 +208,17 @@ def particle_filter_on_surrogate(spec: FiniteSignalSpec, Y: np.ndarray,
     cum = np.cumsum(_transition_matrix(spec, grid), axis=1)
     start = int(np.argmin(np.abs(spec.states - x0)))
     keys = substream_keys(seed, ROLE_MARKOV, 0, np.arange(grid.n_steps))
-    gen = np.random.Generator(np.random.Philox())
 
-    def mutate(j, idx, _logm, *_scratch):
-        draw = rekey(gen, keys[j]).random(n_particles)
+    def mutate(j, stream, idx, _logm, _scratch):
+        gen = stream(0, j)
+        draw = gen.random(n_particles)
         moved = (cum[idx[0]] <= draw[:, None]).sum(axis=1)
         idx[0] = np.minimum(moved, spec.n_states - 1)
         return spec.h_values[idx], spec.f_values[idx], gen.random(1)
 
     return run_clouds(mutate, start, n_particles, np.diff(Y).reshape(1, grid.n_steps),
-                      grid.dt, spec.f_values[start], spec.h_values[start]).row(0)
+                      grid.dt, spec.f_values[start], spec.h_values[start],
+                      (keys,)).row(0)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ambifilter import filtering
+from ambifilter import filtering, oracles
 from ambifilter.errors import (DataError, DegenerateCloudError,
                                InvalidArgumentError, ShapeError)
 from ambifilter.filtering import (_reduce_and_resample, innovation_path,
@@ -20,6 +20,13 @@ from conftest import golden_noise, traced_peak
 
 CONST0 = make_coef("constant", 0.0)
 DY3 = np.array([[0.1, -0.2, 0.05]])
+# no identity parameter anywhere: a sine drift, a state-dependent sigma, and
+# tanh sensor and target that differ
+CURVED = ModelSpec(b=make_coef("sine", 0.3, 2.0, 0.5, -0.1),
+                   sigma=make_coef("sine", 0.1, 1.0, 0.0, 0.5),
+                   h=make_coef("tanh", 1.5, 0.7, -0.2, 0.3),
+                   f=make_coef("tanh", 2.0, -1.0, 0.25, -0.5), x0=0.3, T=1.0, k=0.25)
+FIELDS = ("u", "pi_h", "ess", "flags", "log_mass")
 
 
 def model_of(b, sigma, h, f, x0=0.0, T=1.0, k=0.0):
@@ -31,6 +38,22 @@ def bank_digest(r) -> str:
     for a in (r.u, r.pi_h, r.ess, r.flags, r.log_mass):
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
+
+
+def sign_rule(steps, dt):
+    """A sign rule with M over a grid of `steps` steps, whose sign varies
+    with X and M."""
+    tables = (np.arange(6.0 * (steps + 1)).reshape(steps + 1, 6) % 5 - 2) / 4
+    tables[:, 0] += 0.125
+    return sign_of_regression_policy(tables, RegressionBasis("poly_xm", 2), 0.25, dt)
+
+
+def bank_case(case, tanh_model, steps, dt):
+    """(model, policy) of a time table, a sign rule with M, or a sign rule
+    on CURVED."""
+    return {"time table": (tanh_model, constant_policy(0.25)),
+            "sign rule": (tanh_model, sign_rule(steps, dt)),
+            "general": (CURVED, sign_rule(steps, dt))}[case]
 
 
 def reduce_cloud(pos, logw, ess_frac):
@@ -265,10 +288,7 @@ class TestRunFilter:
         # with the positions, so both reach these bytes
         monkeypatch.setattr(filtering, "ESS_THRESHOLD", 1.0)
         g = build_time_grid(1.0, 6)
-        tables = (np.arange(42.0).reshape(7, 6) % 5 - 2) / 4
-        tables[:, 0] += 0.125
-        pol = sign_of_regression_policy(tables, RegressionBasis("poly_xm", 2), 0.25, g.dt)
-        r = run_filter_bank(tanh_model, pol, golden_noise()[1], g.dt, 16,
+        r = run_filter_bank(tanh_model, sign_rule(6, g.dt), golden_noise()[1], g.dt, 16,
                             seed=2024, salt=3)
         assert r.flags[:, 1:].all()
         assert bank_digest(r) == (
@@ -280,20 +300,12 @@ class TestRunFilter:
         # times a sign rule's theta(X, M), array by array
         monkeypatch.setattr(filtering, "ESS_THRESHOLD", 1.0)
         g = build_time_grid(1.0, 6)
-        m = ModelSpec(b=make_coef("sine", 0.3, 2.0, 0.5, -0.1),
-                      sigma=make_coef("sine", 0.1, 1.0, 0.0, 0.5),
-                      h=make_coef("tanh", 1.5, 0.7, -0.2, 0.3),
-                      f=make_coef("tanh", 2.0, -1.0, 0.25, -0.5), x0=0.3, T=1.0, k=0.25)
-        tables = (np.arange(42.0).reshape(7, 6) % 5 - 2) / 4
-        tables[:, 0] += 0.125
-        sign_rule = sign_of_regression_policy(tables, RegressionBasis("poly_xm", 2),
-                                              0.25, g.dt)
         for pol, want in (
                 (constant_policy(0.25),
                  "b9d1d34bae434d1f9079cbd1effb865780a48879ed1d1252287d596b657affc9"),
-                (sign_rule,
+                (sign_rule(6, g.dt),
                  "d542d280d69bfb4a18d8b4bb423c5bc478416381bd63692798ef7f88088c3eb8")):
-            r = run_filter_bank(m, pol, golden_noise()[1], g.dt, 16, seed=2024, salt=3)
+            r = run_filter_bank(CURVED, pol, golden_noise()[1], g.dt, 16, seed=2024, salt=3)
             assert r.flags[:, 1:].all()
             assert bank_digest(r) == want
 
@@ -310,13 +322,8 @@ class TestRunFilter:
         dY = np.random.default_rng(5).standard_normal((m, steps)) * np.sqrt(dt)
         tables = (np.arange(6.0 * (steps + 1)).reshape(steps + 1, 6) % 5 - 2) / 4
         rule = sign_of_regression_policy(tables, RegressionBasis("poly_xm", 2), 0.25, dt)
-        curved = ModelSpec(b=make_coef("sine", 0.3, 2.0, 0.5, -0.1),
-                           sigma=make_coef("sine", 0.1, 1.0, 0.0, 0.5),
-                           h=make_coef("tanh", 1.5, 0.7, -0.2, 0.3),
-                           f=make_coef("tanh", 2.0, -1.0, 0.25, -0.5),
-                           x0=0.3, T=1.0, k=0.25)
         model, pol = {"time table": (tanh_model, constant_policy(0.25)),
-                      "sign rule": (tanh_model, rule), "general": (curved, rule)}[case]
+                      "sign rule": (tanh_model, rule), "general": (CURVED, rule)}[case]
         peak = traced_peak(lambda: run_filter_bank(model, pol, dY, dt, n, seed=1))
         assert peak / (m * n * 8) <= bound
 
@@ -328,6 +335,96 @@ class TestRunFilter:
     def test_shape_validation(self, tanh_model):
         with pytest.raises(ShapeError):
             run_filter(tanh_model, zero_policy(), np.array([0.0]), 16, seed=1)
+
+
+class TestRowBlocks:
+    def test_block_rows(self):
+        budget = filtering.CLOUD_BLOCK_ELEMENTS
+        assert filtering._block_rows(2000, 10) == 2000     # one block
+        assert filtering._block_rows(1000, 100) == 250     # four even blocks
+        assert filtering._block_rows(301, 128) == 151      # 151 + 150 rows
+        assert filtering._block_rows(3, budget + 1) == 1   # a row over budget
+        assert filtering._block_rows(0, 16) == 1           # no paths, no blocks
+
+    @pytest.mark.parametrize("case", ["time table", "sign rule", "general"])
+    def test_outputs_do_not_depend_on_blocks(self, tanh_model, case, monkeypatch):
+        # every step resamples, so both step streams reach the outputs; the
+        # budgets give one block, blocks of 10, 10, 10 and 7 rows, and one
+        # row per block (a budget below one row)
+        monkeypatch.setattr(filtering, "ESS_THRESHOLD", 1.0)
+        m, n, steps = 37, 16, 6
+        dt = 1.0 / steps
+        model, pol = bank_case(case, tanh_model, steps, dt)
+        dY = np.random.default_rng(3).standard_normal((m, steps)) * np.sqrt(dt)
+        banks = []
+        for budget, rows in ((m * n, m), (160, 10), (n - 1, 1)):
+            monkeypatch.setattr(filtering, "CLOUD_BLOCK_ELEMENTS", budget)
+            assert filtering._block_rows(m, n) == rows
+            banks.append(run_filter_bank(model, pol, dY, dt, n, seed=9, salt=1))
+        assert banks[0].flags[:, 1:].all()
+        for bank in banks[1:]:
+            for name in FIELDS:
+                np.testing.assert_array_equal(getattr(bank, name),
+                                              getattr(banks[0], name), err_msg=name)
+
+    def test_golden_multi_block_bank(self, monkeypatch):
+        # two blocks of 151 and 150 rows; the digest was taken from a bank
+        # filtered as one block
+        monkeypatch.setattr(filtering, "ESS_THRESHOLD", 1.0)
+        m, n, steps = 301, 128, 6
+        dt = 1.0 / steps
+        dY = np.random.default_rng(11).standard_normal((m, steps)) * np.sqrt(dt)
+        r = run_filter_bank(CURVED, sign_rule(steps, dt), dY, dt, n, seed=2024, salt=3)
+        assert r.flags[:, 1:].all()
+        assert bank_digest(r) == (
+            "aae7ab529f34ab63b895396bef6ea88409cd5deab141fb76c965295c8c2b4a06")
+
+    @pytest.mark.parametrize("m", [2048, 4096])
+    @pytest.mark.parametrize("case", ["time table", "sign rule", "general"])
+    def test_clouds_do_not_grow_with_the_bank(self, tanh_model, case, m):
+        # m x 128 is 8 and 16 block budgets. The traced peak over the five
+        # output tables is 6.3 block clouds (7.4 with log M); when the bank
+        # held whole-bank clouds it was 48-57 at m = 2048
+        n, steps = 128, 4
+        dt = 1.0 / steps
+        model, pol = bank_case(case, tanh_model, steps, dt)
+        dY = np.random.default_rng(5).standard_normal((m, steps)) * np.sqrt(dt)
+        tables = m * (steps + 1) * (4 * 8 + 1)
+        block = filtering._block_rows(m, n) * n * 8
+        peak = traced_peak(lambda: run_filter_bank(model, pol, dY, dt, n, seed=1))
+        assert peak <= tables + 8 * block
+
+    def test_empty_banks(self, tanh_model):
+        rule = sign_rule(4, 0.25)
+        no_paths = run_filter_bank(tanh_model, rule, np.zeros((0, 4)), 0.25, 8, seed=1)
+        no_steps = run_filter_bank(tanh_model, rule, np.zeros((3, 0)), 0.25, 8, seed=1)
+        for name in FIELDS:
+            assert getattr(no_paths, name).shape == (0, 5), name
+            assert getattr(no_steps, name).shape == (3, 1), name
+        np.testing.assert_array_equal(no_steps.u, tanh_model.f.value(0.8))
+        np.testing.assert_array_equal(no_steps.ess, 8.0)
+        assert not no_steps.flags.any() and not no_steps.log_mass.any()
+
+    def test_chain_state_stays_integer(self, tanh_model, grid50, monkeypatch):
+        # the chain filter's particles are state indices, which index its
+        # h and f tables
+        dtypes = []
+        run = oracles.run_clouds
+
+        def spy(mutate, *args, **kwargs):
+            def watched(j, stream, pos, *rest):
+                dtypes.append(pos.dtype)
+                return mutate(j, stream, pos, *rest)
+            return run(watched, *args, **kwargs)
+
+        monkeypatch.setattr(oracles, "run_clouds", spy)
+        states = np.array([0.8, -0.3])
+        spec = FiniteSignalSpec(states, np.array([[-1.0, 1.0], [1.0, -1.0]]),
+                                tanh_model.h.value(states), tanh_model.f.value(states))
+        particle_filter_on_surrogate(spec, np.zeros(grid50.n_steps + 1), grid50, 64,
+                                     seed=1, x0=0.8)
+        assert len(dtypes) == grid50.n_steps
+        assert all(d.kind == "i" for d in dtypes)
 
 
 class TestFiniteFilter:

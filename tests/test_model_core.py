@@ -197,6 +197,14 @@ class TestSubstreamKeys:
             assert "ess_threshold" not in text, path.name
             assert ("ESS_THRESHOLD" in text) == (path.name == "filtering.py"), path.name
 
+    def test_one_block_budget(self):
+        # a bank's row-block size is a filtering constant chosen for cache
+        # size: no other module reads it, and no environment variable sets it
+        for path in sorted(Path(model.__file__).parent.glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            assert ("CLOUD_BLOCK_ELEMENTS" in text) == (path.name == "filtering.py"), path.name
+            assert not re.search(r"\benviron\b|\bgetenv\b", text), path.name
+
     @pytest.mark.parametrize("seed", [-1, -2**70, 1.5, 3.0, float("nan"),
                                       float("inf"), "7", None])
     def test_bad_seed(self, seed):
