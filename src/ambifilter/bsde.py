@@ -7,11 +7,12 @@ expectations projected on per-step polynomial features:
   k|z| from maximizing theta*z over |theta| <= k. The backward recursion is
 
       z_t ~ E[(y_{t+dt} - E[y_{t+dt} | F_t]) dW / dt | F_t],
-      y_t = E[y_{t+dt} | F_t] + (|f(X_t) - u_t|^2 + k |z_t|) dt,   y_T = 0,
+      y_t = E[y_{t+dt} | F_t] + (|f(X_t) - u_t|^2 + k|z_t| - theta_t z_t) dt,
 
-  so y_0 estimates the supremum of the cost over the ambiguity class. (The
-  +k|z_t| sign follows the sup derivation and makes y_0 nondecreasing in k;
-  see the worst-case driver note in the README.)
+  from y_T = 0 on the paths of any Q_theta, W = `noise.dW` being its Brownian
+  motion (Girsanov; El Karoui, Peng and Quenez 1997; P is theta = 0), so y_0
+  estimates the sup of the cost over the ambiguity class. (The +k|z_t| sign
+  follows the sup derivation and makes y_0 nondecreasing in k; see the README.)
 
 * the adjoint system (p, q) / (P, Q) of the weighted mean-field control
   problem, solved under the reference measure where the observation is a free
@@ -39,7 +40,7 @@ from .features import RegressionBasis, RidgeProjection, fit_ridge
 from .filtering import run_filter_bank
 from .model import (ModelSpec, NoiseBundle, PathBundle, build_time_grid, sample_noise,
                     simulate_bundle)
-from .policies import DriftPolicy, time_table_policy
+from .policies import DriftPolicy, time_table_policy, zero_policy
 
 # The duality test (gateaux_fd vs gateaux_adjoint) selects "derived", the
 # default and the driver the fixed point uses: the printed main variant is
@@ -89,13 +90,13 @@ class AdjointSolution:
 
 
 def _check_inputs(solver: str, paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
-                  measure: str, basis: RegressionBasis) -> None:
+                  measures: tuple[str, ...], basis: RegressionBasis) -> None:
     """The input contract of both backward solvers."""
     if not model.h1_compliant:
         raise InvalidArgumentError(f"{solver} requires bounded h and f; a sloped linear "
                                    "or identity preset is unbounded")
-    if paths.measure_tag != measure:
-        raise InvalidArgumentError(f"{solver} paths must be simulated under {measure}")
+    if paths.measure_tag not in measures:
+        raise InvalidArgumentError(f"{solver} paths must be simulated under {'/'.join(measures)}")
     if np.shape(u_vals) != paths.X.shape:
         raise ShapeError(f"{solver}: u_vals must align with the path arrays")
     check_path_floor(solver, basis, paths.X.shape[0])
@@ -119,14 +120,17 @@ def _centred_projection(proj: RidgeProjection, F: np.ndarray, y: np.ndarray,
 
 
 def solve_worst_value(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
-                      basis: RegressionBasis = WORST_VALUE_BASIS) -> BsdeSolution:
-    """Backward solve of the worst-case value on base-measure paths.
-
-    `paths` must be simulated under P (unperturbed dynamics, full (W, B)
-    noise); `u_vals` is the candidate control evaluated per path and grid
+                      basis: RegressionBasis = WORST_VALUE_BASIS,
+                      policy: DriftPolicy = zero_policy()) -> BsdeSolution:
+    """Backward solve of the worst-case value on the paths of one member of
+    the ambiguity class: `paths` simulated under Q with drift `policy`, or
+    under P with the default theta = 0 (Q paths of theta = 0 give the same
+    bits). `u_vals` is the candidate control evaluated per path and grid
     time (a causal functional of the observation path).
     """
-    _check_inputs("solve_worst_value", paths, u_vals, model, "P", basis)
+    _check_inputs("solve_worst_value", paths, u_vals, model, ("P", "Q"), basis)
+    if paths.measure_tag == "P" and policy.radius > 0.0:
+        raise InvalidArgumentError("solve_worst_value: P paths carry no drift policy")
     grid = paths.grid
     n, steps = paths.X.shape[0], grid.n_steps
     dt = grid.dt
@@ -137,7 +141,8 @@ def solve_worst_value(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
                           "m": paths.M[:, j]})
         cont, z = _centred_projection(fit_ridge(F), F, y, paths.noise.dW[:, j], dt)
         err = model.f.value(paths.X[:, j]) - u_vals[:, j]
-        y = cont + (err * err + model.k * np.abs(z)) * dt
+        theta = policy.evaluate(grid.times[j], paths.X[:, j], paths.M[:, j])
+        y = cont + (err * err + model.k * np.abs(z) - theta * z) * dt
     if not np.isfinite(y).all():
         raise NumericalError("worst-case value is not finite (the k|z| driver overflowed)")
     return BsdeSolution(y0=float(y.mean()))
@@ -170,7 +175,7 @@ def solve_adjoint(paths: PathBundle, u_vals: np.ndarray, model: ModelSpec,
     if variant not in ADJOINT_VARIANTS:
         raise InvalidArgumentError(f"unknown adjoint variant {variant!r}; "
                                    f"choose from {ADJOINT_VARIANTS}")
-    _check_inputs("solve_adjoint", paths, u_vals, model, "Q_tilde", basis)
+    _check_inputs("solve_adjoint", paths, u_vals, model, ("Q_tilde",), basis)
     grid = paths.grid
     n, steps = paths.X.shape[0], grid.n_steps
     dt = grid.dt

@@ -11,7 +11,7 @@ the robustness experiment.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -123,7 +123,8 @@ class PicardReport:
     converged: bool
     final_policy: DriftPolicy
     final_rule: FilterRule
-    final_cost: CostReport               # J(u*, theta*) on the run's own sample
+    final_u: np.ndarray = field(repr=False)  # u* on theta*'s paths of the run's sample
+    final_cost: CostReport               # J(u*, theta*) on those paths
     shift_costs: tuple[CostReport, ...]  # J(clip(u* + d), theta*), d in CONTROL_SHIFTS
     config: PicardConfig                 # names that sample
 
@@ -199,8 +200,8 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
     if n_iters == 0:
         iters.append(PicardIteration(1, cost.J, 1.0))
     return PicardReport(iterations=tuple(iters), converged=converged,
-                        final_policy=theta, final_rule=rule, final_cost=cost,
-                        shift_costs=shifts, config=config)
+                        final_policy=theta, final_rule=rule, final_u=u_star,
+                        final_cost=cost, shift_costs=shifts, config=config)
 
 
 @dataclass(frozen=True)
@@ -259,22 +260,21 @@ def saddle_probes(model: ModelSpec, report: PicardReport) -> list[SaddleProbe]:
 
     At a saddle theta* is u*'s best response, so the sup of J(u*, theta)
     over every adapted |theta| <= k equals J(u*, theta*). The `worst_value`
-    row estimates that sup with `solve_worst_value` on P paths driven by the
-    Picard run's own noise, with u* evaluated on them; its se is J*'s, the
-    unit its gap to the saddle row is judged in. The solve's default basis
-    has 10 features, so it needs 100 paths. At k = 0 the class has one
-    member, theta = 0, and there is no worst-value row.
+    row estimates that sup with `solve_worst_value` on theta*'s Q paths,
+    simulated again from the run's noise, with `final_u` on them: the saddle
+    row's own paths and u*, and no filter bank. Its se is J*'s, the unit its
+    gap to the saddle row is judged in; its 10-feature basis needs 100
+    paths. At k = 0 the class has one member, theta = 0, and no such row.
     """
     star = report.final_cost
     out = [SaddleProbe("saddle", "ustar_thetastar", star.J, star.se)]
     if model.k > 0.0:
-        cfg = report.config
+        cfg, theta = report.config, report.final_policy
         grid = build_time_grid(model.T, cfg.n_steps)
-        paths = simulate_bundle(model, zero_policy(), grid, cfg.n_paths, cfg.seed,
-                                measure="P", noise=sample_noise(grid, cfg.n_paths, cfg.seed))
-        u_star = report.final_rule.evaluate(model, grid, paths.Y)
-        out.append(SaddleProbe("worst_value", "ustar",
-                               solve_worst_value(paths, u_star, model).y0, star.se))
+        paths = simulate_bundle(model, theta, grid, cfg.n_paths, cfg.seed, measure="Q",
+                                noise=sample_noise(grid, cfg.n_paths, cfg.seed))
+        out.append(SaddleProbe("worst_value", "ustar", solve_worst_value(
+            paths, report.final_u, model, policy=theta).y0, star.se))
     out += [SaddleProbe("control_shift", f"delta_{d:+g}", c.J, c.se)
             for d, c in zip(CONTROL_SHIFTS, report.shift_costs)]
     return out

@@ -10,7 +10,7 @@ from ambifilter.errors import (IllConditionedBasisError, InvalidArgumentError,
                                ShapeError)
 from ambifilter import features
 from ambifilter.features import RegressionBasis, fit_ridge, monomial_exponents
-from ambifilter.model import ModelSpec, simulate_bundle
+from ambifilter.model import ModelSpec, sample_noise, simulate_bundle
 from ambifilter.policies import (constant_policy, sign_of_regression_policy,
                                  time_table_policy, zero_policy)
 from ambifilter.presets import make_coef
@@ -293,10 +293,53 @@ class TestWorstValue:
         assert abs(y3 - y2) < 2 * mc_se(direct)
 
     def test_requires_base_measure(self, tanh_model, grid50):
-        bundle = simulate_bundle(tanh_model, zero_policy(), grid50, 400, 8,
-                                 measure="Q_tilde")
-        with pytest.raises(InvalidArgumentError):
-            solve_worst_value(bundle, np.zeros_like(bundle.X), tanh_model)
+        # Q_tilde decouples the observation from the signal: it is no member
+        # of the ambiguity class, whatever drift it was simulated under
+        pol = constant_policy(0.25, radius=0.25)
+        for theta in (zero_policy(), pol):
+            bundle = simulate_bundle(tanh_model, theta, grid50, 400, 8, measure="Q_tilde")
+            with pytest.raises(InvalidArgumentError, match="simulated under P/Q"):
+                solve_worst_value(bundle, np.zeros_like(bundle.X), tanh_model,
+                                  policy=theta)
+
+    def test_p_paths_carry_no_policy(self, tanh_model, grid50):
+        # P paths are the theta = 0 member; a policy that may be nonzero
+        # (radius > 0, even at the value 0) names other paths than these
+        bundle = p_paths(tanh_model, grid50, 400, 8)
+        for theta in (constant_policy(0.25, radius=0.25), constant_policy(0.0, radius=0.1)):
+            with pytest.raises(InvalidArgumentError, match="P paths"):
+                solve_worst_value(bundle, np.zeros_like(bundle.X), tanh_model,
+                                  policy=theta)
+
+    def test_zero_policy_q_paths_give_p_bits(self, tanh_model, grid50):
+        # at theta = 0 the -theta z term subtracts only signed zeros from a
+        # value >= 0, and Q paths of the zero policy are P's paths: one noise
+        # draw gives the same y0 bit for bit, with and without the default
+        noise = sample_noise(grid50, 400, 11)
+        paths = {meas: simulate_bundle(tanh_model, zero_policy(), grid50, 400, 11,
+                                       measure=meas, noise=noise) for meas in ("P", "Q")}
+        u = 0.5 * np.tanh(paths["P"].Y)
+        y_p = solve_worst_value(paths["P"], u, tanh_model).y0
+        assert y_p > 0.0
+        for kwargs in ({}, {"policy": zero_policy()}):
+            assert solve_worst_value(paths["Q"], u, tanh_model, **kwargs).y0 == y_p
+
+    @pytest.mark.parametrize("theta", [0.25, -0.25])
+    def test_same_value_on_any_members_paths(self, tanh_model, grid50, theta):
+        # Girsanov: on Q_theta's paths the driver gains -theta z, and y0
+        # estimates the same sup as on P's paths. On one noise draw of 2000
+        # paths the two differed by at most 0.13 SE of the direct cost over
+        # seeds 1-6 and theta = +-k; without the -theta z term, by 9 SE
+        noise = sample_noise(grid50, 2000, 2)
+        p = simulate_bundle(tanh_model, zero_policy(), grid50, 2000, 2, measure="P",
+                            noise=noise)
+        pol = constant_policy(theta, radius=tanh_model.k)
+        q = simulate_bundle(tanh_model, pol, grid50, 2000, 2, measure="Q", noise=noise)
+        u = np.zeros_like(p.X)
+        y_p = solve_worst_value(p, u, tanh_model).y0
+        y_q = solve_worst_value(q, u, tanh_model, policy=pol).y0
+        direct = (np.asarray(tanh_model.f.value(p.X[:, :-1])) ** 2).sum(axis=1) * grid50.dt
+        assert abs(y_q - y_p) <= 0.5 * mc_se(direct)
 
     def test_rejects_oracle_only_model(self, linear_model, grid50):
         bundle = p_paths(linear_model, grid50, 400, 9)

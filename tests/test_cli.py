@@ -350,9 +350,10 @@ class TestSubcommands:
         assert [r.split(",")[0] for r in saddle[1:]] == ["saddle"] + ["control_shift"] * 4
 
     def test_picard_filters_each_sample_once(self, tanh_conf, tmp_path, monkeypatch):
-        # one bank per iteration, one on theta*'s paths for the saddle row and
-        # every control shift, and at k > 0 one on the P paths of u*'s worst
-        # value; a k = 0 run iterates nothing and has no worst-value row
+        # one bank per iteration and one on theta*'s paths for the saddle row,
+        # every control shift and, at k > 0, u*'s worst value, which is solved
+        # on those paths with no bank of its own; a k = 0 run iterates nothing
+        # and has no worst-value row
         banks = []
         for mod in (bsde, minimax):
             def counting(*args, _bank=mod.run_filter_bank, **kwargs):
@@ -361,7 +362,7 @@ class TestSubcommands:
             monkeypatch.setattr(mod, "run_filter_bank", counting)
         m = run_subcommand("picard", load_config(tanh_conf), run_dir=tmp_path / "pc")
         assert m.extras["iterations"] >= 2
-        assert len(banks) == m.extras["iterations"] + 2
+        assert len(banks) == m.extras["iterations"] + 1
         saddle = (tmp_path / "pc" / "saddle.csv").read_text().splitlines()
         assert [r.split(",")[:2] for r in saddle[1:3]] == [["saddle", "ustar_thetastar"],
                                                            ["worst_value", "ustar"]]
@@ -690,7 +691,7 @@ PINNED_OUTPUTS = {
         "picard.csv":
             "91b1177ae5a6651bd90887330dba7a59ffcc5eed7222dc1e787f9668f99fa082",
         "saddle.csv":
-            "7a943f3efafc16a6621bc0fa3447404de6309876a2a96a5c918415e74b4ec06b",
+            "36125222c630daf3ff2683984db9c05574726247578e471ef02c6fc65e131077",
         "extras":
             "4768e298c8b6572edccce696ae283a94742a1068b588e6af7d49a2bb7eb9ccaf",
     },

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from ambifilter.bsde import solve_adjoint
+from ambifilter import bsde
+from ambifilter.bsde import solve_adjoint, solve_worst_value
 from ambifilter.errors import InvalidArgumentError
 from ambifilter.features import RegressionBasis, fit_ridge
 from ambifilter import minimax
@@ -160,8 +161,6 @@ class TestPicard:
         # the fixed-point cost J(u*, theta*) cannot exceed the backward
         # solver's sup over all admissible drifts at the same control, and
         # the two should land close; checked numerically, not assumed
-        from ambifilter.bsde import solve_worst_value
-        from ambifilter.features import RegressionBasis
         rep = picard_25
         assert rep.converged
         grid = build_time_grid(tanh_model.T, 50)
@@ -386,10 +385,17 @@ class TestSaddleProbes:
             simulated.append(measure)
             return simulate_bundle(model, policy, grid, n_paths, seed, measure, **kwargs)
 
+        def no_bank(*args, **kwargs):
+            raise AssertionError("saddle_probes ran a filter bank")
+
         monkeypatch.setattr(minimax, "simulate_bundle", recording)
+        for mod in (bsde, minimax):
+            monkeypatch.setattr(mod, "run_filter_bank", no_bank)
         probes = saddle_probes(m, rep)
-        # theta*'s paths are not simulated again: only the worst value's P paths
-        assert simulated == ["P"]
+        monkeypatch.undo()
+        # the worst value is solved on theta*'s Q paths, simulated once more
+        # from the run's noise, with the report's u*: no second sample, no bank
+        assert simulated == ["Q"]
         assert [p.kind for p in probes] == (["saddle", "worst_value"]
                                             + ["control_shift"] * len(CONTROL_SHIFTS))
         assert (probes[0].J, probes[0].se) == (rep.final_cost.J, rep.final_cost.se)
@@ -397,7 +403,10 @@ class TestSaddleProbes:
 
         grid = build_time_grid(m.T, 10)
         bundle = simulate_bundle(m, rep.final_policy, grid, 100, 3, measure="Q")
-        u = rep.final_rule.evaluate(m, grid, bundle.Y)[:, :-1]
+        u = rep.final_rule.evaluate(m, grid, bundle.Y)
+        np.testing.assert_array_equal(rep.final_u, u)
+        assert probes[1].J == solve_worst_value(bundle, u, m, policy=rep.final_policy).y0
+        u = u[:, :-1]
         fx = m.f.value(bundle.X[:, :-1])
         np.testing.assert_array_equal(rep.final_cost.per_path,
                                       ((fx - u) ** 2).sum(axis=1) * grid.dt)

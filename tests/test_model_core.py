@@ -172,8 +172,11 @@ class TestSubstreamKeys:
         # Picard builds its target with sign_of_regression_policy, a Kalman
         # control rule is a test's own, and a policy is a time table or a
         # sign rule; mixture_prune stays a PicardConfig field that nothing reads;
-        # fit_ridge alone decides the ridge penalty
+        # fit_ridge alone decides the ridge penalty; the saddle check filters
+        # nothing and simulates no second sample, only theta*'s paths again
         src = Path(model.__file__).parent
+        probes = inspect.getsource(minimax.saddle_probes)
+        assert not re.search(r"run_filter_bank|\.evaluate\(|[\"']P[\"']", probes)
         assert list(inspect.signature(fit_ridge).parameters) == ["F"]
         assert ".name ==" not in (src / "filtering.py").read_text(encoding="utf-8")
         assert not re.search(r"\.params\b|\.name\s*[!=]=",
@@ -345,17 +348,17 @@ def crn_families(m):
         return (np.array([[cost(r, p, noise).J for p in policies] for r in rules]),)
 
     # solved before the draws are counted; the saddle and shift rows are its
-    # own, and u*'s worst value is solved on P paths driven by the noise the
-    # probes draw
+    # own, and u*'s worst value is solved with its u* on theta*'s Q paths,
+    # driven by the noise the probes draw
     star = minimax.picard_solve(m, dataclasses.replace(config, max_iters=1))
 
     def probes():
         return tuple(p.J for p in minimax.saddle_probes(m, star))
 
     def probes_by_hand(noise):
-        paths_p = simulate_bundle(m, zero_policy(), grid, n, seed, measure="P", noise=noise)
-        y0 = bsde.solve_worst_value(paths_p, star.final_rule.evaluate(m, grid, paths_p.Y),
-                                    m).y0
+        theta = star.final_policy
+        paths_q = simulate_bundle(m, theta, grid, n, seed, measure="Q", noise=noise)
+        y0 = bsde.solve_worst_value(paths_q, star.final_u, m, policy=theta).y0
         return (star.final_cost.J, y0, *(c.J for c in star.shift_costs))
 
     base, v = constant_policy(0.05, radius=k), time_table_policy([1.0, -1.0], T, 1.0)
