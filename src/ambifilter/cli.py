@@ -116,8 +116,10 @@ def _parse_preset(raw: str) -> CoefPreset:
 
 def _int_at_least(name, lo=1):
     def conv(s):
-        # int() would truncate a number; only a string or an integral value converts
-        if not isinstance(s, (str, numbers.Integral)) and not float(s).is_integer():
+        # int() would truncate a number and take a bool for 0 or 1; only a
+        # string or an integral value converts
+        if isinstance(s, bool) or (not isinstance(s, (str, numbers.Integral))
+                                   and not float(s).is_integer()):
             raise ValueError(f"not an integer: {name} got {s!r}")
         v = int(s)
         if v < lo:
@@ -338,10 +340,11 @@ def _cmd_picard(config: ExperimentConfig):
                [(it.index, it.J, it.sign_agreement) for it in report.iterations]),
               (["probe_kind", "probe_id", "J", "se"],
                [(p.kind, p.probe_id, p.J, p.se) for p in probes])]
-    return tables, {"converged": report.converged,
-                    "iterations": len(report.iterations),
-                    "J_final": report.final_cost.J,
-                    "u_digest": report.final_rule.digest()}
+    extras = {"converged": report.converged, "iterations": len(report.iterations),
+              "J_final": report.final_cost.J, "u_digest": report.final_rule.digest()}
+    if config.model.k > 0:   # at k = 0 nothing is iterated
+        extras["iteration_particles"] = pc.iteration_particles
+    return tables, extras
 
 
 def _default_grids(config: ExperimentConfig):

@@ -27,6 +27,9 @@ from .policies import DriftPolicy, sign_of_regression_policy, zero_policy
 
 # the saddle check's shifts of u*, costed against theta*
 CONTROL_SHIFTS = (0.05, -0.05, 0.1, -0.1)
+# a Picard iteration's bank runs n_particles // this: it feeds only the
+# adjoint's sign field, and J* comes from the final pass at n_particles
+ITERATION_PARTICLE_DIVISOR = 5
 
 
 def clamp_control(u_values: np.ndarray, f_sup: float) -> np.ndarray:
@@ -104,10 +107,15 @@ class PicardConfig:
         for name, lo in (("n_paths", 2), ("n_particles", 2),   # an SE needs two paths
                          ("n_steps", 1), ("max_iters", 1)):
             v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or v < lo:
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < lo:
                 raise InvalidArgumentError(f"{name} must be an integer >= {lo}, got {v!r}")
         if not 0.0 <= self.tol <= 1.0:
             raise InvalidArgumentError("tol must be in [0, 1]")
+
+    @property
+    def iteration_particles(self) -> int:
+        """Each Picard iteration's bank size; 2 is a bank's own minimum."""
+        return max(self.n_particles // ITERATION_PARTICLE_DIVISOR, 2)
 
 
 @dataclass(frozen=True)
@@ -138,12 +146,12 @@ def _sign_field(policy: DriftPolicy, bundle, times: np.ndarray) -> np.ndarray:
 
 def _picard_step(model: ModelSpec, config: PicardConfig, grid: TimeGrid,
                  noise: NoiseBundle, theta: DriftPolicy) -> tuple[float, DriftPolicy, float]:
-    """One Picard iteration from theta: its cost J, its target k sgn(P_hat)
-    and the sign agreement of theta with the target. The iterate's bundle,
-    filter output, adjoint and sign fields are locals, freed on return, so
-    a run holds one iterate at a time."""
+    """One Picard iteration from theta: its cost J at the iteration's
+    particle count, its target k sgn(P_hat) and the sign agreement of theta
+    with the target. The iterate's bundle, filter output, adjoint and sign
+    fields are locals, freed on return, so a run holds one iterate at a time."""
     per_path, bundle, u = weighted_cost_qtilde(
-        model, theta, config.n_paths, config.n_particles, config.seed,
+        model, theta, config.n_paths, config.iteration_particles, config.seed,
         config.n_steps, noise=noise)
     adjoint = solve_adjoint(bundle, u, model, theta)
     target = sign_of_regression_policy(adjoint.P_tables, adjoint.basis, model.k, grid.dt)
@@ -165,9 +173,11 @@ def picard_solve(model: ModelSpec, config: PicardConfig,
     agreement compares the signs of the iterate and of its target. The run
     returns the last target, converged or not: a run that cycles ends at
     max_iters (reported, not raised). All iterations and the final pass share
-    one noise draw. The final pass simulates theta*'s Q paths once and costs
-    u* and its clamped CONTROL_SHIFTS on them. At k > 0 a path count below
-    the adjoint's floor (`bsde.check_path_floor`) is refused before any bank.
+    one noise draw. The iterations filter at `config.iteration_particles`.
+    The final pass filters at n_particles: it simulates theta*'s Q paths once
+    and costs u* and its clamped CONTROL_SHIFTS on them. At k > 0 a path
+    count below the adjoint's floor (`bsde.check_path_floor`) is refused
+    before any bank.
     """
     k = model.k
     n_iters = config.max_iters if k > 0.0 else 0

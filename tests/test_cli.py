@@ -271,9 +271,13 @@ class TestLoadConfig:
                                      rule_particles=48, picard_max_iters=6,
                                      picard_tol=np.float64(0.02))
             assert built.digest == plain
-        # an integer setting is not truncated
+        # an integer setting is not truncated, and a bool is not the count 1
         with pytest.raises(InvalidArgumentError, match="n_paths"):
             ExperimentConfig(model=model, n_paths=119.5)
+        for name in ("n_steps", "n_paths", "n_particles", "seed", "bsde_degree",
+                     "picard_max_iters", "rule_particles"):
+            with pytest.raises(InvalidArgumentError, match="not an integer"):
+                ExperimentConfig(model=model, **{name: True})
 
     @pytest.mark.parametrize("name, value", [
         ("n_paths", 1), ("n_particles", 1), ("rule_particles", 1), ("n_steps", 0),
@@ -689,11 +693,11 @@ PINNED_OUTPUTS = {
     },
     ("tanh", "picard"): {
         "picard.csv":
-            "91b1177ae5a6651bd90887330dba7a59ffcc5eed7222dc1e787f9668f99fa082",
+            "a912e421fd2832a87539c1334590031ac800e9e0a1afda28fb572b171efdf4b2",
         "saddle.csv":
-            "36125222c630daf3ff2683984db9c05574726247578e471ef02c6fc65e131077",
+            "8674b0005dfed619034d3a27e4b33aa0c7268955f270cd344ac10ad3a0f34b4e",
         "extras":
-            "4768e298c8b6572edccce696ae283a94742a1068b588e6af7d49a2bb7eb9ccaf",
+            "da4cd2f0d3cc77b9bdb4a9d3f5b592120162bd221a60270d5013228e51a52249",
     },
     ("tanh", "minimax-gap"): {
         "saddle.csv":

@@ -14,7 +14,7 @@ from ambifilter.minimax import (CONTROL_SHIFTS, ConstantRule,
                                 clamp_control, evaluate_cost, minimax_gap,
                                 picard_solve, saddle_probes)
 from ambifilter.model import ModelSpec, build_time_grid, simulate_bundle
-from ambifilter.filtering import run_filter
+from ambifilter.filtering import run_filter, run_filter_bank
 from ambifilter.oracles import LinearGaussianSpec, kalman_bucy
 from ambifilter.policies import (constant_policy, sign_of_regression_policy,
                                  time_table_policy, zero_policy)
@@ -299,12 +299,61 @@ class TestPicard:
     @pytest.mark.parametrize("field, value", [
         ("n_paths", 20.5), ("n_particles", 16.5), ("n_steps", 4.5), ("max_iters", 2.5),
         ("n_paths", 20.0), ("max_iters", "3"),
+        ("n_paths", True), ("n_particles", True), ("n_steps", True), ("max_iters", True),
     ])
     def test_non_integral_counts_rejected(self, field, value):
-        # numpy or range() raised a TypeError for these once picard_solve ran
+        # numpy or range() raised a TypeError for these once picard_solve ran,
+        # and a bool ran as the count 1
         with pytest.raises(InvalidArgumentError, match=field):
             PicardConfig(**{field: value})
         PicardConfig(**{field: np.int64(20)})
+
+
+class TestIterationParticles:
+    """Picard's iterations filter at a fifth of the particles, and at least
+    2; its final pass, which J* and every saddle row come from, at
+    n_particles."""
+
+    @staticmethod
+    def bank_sizes(monkeypatch, model, config):
+        sizes = []
+
+        def spy(model_, policy, dY, dt, n_particles, *args, **kwargs):
+            sizes.append(n_particles)
+            return run_filter_bank(model_, policy, dY, dt, n_particles, *args, **kwargs)
+
+        for mod in (bsde, minimax):
+            monkeypatch.setattr(mod, "run_filter_bank", spy)
+        return sizes, picard_solve(model, config)
+
+    @pytest.mark.parametrize("n, at_iteration", [(2, 2), (9, 2), (10, 2), (64, 12)])
+    def test_iterations_small_final_pass_full(self, tanh_model, monkeypatch, n,
+                                              at_iteration):
+        cfg = PicardConfig(n_paths=100, n_particles=n, n_steps=8, seed=5,
+                           max_iters=2, tol=0.0)
+        assert cfg.iteration_particles == at_iteration
+        sizes, rep = self.bank_sizes(monkeypatch, tanh_model, cfg)
+        assert len(rep.iterations) == 2
+        assert sizes == [at_iteration, at_iteration, n]
+        assert rep.final_rule.n_particles == n
+
+    def test_zero_radius_runs_one_full_bank(self, linear_model, monkeypatch):
+        cfg = PicardConfig(n_paths=60, n_particles=64, n_steps=8, seed=3)
+        sizes, _ = self.bank_sizes(monkeypatch, linear_model, cfg)
+        assert sizes == [64]
+
+    def test_divisor_one_is_the_full_particle_run(self, tanh_model, monkeypatch):
+        # every bank at n_particles: the iterations, the fixed point and J*
+        # of the run before the iterations were cut, bit for bit
+        monkeypatch.setattr(minimax, "ITERATION_PARTICLE_DIVISOR", 1)
+        rep = picard_solve(tanh_model, PicardConfig(
+            n_paths=120, n_particles=10, n_steps=10, seed=5, max_iters=3, tol=0.0))
+        assert [(it.J.hex(), it.sign_agreement.hex()) for it in rep.iterations] == [
+            ("0x1.2e7e713597147p-5", "0x1.745d1745d1746p-4"),
+            ("0x1.79d22cc0f9060p-5", "0x1.f7dac37dac37ep-1"),
+            ("0x1.79ed0dd32eb09p-5", "0x1.ff9cb3f9cb3fap-1")]
+        assert rep.final_policy.digest() == "fc147e3ef82b3a0a"
+        assert rep.final_cost.J.hex() == "0x1.6e0671ce95c44p-5"
 
 
 def test_picard_holds_one_iterate(tanh_model):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ambifilter import bsde, minimax, model, oracles, policies
+from ambifilter import bsde, cli, minimax, model, oracles, policies
 from ambifilter.errors import InvalidArgumentError, MissingFeatureError, ShapeError
 from ambifilter.features import RegressionBasis, fit_ridge
 from ambifilter.model import (ROLE_B, ROLE_W, ModelSpec, NoiseBundle,
@@ -208,6 +208,17 @@ class TestSubstreamKeys:
             assert ("CLOUD_BLOCK_ELEMENTS" in text) == (path.name == "filtering.py"), path.name
             assert not re.search(r"\benviron\b|\bgetenv\b", text), path.name
 
+    def test_one_iteration_divisor(self):
+        # Picard's iteration particle divisor is a minimax constant: no other
+        # module reads it, and no config key or config field sets it (no
+        # module reads the environment: test_one_block_budget)
+        for path in sorted(Path(model.__file__).parent.glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            assert ("ITERATION_PARTICLE_DIVISOR" in text) == (path.name == "minimax.py"), path.name
+        names = [*cli._SETTINGS, *(f.name for f in dataclasses.fields(cli.ExperimentConfig)),
+                 *(f.name for f in dataclasses.fields(minimax.PicardConfig))]
+        assert not [n for n in names if re.search(r"divisor|iteration", n)]
+
     @pytest.mark.parametrize("seed", [-1, -2**70, 1.5, 3.0, float("nan"),
                                       float("inf"), "7", None])
     def test_bad_seed(self, seed):
@@ -322,7 +333,8 @@ def crn_families(m):
 
     def picard_by_hand(noise):
         rep = solved["report"]
-        per_path, _, _ = bsde.weighted_cost_qtilde(m, zero_policy(), n, particles, seed,
+        per_path, _, _ = bsde.weighted_cost_qtilde(m, zero_policy(), n,
+                                                   config.iteration_particles, seed,
                                                    steps, noise=noise)
         return (float(-2.0 * per_path.mean()),
                 cost(rep.final_rule, rep.final_policy, noise).per_path)
